@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dynamics, fock, topology, wigner as wigner_mod
+from . import dynamics, fock, model, topology, wigner as wigner_mod
 from .errors import ConfigError, KnosimError
 from .model import ModelParams
 from .presets import PRESETS
@@ -107,7 +107,7 @@ def resolve_config(spec: str, overrides: dict | None = None) -> ExperimentConfig
         sta=bool(raw.get("sta", protocol in ("sta", "wigner_movie"))),
         initial=initial,
         n_steps=int(raw.get("n_steps") or dynamics.default_n_steps(params)),
-        n_samples=int(raw.get("n_samples", 401)),
+        n_samples=int(raw.get("n_samples", dynamics.DEFAULT_N_SAMPLES)),
         chi_values=[float(c) for c in raw.get("chi_values", [])],
         out=str(out),
         format=fmt,
@@ -291,9 +291,9 @@ def validate_config(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
     lines.append(f"chi                 {p.chi:.6f}")
     ratio = p.stabilizer_ratio
     lines.append(f"stabilizer_ratio    {ratio:.6f}")
-    if ratio > 0.2:
+    if ratio > model.STABILIZER_RATIO_WARN:
         ok = False
-        lines.append("FAIL stabilizer ratio exceeds 0.2")
+        lines.append(f"FAIL stabilizer ratio exceeds {model.STABILIZER_RATIO_WARN}")
     if not fock.coherent_truncation_ok(p.alpha0, p.dim):
         ok = False
         lines.append(

@@ -16,11 +16,11 @@ import numpy as np
 from . import model
 from .errors import ConfigError
 from .fock import StateVector
-from .model import DriveSet, ModelParams
+from .model import ModelParams
 
 REFINE_TOL = 1e-4
 MAX_REFINEMENTS = 2
-DEFAULT_N_SAMPLES = 400
+DEFAULT_N_SAMPLES = 401
 
 
 def default_n_steps(params: ModelParams) -> int:
@@ -58,18 +58,18 @@ class Trajectory:
         return np.stack([self.sx, self.sy, self.sz], axis=1)
 
 
-def _initial_state(ds: DriveSet, initial) -> tuple[StateVector, str]:
+def _initial_state(system, initial) -> tuple[StateVector, str]:
     if isinstance(initial, StateVector):
         return initial.normalized(), "custom"
     if initial == "ket0":
-        return ds.frame.ket0, "ket0"
+        return system.frame.ket0, "ket0"
     if initial == "ket1":
-        return ds.frame.ket1, "ket1"
+        return system.frame.ket1, "ket1"
     raise ConfigError(f"initial must be 'ket0', 'ket1' or a StateVector, got {initial!r}")
 
 
 def _propagate(
-    ds: DriveSet,
+    system,
     psi0: StateVector,
     sta: bool,
     n_steps: int,
@@ -77,30 +77,34 @@ def _propagate(
     snapshot_times=(),
 ) -> dict:
     """Single fixed-step propagation; returns sampled arrays and snapshots."""
-    p = ds.params
+    p = system.params
+    snap_k = {}  # snapshot time -> sample index; off-grid times are rejected
+    for ts in snapshot_times:
+        k = int(round(ts / p.tau * (n_samples - 1)))
+        if not 0 <= k < n_samples or abs(k * p.tau / (n_samples - 1) - ts) > 1e-9 * p.tau:
+            raise ConfigError(f"snapshot time {ts} is not on the sample grid k*tau/{n_samples - 1}")
+        snap_k[float(ts)] = k
     spc = max(1, int(np.ceil(n_steps / (n_samples - 1))))
     n_steps = spc * (n_samples - 1)
     dt = p.tau / n_steps
 
-    snap_at = {int(round(ts / p.tau * n_steps / spc)) * spc: float(ts) for ts in snapshot_times}
-
-    frame = ds.frame
+    frame = system.frame
     obs = (frame.pauli_x.matrix, frame.pauli_y.matrix, frame.pauli_z.matrix, frame.projector.matrix)
 
     psi = psi0.amplitudes.copy()
     out = np.empty((n_samples, 6))
-    snapshots: dict[float, StateVector] = {}
+    states: dict[int, StateVector] = {}
 
     def record(k_sample: int, step: int):
         vals = [np.vdot(psi, m @ psi).real for m in obs]
         out[k_sample] = [step * dt, *vals, np.linalg.norm(psi)]
-        if step in snap_at:
-            snapshots[snap_at[step]] = StateVector(psi.copy())
+        if k_sample in snap_k.values():
+            states[k_sample] = StateVector(psi.copy())
 
     record(0, 0)
     k = 1
     for i in range(n_steps):
-        h = ds.total_matrix((i + 0.5) * dt, sta=sta)
+        h = system.total_matrix((i + 0.5) * dt, sta=sta)
         w, v = np.linalg.eigh(h)
         psi = v @ (np.exp(-1j * w * dt) * (v.conj().T @ psi))
         if (i + 1) % spc == 0:
@@ -117,12 +121,12 @@ def _propagate(
         "norm": out[:, 5],
         "n_steps": n_steps,
         "final_state": StateVector(psi),
-        "snapshots": snapshots,
+        "snapshots": {ts: states[k] for ts, k in snap_k.items()},
     }
 
 
-def run(
-    params: ModelParams,
+def evolve(
+    system,
     initial="ket0",
     sta: bool = False,
     n_steps: int | None = None,
@@ -130,30 +134,34 @@ def run(
     refine_tol: float = REFINE_TOL,
     max_refinements: int = MAX_REFINEMENTS,
     snapshot_times=(),
-    orthogonalization: str = "lowdin",
 ) -> Trajectory:
-    """Propagate the full oscillator and sample the logical Bloch vector.
+    """Propagate a system over its ramp and sample the logical Bloch vector.
+
+    A system has ``params`` (ModelParams: tau and the ramp), ``frame`` (a
+    LogicalFrame on its basis: initial states and observables) and
+    ``total_matrix(t, sta)``, the Hermitian H(t). run passes a model.DriveSet,
+    twolevel.reference_dynamics a twolevel.TwoLevelSystem.
 
     The step count is validated by step doubling: the run converged when one
     doubling changes every sampled s_j by at most refine_tol. The returned
     trajectory is always the finest one computed; non-convergence after
-    max_refinements doublings is flagged, never silent.
+    max_refinements doublings is flagged, never silent. Snapshot times must
+    lie on the sample grid k * tau / (n_samples - 1).
     """
+    params = system.params
     if n_steps is None:
         n_steps = default_n_steps(params)
     if n_steps < 100:
         raise ConfigError(f"n_steps must be >= 100, got {n_steps}")
     if n_samples < 2 or n_samples > n_steps:
         raise ConfigError("need 2 <= n_samples <= n_steps")
+    psi0, label = _initial_state(system, initial)
 
-    ds = model.drive_set(params, orthogonalization)
-    psi0, label = _initial_state(ds, initial)
-
-    coarse = _propagate(ds, psi0, sta, n_steps, n_samples, snapshot_times)
+    coarse = _propagate(system, psi0, sta, n_steps, n_samples, snapshot_times)
     converged = False
     diff = float("nan")
     for _ in range(max_refinements):
-        fine = _propagate(ds, psi0, sta, 2 * coarse["n_steps"], n_samples, snapshot_times)
+        fine = _propagate(system, psi0, sta, 2 * coarse["n_steps"], n_samples, snapshot_times)
         diff = max(
             float(np.abs(fine[k] - coarse[k]).max()) for k in ("sx", "sy", "sz")
         )
@@ -162,10 +170,9 @@ def run(
             converged = True
             break
 
-    sched = ds.schedule
     return Trajectory(
         t=coarse["t"],
-        theta=np.asarray(sched.theta(coarse["t"]), dtype=float),
+        theta=np.asarray(params.ramp().theta(coarse["t"]), dtype=float),
         sx=coarse["sx"],
         sy=coarse["sy"],
         sz=coarse["sz"],
@@ -180,6 +187,13 @@ def run(
         final_state=coarse["final_state"],
         snapshots=coarse["snapshots"],
     )
+
+
+def run(
+    params: ModelParams, initial="ket0", sta: bool = False, orthogonalization: str = "lowdin", **kw
+) -> Trajectory:
+    """Propagate the full oscillator, model.drive_set(params); kw as in evolve."""
+    return evolve(model.drive_set(params, orthogonalization), initial, sta, **kw)
 
 
 class FidelityResult(NamedTuple):

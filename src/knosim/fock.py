@@ -36,7 +36,7 @@ class Operator:
     """A dense operator on the truncated Fock basis.
 
     ``hermitian`` is a promise checked at construction (entrywise, absolute
-    tolerance ``HERMITIAN_ATOL``); the propagation kernel only accepts
+    tolerance ``HERMITIAN_ATOL``); expectation returns real values for
     operators carrying it.
     """
 
@@ -61,24 +61,6 @@ class Operator:
 
     def dagger(self) -> "Operator":
         return Operator(self.matrix.conj().T, hermitian=self.hermitian)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        _check_dims(self.dim, other.dim)
-        return Operator(self.matrix + other.matrix, hermitian=self.hermitian and other.hermitian)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        _check_dims(self.dim, other.dim)
-        return Operator(self.matrix - other.matrix, hermitian=self.hermitian and other.hermitian)
-
-    def __mul__(self, c: complex) -> "Operator":
-        herm = self.hermitian and float(np.imag(c)) == 0.0
-        return Operator(self.matrix * c, hermitian=herm)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        _check_dims(self.dim, other.dim)
-        return Operator(self.matrix @ other.matrix)
 
 
 @dataclass(frozen=True)
@@ -215,24 +197,6 @@ def displacement(alpha: complex, dim: int, guard: int = DISPLACEMENT_GUARD) -> O
         raise PropagationError(f"eigendecomposition failed for displacement({alpha})") from exc
     d = (v * np.exp(-1j * w)) @ v.conj().T
     return Operator(d[:dim, :dim])
-
-
-def propagate_step(h: Operator, psi: StateVector, dt: float) -> StateVector:
-    """Apply exp(-i H dt) via Hermitian eigendecomposition (exact for constant H)."""
-    if not h.hermitian:
-        raise ValueError("propagate_step requires a Hermitian-flagged operator")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    _check_dims(h.dim, psi.dim)
-    try:
-        w, v = np.linalg.eigh(h.matrix)
-    except np.linalg.LinAlgError as exc:
-        scale = float(np.abs(h.matrix).max())
-        raise PropagationError(
-            f"eigendecomposition failed (dim={h.dim}, max|H|={scale:.3e} rad/us)"
-        ) from exc
-    out = v @ (np.exp(-1j * w * dt) * (v.conj().T @ psi.amplitudes))
-    return StateVector(out)
 
 
 def expectation(psi: StateVector, m: Operator, imag_atol: float = 1e-9):

@@ -43,10 +43,6 @@ class LogicalFrame:
     orthogonalization: str
     raw_overlap: float  # <-alpha0|+alpha0> before orthogonalization
 
-    def project(self, psi: StateVector) -> np.ndarray:
-        """Coefficients (<0bar|psi>, <1bar|psi>) of the subspace component."""
-        return np.array([self.ket0.overlap(psi), self.ket1.overlap(psi)])
-
 
 def _dyad(bra_side: StateVector, ket_side: StateVector) -> np.ndarray:
     return np.outer(ket_side.amplitudes, bra_side.amplitudes.conj())
@@ -66,12 +62,10 @@ def build_frame(alpha0: float, dim: int = 30, orthogonalization: str = "lowdin")
         )
 
     if orthogonalization == "lowdin":
-        s = overlap.real  # real for real alpha0
         even = StateVector(plus.amplitudes + minus.amplitudes).normalized()
         odd = StateVector(plus.amplitudes - minus.amplitudes).normalized()
         ket0 = StateVector((even.amplitudes + odd.amplitudes) / np.sqrt(2))
         ket1 = StateVector((even.amplitudes - odd.amplitudes) / np.sqrt(2))
-        del s
     else:
         ket0, ket1 = plus, minus
 
@@ -93,21 +87,16 @@ def build_frame(alpha0: float, dim: int = 30, orthogonalization: str = "lowdin")
     )
 
 
-def bloch_vector(psi: StateVector, frame: LogicalFrame, renormalize: bool = False) -> BlochReadout:
+def bloch_vector(psi: StateVector, frame: LogicalFrame) -> BlochReadout:
     """Logical Bloch vector (sx, sy, sz) and subspace population.
 
-    By default the expectations are taken on the full state, so the Bloch
-    length equals the subspace weight (s^2 = pop^2 for pure states in a
-    Loewdin frame). With renormalize=True the vector is divided by pop.
+    The expectations are taken on the full state, so the Bloch length equals
+    the subspace weight (s^2 = pop^2 for pure states in a Loewdin frame).
     """
     sx = fock.expectation(psi, frame.pauli_x)
     sy = fock.expectation(psi, frame.pauli_y)
     sz = fock.expectation(psi, frame.pauli_z)
     pop = fock.expectation(psi, frame.projector)
-    if renormalize:
-        if pop <= 0:
-            raise ZeroDivisionError("cannot renormalize: zero subspace population")
-        return BlochReadout(sx / pop, sy / pop, sz / pop, pop)
     return BlochReadout(sx, sy, sz, pop)
 
 

@@ -86,16 +86,16 @@ class ModelParams:
     dim: int = 30
 
     def __post_init__(self):
+        for name in ("kerr", "pump", "omega0", "delta_z", "delta_0", "tau", "phi"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kerr <= 0 or self.pump <= 0:
             raise ConfigError("kerr and pump must be positive")
-        if self.schedule not in SCHEDULE_SHAPES:
-            raise ConfigError(f"unknown schedule shape {self.schedule!r}")
+        self.ramp()  # checks schedule and tau
         if self.hx_prefactor not in HX_PREFACTOR_MODES:
             raise ConfigError(f"unknown hx_prefactor mode {self.hx_prefactor!r}")
-        if self.tau <= 0:
-            raise ConfigError("tau must be positive")
-        if self.dim < 2:
-            raise ConfigError("dim must be >= 2")
+        if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
+            raise ConfigError(f"dim must be an integer >= 2, got {self.dim!r}")
         if self.delta_0 != 0.0 and self.delta_z == 0.0:
             raise ConfigError("delta_0 set with delta_z = 0: chi undefined")
         if self.stabilizer_ratio > STABILIZER_RATIO_WARN:
@@ -185,7 +185,9 @@ def mixing_angle(theta: float, chi: float) -> float:
 class DriveSet:
     """Pre-built operators for a parameter set, with the frame for the CD term.
 
-    Cached on params so repeated total_hamiltonian calls are cheap.
+    drive_set caches one per params, so each H(t) from total_matrix only
+    combines the stored matrices. This is the system dynamics.evolve runs for
+    the full oscillator.
     """
 
     def __init__(self, params: ModelParams, orthogonalization: str = "lowdin"):
@@ -200,6 +202,7 @@ class DriveSet:
         self.schedule = params.ramp()
 
     def total_matrix(self, t: float, sta: bool = False) -> np.ndarray:
+        """H(t) = H0 + (Dz/2)Hz + (Om/2)(Hx cos phi + Hy sin phi) [+ (Theta_dot/2) sy_bar]."""
         p = self.params
         if t < 0 or t > p.tau + 1e-12:
             raise ValueError(f"t={t} outside [0, {p.tau}]")
@@ -218,15 +221,8 @@ class DriveSet:
             m = m + cd / 2 * self.frame.pauli_y.matrix
         return m
 
-    def total(self, t: float, sta: bool = False) -> Operator:
-        return Operator(self.total_matrix(t, sta), hermitian=True)
-
 
 @lru_cache(maxsize=16)
 def drive_set(params: ModelParams, orthogonalization: str = "lowdin") -> DriveSet:
     return DriveSet(params, orthogonalization)
 
-
-def total_hamiltonian(t: float, params: ModelParams, sta: bool = False) -> Operator:
-    """H(t) = H0 + (Dz/2)Hz + (Om/2)(Hx cos phi + Hy sin phi) [+ (Theta_dot/2) sy_bar]."""
-    return drive_set(params).total(t, sta=sta)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import Trajectory
-from .errors import DegenerateReadoutError, InsufficientSamplingError, SingularDriveError
+from .errors import DegenerateReadoutError, InsufficientSamplingError, KnosimError
 from .model import ModelParams
 
 MIN_CURVATURE_POINTS = 10
@@ -146,7 +146,7 @@ def _sweep_point(args):
     params, protocol, initial, run_kwargs = args
     try:
         return chern_from_run(params, protocol, initial, **run_kwargs)
-    except SingularDriveError as exc:
+    except KnosimError as exc:
         return ChernResult(
             c1=float("nan"),
             method="sta_polar" if protocol == "sta" else protocol,
@@ -167,8 +167,9 @@ def sweep_chi(
 ) -> list[ChernResult]:
     """Independent simulation per chi (delta_0 = chi * delta_z), in chi order.
 
-    Singular counterdiabatic points are recorded as failed entries and the
-    sweep continues.
+    A point that fails with a KnosimError (a singular counterdiabatic term, a
+    truncation leak, ...) is recorded as a failed entry and the sweep
+    continues.
     """
     tasks = []
     for chi in chi_values:

@@ -17,8 +17,9 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import Trajectory
-from .errors import ConfigError, DegenerateHamiltonianError, OnManifoldDegeneracyError
+from .errors import DegenerateHamiltonianError, OnManifoldDegeneracyError
 from .fock import Operator, StateVector
+from .logical import LogicalFrame
 from .model import ModelParams, RampSchedule, cd_coefficient
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -61,21 +62,24 @@ def eigensystem(delta_z: float, omega: float, phi: float = 0.0) -> Eigensystem:
     )
 
 
-class _TwoLevelDriveSet:
-    """Duck-typed stand-in for model.DriveSet on the bare qubit."""
+class TwoLevelSystem:
+    """The 2x2 reduction as a system for dynamics.evolve.
 
-    class _Frame:
-        ket0 = StateVector(np.array([1.0, 0.0]))
-        ket1 = StateVector(np.array([0.0, 1.0]))
-        pauli_x = Operator(_SX, hermitian=True)
-        pauli_y = Operator(_SY, hermitian=True)
-        pauli_z = Operator(_SZ, hermitian=True)
-        projector = Operator(np.eye(2, dtype=complex), hermitian=True)
+    H(t) is hamiltonian(Dz(theta), Om(theta), phi), plus (Theta_dot/2) sigma_y
+    with sta, on the bare qubit basis. Its frame is exact: ket0 = (1, 0),
+    ket1 = (0, 1), the Pauli matrices and the identity projector.
+    """
 
     def __init__(self, params: ModelParams):
         self.params = params
-        self.frame = self._Frame()
         self.schedule: RampSchedule = params.ramp()
+        e = np.eye(2, dtype=complex)
+        self.frame = LogicalFrame(
+            alpha0=params.alpha0, dim=2, ket0=StateVector(e[0]), ket1=StateVector(e[1]),
+            projector=Operator(e, hermitian=True), pauli_x=Operator(_SX, hermitian=True),
+            pauli_y=Operator(_SY, hermitian=True), pauli_z=Operator(_SZ, hermitian=True),
+            orthogonalization="raw", raw_overlap=0.0,
+        )
 
     def total_matrix(self, t: float, sta: bool = False) -> np.ndarray:
         p = self.params
@@ -87,100 +91,43 @@ class _TwoLevelDriveSet:
         return m
 
 
-def reference_dynamics(
-    params: ModelParams,
-    initial="ket0",
-    sta: bool = False,
-    n_steps: int | None = None,
-    n_samples: int = dynamics.DEFAULT_N_SAMPLES,
-    refine_tol: float = dynamics.REFINE_TOL,
-    max_refinements: int = dynamics.MAX_REFINEMENTS,
-) -> Trajectory:
-    """Propagate the 2x2 reduction with the same midpoint-exponential stepper.
+def reference_dynamics(params: ModelParams, initial="ket0", sta: bool = False, **kw) -> Trajectory:
+    """Propagate the 2x2 reduction, TwoLevelSystem(params); kw as in dynamics.evolve.
 
-    Emits Bloch samples directly comparable with the full-oscillator run
-    (pop is identically 1 here).
+    The engine and stepper are those of the full-oscillator run, so the Bloch
+    samples compare directly (pop is identically 1 here).
     """
-    if n_steps is None:
-        n_steps = dynamics.default_n_steps(params)
-    if n_steps < 100:
-        raise ConfigError(f"n_steps must be >= 100, got {n_steps}")
-    ds = _TwoLevelDriveSet(params)
-    psi0, label = dynamics._initial_state(ds, initial)
-
-    coarse = dynamics._propagate(ds, psi0, sta, n_steps, n_samples)
-    converged = False
-    diff = float("nan")
-    for _ in range(max_refinements):
-        fine = dynamics._propagate(ds, psi0, sta, 2 * coarse["n_steps"], n_samples)
-        diff = max(float(np.abs(fine[k] - coarse[k]).max()) for k in ("sx", "sy", "sz"))
-        coarse = fine
-        if diff <= refine_tol:
-            converged = True
-            break
-
-    return Trajectory(
-        t=coarse["t"],
-        theta=np.asarray(ds.schedule.theta(coarse["t"]), dtype=float),
-        sx=coarse["sx"],
-        sy=coarse["sy"],
-        sz=coarse["sz"],
-        pop=coarse["pop"],
-        norm=coarse["norm"],
-        n_steps=coarse["n_steps"],
-        converged=converged,
-        params=params,
-        sta=sta,
-        initial=label,
-        refine_diff=diff,
-        final_state=coarse["final_state"],
-    )
+    return dynamics.evolve(TwoLevelSystem(params), initial, sta, **kw)
 
 
 def monopole_chern(
     chi: float,
     n_theta: int = 200,
-    n_phi: int = 200,
     tol: float = 1e-6,
     max_doublings: int = 6,
 ) -> float:
     """Gauss-law Chern number: flux of R/(2 R^3) through the ramp manifold.
 
     The manifold is R(th, ph) = (sin th cos ph, sin th sin ph, cos th + chi)
-    (omega0 = delta_z scaled to 1). Midpoint product-grid quadrature, doubled
-    until the value is stable; 1 when the degeneracy R = 0 is enclosed
+    (omega0 = delta_z scaled to 1). The azimuthal integral is exactly 2 pi,
+    leaving the flux int_0^pi sin th (1 + chi cos th) / (2 |R|^3) d th with
+    |R|^2 = 1 + 2 chi cos th + chi^2, by midpoint quadrature doubled until
+    the value is stable; 1 when the degeneracy R = 0 is enclosed
     (|chi| < 1), 0 when it is not.
     """
     if abs(abs(chi) - 1.0) < 1e-12:
         raise OnManifoldDegeneracyError(f"degeneracy lies on the manifold at chi={chi}")
 
-    def flux(nt: int, np_: int) -> float:
-        dth = np.pi / nt
-        dph = 2 * np.pi / np_
-        th = (np.arange(nt) + 0.5) * dth
-        total = 0.0
-        chunk = max(1, 2_000_000 // np_)
-        for i0 in range(0, nt, chunk):
-            t = th[i0 : i0 + chunk][:, None]
-            p = ((np.arange(np_) + 0.5) * dph)[None, :]
-            st, ct = np.sin(t), np.cos(t)
-            sp, cp = np.sin(p), np.cos(p)
-            rx, ry, rz = st * cp, st * sp, ct + chi
-            # dS = (dR/dth x dR/dph) dth dph
-            dthx, dthy, dthz = ct * cp, ct * sp, -st + 0 * cp
-            dphx, dphy, dphz = -st * sp, st * cp, 0 * (t * p)
-            nx = dthy * dphz - dthz * dphy
-            ny = dthz * dphx - dthx * dphz
-            nz = dthx * dphy - dthy * dphx
-            r3 = (rx * rx + ry * ry + rz * rz) ** 1.5
-            total += float(np.sum((rx * nx + ry * ny + rz * nz) / (2 * r3)))
-        return total * dth * dph / (2 * np.pi)
+    def flux(nt: int) -> float:
+        th = (np.arange(nt) + 0.5) * (np.pi / nt)
+        ct = np.cos(th)
+        f = np.sin(th) * (1 + chi * ct) / (2 * (1 + 2 * chi * ct + chi**2) ** 1.5)
+        return float(np.sum(f)) * np.pi / nt
 
-    val = flux(n_theta, n_phi)
+    val = flux(n_theta)
     for _ in range(max_doublings):
         n_theta *= 2
-        n_phi *= 2
-        new = flux(n_theta, n_phi)
+        new = flux(n_theta)
         done = abs(new - val) < tol
         val = new
         if done:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +119,28 @@ class TestSimulate:
         path.write_text(json.dumps({"preset": "fig2-4", "bogus": 1}))
         assert cli.main(["simulate", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestDeterminism:
+    def test_outputs_identical_across_blas_threads_and_jobs(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+        def outputs(name, args, **env):
+            out = tmp_path / name
+            subprocess.run(
+                [sys.executable, "-m", "knosim.cli", *args, "--out", str(out)],
+                env={**os.environ, "PYTHONPATH": pythonpath, **env},
+                check=True, capture_output=True, timeout=300,
+            )
+            return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+        one = outputs("blas1", ["simulate", cfg_path], OPENBLAS_NUM_THREADS="1")
+        two = outputs("blas2", ["simulate", cfg_path], OPENBLAS_NUM_THREADS="2")
+        assert "trajectory.csv" in one and one == two
+        sweep = ["sweep", cfg_path, "--chis=0.3,1.5", "--jobs"]
+        assert outputs("jobs1", [*sweep, "1"]) == outputs("jobs2", [*sweep, "2"])
 
 
 class TestSweep:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import sta_params
-from knosim import dynamics, logical, model, twolevel
+from knosim import cli, dynamics, fock, logical, model, twolevel
 from knosim.errors import ConfigError
 from knosim.fock import StateVector
 
@@ -60,6 +60,28 @@ class TestRun:
         frame = logical.build_frame(p.alpha0, p.dim)
         assert traj.snapshots[0.0].fidelity(frame.ket0) >= 1 - 1e-9
         assert traj.snapshots[p.tau].fidelity(frame.ket1) >= 0.98
+
+    @pytest.mark.parametrize("times, n_samples", [((0.0, 1e-6, 1.5), 51), ((0.33,), 11)])
+    def test_off_grid_snapshot_rejected(self, times, n_samples):
+        # neither 1e-6 nor 0.33 is a multiple of tau / (n_samples - 1)
+        with pytest.raises(ConfigError, match="sample grid"):
+            dynamics.run(
+                sta_params(), sta=True, n_steps=500, n_samples=n_samples, snapshot_times=times
+            )
+
+    @pytest.mark.parametrize("n_samples", [41, 401])
+    def test_cli_snapshot_fractions_on_grid(self, n_samples):
+        p = sta_params(chi=0.5)
+        system = twolevel.TwoLevelSystem(p)
+        times = [f * p.tau for f in cli.SNAPSHOT_FRACTIONS]
+        traj = dynamics.evolve(
+            system, sta=True, n_steps=800, n_samples=n_samples, max_refinements=0,
+            snapshot_times=times,
+        )
+        assert list(traj.snapshots) == times
+        for ts, state in traj.snapshots.items():
+            k = int(np.argmin(np.abs(traj.t - ts)))
+            assert abs(fock.expectation(state, system.frame.pauli_z) - traj.sz[k]) < 1e-12
 
     def test_refinement_reported(self, sta_run):
         assert sta_run.refine_diff <= dynamics.REFINE_TOL

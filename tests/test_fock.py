@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knosim import fock
+from conftest import ConstantSystem
+from knosim import dynamics, fock
 from knosim.errors import DimensionMismatchError, InvalidDimensionError, TruncationError
 
 
@@ -31,7 +32,7 @@ class TestLadder:
         assert np.allclose(m, expected)
 
     def test_number_identity(self):
-        prod = (fock.creation(3) @ fock.annihilation(3)).matrix
+        prod = fock.creation(3).matrix @ fock.annihilation(3).matrix
         assert np.allclose(prod, np.diag([0, 1, 2]))
         assert np.allclose(fock.number(3).matrix, np.diag([0, 1, 2]))
 
@@ -136,45 +137,53 @@ class TestDisplacement:
 
 
 class TestPropagation:
+    """The engine's midpoint-exponential step, exact for a constant H."""
+
     def test_diagonal_phase(self):
         dim = 5
         omega = 2.7
-        h = fock.Operator(omega * np.diag(np.arange(dim)).astype(complex), hermitian=True)
+        h = omega * np.diag(np.arange(dim)).astype(complex)
         psi = np.zeros(dim, dtype=complex)
         psi[1] = 1
-        out = fock.propagate_step(h, fock.StateVector(psi), dt=0.3)
-        assert abs(out.amplitudes[1] - np.exp(-1j * omega * 0.3)) < 1e-12
+        traj = dynamics.evolve(
+            ConstantSystem(h, tau=0.3), fock.StateVector(psi), n_steps=100, n_samples=2
+        )
+        assert abs(traj.final_state.amplitudes[1] - np.exp(-1j * omega * 0.3)) < 1e-12
+        assert traj.converged and traj.refine_diff < 1e-12
 
     def test_zero_hamiltonian(self):
         dim = 10
-        h = fock.Operator(np.zeros((dim, dim), dtype=complex), hermitian=True)
         psi, _ = fock.coherent_state(0.5, dim)
-        out = fock.propagate_step(h, psi, dt=1.0)
-        assert np.abs(out.amplitudes - psi.amplitudes).max() < 1e-12
+        traj = dynamics.evolve(
+            ConstantSystem(np.zeros((dim, dim)), tau=1.0), psi, n_steps=100, n_samples=2
+        )
+        assert np.abs(traj.final_state.amplitudes - psi.amplitudes).max() < 1e-12
 
     def test_semigroup(self):
         rng = np.random.default_rng(7)
         m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-        h = fock.Operator(m + m.conj().T, hermitian=True)
+        h = m + m.conj().T
         psi, _ = fock.coherent_state(1.0, 12)
-        full = fock.propagate_step(h, psi, 0.8)
-        halves = fock.propagate_step(h, fock.propagate_step(h, psi, 0.4), 0.4)
+
+        def step(state, tau):
+            return dynamics.evolve(
+                ConstantSystem(h, tau), state, n_steps=100, n_samples=2, max_refinements=0
+            ).final_state
+
+        full = step(psi, 0.8)
+        halves = step(step(psi, 0.4), 0.4)
         assert halves.fidelity(full) >= 1 - 1e-12
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(3)
         m = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
-        h = fock.Operator(50 * (m + m.conj().T), hermitian=True)
         psi, _ = fock.coherent_state(1.5, 20)
-        for _ in range(50):
-            psi = fock.propagate_step(h, psi, 0.05)
-        assert abs(psi.norm - 1) <= 1e-9
-
-    def test_requires_hermitian_flag(self):
-        h = fock.Operator(np.eye(4, dtype=complex))
-        psi, _ = fock.coherent_state(0.1, 4)
-        with pytest.raises(ValueError):
-            fock.propagate_step(h, psi, 0.1)
+        traj = dynamics.evolve(
+            ConstantSystem(50 * (m + m.conj().T), tau=2.5), psi, n_steps=100, n_samples=11,
+            max_refinements=0,
+        )
+        assert np.abs(traj.norm - 1).max() <= 1e-9
+        assert abs(traj.final_state.norm - 1) <= 1e-9
 
 
 class TestExpectation:

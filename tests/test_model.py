@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 from conftest import linear_response_params, sta_params
-from knosim import fock, logical, model
+from knosim import dynamics, fock, logical, model
 from knosim.errors import ConfigError, SingularDriveError
 
 ALPHA0 = np.sqrt(2)
@@ -48,6 +48,16 @@ class TestParams:
     def test_bad_schedule(self):
         with pytest.raises(ConfigError):
             sta_params(schedule="quintic")
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [(n, v) for n in ("kerr", "pump", "omega0", "delta_z", "delta_0", "tau", "phi")
+         for v in (np.nan, np.inf)]
+        + [("dim", 30.0), ("dim", "30")],
+    )
+    def test_rejects_non_finite_and_non_integer_dim(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            sta_params(**{name: value})
 
 
 class TestRampSchedule:
@@ -132,33 +142,31 @@ class TestDrives:
 class TestTotalHamiltonian:
     def test_hermitian_at_all_times(self):
         params = sta_params(chi=0.4)
+        ds = model.drive_set(params)
         for t in np.linspace(0, params.tau, 7):
-            h = model.total_hamiltonian(t, params, sta=True)
-            assert np.abs(h.matrix - h.matrix.conj().T).max() <= 1e-10
+            h = ds.total_matrix(t, sta=True)
+            assert np.abs(h - h.conj().T).max() <= 1e-10
 
     def test_t0_has_no_omega(self, params):
-        h = model.total_hamiltonian(0.0, params)
+        h = model.drive_set(params).total_matrix(0.0)
         expected = model.h0(params).matrix + params.delta_z / 2 * model.hz(params).matrix
-        assert np.abs(h.matrix - expected).max() <= 1e-9
+        assert np.abs(h - expected).max() <= 1e-9
 
     def test_midpoint_linear_ramp(self, params):
-        h = model.total_hamiltonian(params.tau / 2, params)
+        h = model.drive_set(params).total_matrix(params.tau / 2)
         expected = model.h0(params).matrix + params.omega0 / 2 * model.hx(params).matrix
-        assert np.abs(h.matrix - expected).max() <= 1e-9
+        assert np.abs(h - expected).max() <= 1e-9
 
     def test_outside_window(self, params):
         with pytest.raises(ValueError):
-            model.total_hamiltonian(params.tau + 1.0, params)
+            model.drive_set(params).total_matrix(params.tau + 1.0)
 
     def test_cat_states_stationary_without_drives(self):
         params = sta_params(omega0=0.0, delta_z=0.0, delta_0=0.0)
         ds = model.drive_set(params)
-        h = ds.total(0.5)
-        for ket in (ds.frame.ket0, ds.frame.ket1):
-            psi = ket
-            for _ in range(40):
-                psi = fock.propagate_step(h, psi, params.tau / 40)
-            assert psi.fidelity(ket) >= 1 - 1e-6
+        for initial, ket in (("ket0", ds.frame.ket0), ("ket1", ds.frame.ket1)):
+            traj = dynamics.run(params, initial, n_steps=100, n_samples=2, max_refinements=0)
+            assert traj.final_state.fidelity(ket) >= 1 - 1e-6
 
 
 class TestCdCoefficient:

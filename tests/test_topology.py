@@ -145,18 +145,22 @@ class TestSweep:
         assert abs(results[2].c1) < 0.05
 
     def test_sweep_records_singular_points(self, monkeypatch):
-        from knosim.errors import SingularDriveError
+        from knosim.errors import SingularDriveError, TruncationError
 
         def boom(params, protocol, initial, **kw):
             if abs(params.chi - 1.0) < 1e-9:
                 raise SingularDriveError("vanishing gap")
+            if abs(params.chi - 2.0) < 1e-9:
+                raise TruncationError("state leaks out of the truncation")
             return topology.ChernResult(1.0, "sta_polar", params.chi, initial)
 
         monkeypatch.setattr(topology, "chern_from_run", boom)
-        results = topology.sweep_chi(sta_params(), [0.5, 1.0])
+        results = topology.sweep_chi(sta_params(), [0.5, 1.0, 2.0])
         assert results[0].error is None
-        assert results[1].error is not None
-        assert np.isnan(results[1].c1) and not results[1].converged
+        for failed in results[1:]:
+            assert failed.error is not None
+            assert np.isnan(failed.c1) and not failed.converged
+        assert "leaks" in results[2].error
 
     def test_empty_sweep(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import linear_response_params, sta_params
 from knosim import twolevel
-from knosim.errors import DegenerateHamiltonianError, OnManifoldDegeneracyError
+from knosim.errors import ConfigError, DegenerateHamiltonianError, OnManifoldDegeneracyError
 
 
 class TestEigensystem:
@@ -76,6 +76,16 @@ class TestReferenceDynamics:
         t0 = twolevel.reference_dynamics(p, initial="ket0", sta=True, n_steps=800, n_samples=41)
         t1 = twolevel.reference_dynamics(p, initial="ket1", sta=True, n_steps=800, n_samples=41)
         assert np.abs(t0.sz + t1.sz).max() <= 1e-6
+
+    def test_requested_step_count_is_kept(self):
+        traj = twolevel.reference_dynamics(sta_params(), sta=True, n_steps=4000)
+        assert traj.n_samples == 401
+        assert traj.n_steps == 8000
+
+    @pytest.mark.parametrize("n_steps, n_samples", [(200, 1), (200, 500)])
+    def test_sample_count_checked(self, n_steps, n_samples):
+        with pytest.raises(ConfigError, match="n_samples"):
+            twolevel.reference_dynamics(sta_params(), n_steps=n_steps, n_samples=n_samples)
 
 
 class TestMonopoleChern:
