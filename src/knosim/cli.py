@@ -116,6 +116,10 @@ def resolve_config(spec: str, overrides: dict | None = None) -> ExperimentConfig
         n_points=int(raw.get("n_points", 81)),
         source=raw,
     )
+    if not (np.isfinite(cfg.half_width) and cfg.half_width > 0):
+        raise ConfigError(f"half_width must be finite and > 0, got {cfg.half_width}")
+    if cfg.n_points < wigner_mod.MIN_GRID_POINTS:
+        raise ConfigError(f"n_points must be >= {wigner_mod.MIN_GRID_POINTS}, got {cfg.n_points}")
     return cfg
 
 
@@ -279,6 +283,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     return manifest
 
 
+def estimated_runtime_s(cfg: ExperimentConfig) -> float:
+    """Expected eigh calls of the configured runs (one after another) times the step cost."""
+    n_runs = max(1, len(cfg.chi_values)) if cfg.protocol == "sweep" else 1
+    calls = n_runs * dynamics.expected_eigh_calls(cfg.n_steps, cfg.n_samples)
+    return calls * dynamics.step_seconds(cfg.params.dim)
+
+
 def validate_config(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
     """Static checks; returns (ok, report lines)."""
     p = cfg.params
@@ -303,10 +314,7 @@ def validate_config(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
     if cfg.protocol == "sweep" and not cfg.chi_values:
         ok = False
         lines.append("FAIL sweep requires chi_values")
-    n_runs = max(1, len(cfg.chi_values)) if cfg.protocol == "sweep" else 1
-    # crude per-step cost model: dense eigendecomposition ~ 2e-7 * dim^3 s
-    est = 3 * cfg.n_steps * n_runs * 2e-7 * p.dim**3
-    lines.append(f"estimated_runtime_s {est:.1f}")
+    lines.append(f"estimated_runtime_s {estimated_runtime_s(cfg):.1f}")
     lines.append("OK" if ok else "INVALID")
     return ok, lines
 

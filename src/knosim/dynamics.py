@@ -8,6 +8,8 @@ norm-preserving, which matters because the stabilizer Hamiltonian is stiff
 
 from __future__ import annotations
 
+import functools
+import timeit
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -21,12 +23,34 @@ from .model import ModelParams
 REFINE_TOL = 1e-4
 MAX_REFINEMENTS = 2
 DEFAULT_N_SAMPLES = 401
+EIGH_SHARE_OF_STEP = 0.8  # of a fig2-4 step at dim 30; the rest is H(t), update, record
 
 
 def default_n_steps(params: ModelParams) -> int:
     """Step-count heuristic: 500 steps/us, at least 4000 (validated by the
     built-in step-doubling check)."""
     return max(4000, int(round(500 * params.tau)))
+
+
+def _rounded_steps(n_steps: int, n_samples: int) -> int:
+    """The steps a propagation runs: n_steps rounded up to whole sample intervals."""
+    return max(1, int(np.ceil(n_steps / (n_samples - 1)))) * (n_samples - 1)
+
+
+def expected_eigh_calls(n_steps: int, n_samples: int) -> int:
+    """eigh calls of one evolve that converges at its first step doubling,
+    as the presets do: the coarse pass plus one pass at twice the steps."""
+    return 3 * _rounded_steps(n_steps, n_samples)
+
+
+@functools.cache
+def step_seconds(dim: int) -> float:
+    """Cost of one propagation step at dim levels, measured once per process:
+    the fastest of a few dim x dim Hermitian eigh calls, over eigh's share."""
+    rng = np.random.default_rng(0)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = m + m.conj().T
+    return min(timeit.repeat(lambda: np.linalg.eigh(h), number=1, repeat=20)) / EIGH_SHARE_OF_STEP
 
 
 @dataclass
@@ -80,12 +104,14 @@ def _propagate(
     p = system.params
     snap_k = {}  # snapshot time -> sample index; off-grid times are rejected
     for ts in snapshot_times:
+        if not np.isfinite(ts):
+            raise ConfigError(f"snapshot time must be finite, got {ts}")
         k = int(round(ts / p.tau * (n_samples - 1)))
         if not 0 <= k < n_samples or abs(k * p.tau / (n_samples - 1) - ts) > 1e-9 * p.tau:
             raise ConfigError(f"snapshot time {ts} is not on the sample grid k*tau/{n_samples - 1}")
         snap_k[float(ts)] = k
-    spc = max(1, int(np.ceil(n_steps / (n_samples - 1))))
-    n_steps = spc * (n_samples - 1)
+    n_steps = _rounded_steps(n_steps, n_samples)
+    spc = n_steps // (n_samples - 1)
     dt = p.tau / n_steps
 
     frame = system.frame

@@ -19,11 +19,6 @@ from .errors import (
 
 HERMITIAN_ATOL = 1e-12
 
-# Guard band used when exponentiating displacement generators: the operator is
-# built on dim + DISPLACEMENT_GUARD levels and cropped, so edge corruption of
-# the unitary stays outside the returned block.
-DISPLACEMENT_GUARD = 10
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=complex)
@@ -177,26 +172,6 @@ def coherent_state(
             f"at dim={dim}; increase the truncation"
         )
     return StateVector(c).normalized(), leakage
-
-
-def displacement(alpha: complex, dim: int, guard: int = DISPLACEMENT_GUARD) -> Operator:
-    """Displacement D_alpha = exp(alpha a^dag - alpha^* a), cropped to dim.
-
-    The exponential is evaluated on dim + guard levels so that the returned
-    block is unitary up to truncation error near the edge.
-    """
-    _check_dim(dim)
-    big = dim + guard
-    a = annihilation(big).matrix
-    gen = alpha * a.conj().T - np.conj(alpha) * a
-    # gen is anti-Hermitian: exp(gen) = exp(-i M) with M = i*gen Hermitian.
-    m = 1j * gen
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise PropagationError(f"eigendecomposition failed for displacement({alpha})") from exc
-    d = (v * np.exp(-1j * w)) @ v.conj().T
-    return Operator(d[:dim, :dim])
 
 
 def expectation(psi: StateVector, m: Operator, imag_atol: float = 1e-9):

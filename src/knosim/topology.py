@@ -12,6 +12,7 @@ Two routes to the same invariant:
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -169,7 +170,7 @@ def sweep_chi(
 
     A point that fails with a KnosimError (a singular counterdiabatic term, a
     truncation leak, ...) is recorded as a failed entry and the sweep
-    continues.
+    continues. jobs > 1 starts at most one worker per core and per point.
     """
     tasks = []
     for chi in chi_values:
@@ -177,7 +178,8 @@ def sweep_chi(
         tasks.append((p, protocol, initial, run_kwargs))
     if not tasks:
         raise ValueError("empty chi sweep")
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_point, tasks))
     return [_sweep_point(t) for t in tasks]

@@ -175,6 +175,19 @@ class TestWigner:
         man = json.loads((out / "run-manifest.json").read_text())
         assert len(man["snapshot_times_us"]) == 5
 
+    @pytest.mark.parametrize(
+        "setting", [{"n_points": 11}, {"half_width": "nan"}, {"half_width": 0}]
+    )
+    def test_bad_grid_rejected_before_running(self, tmp_path, monkeypatch, capsys, setting):
+        def no_run(*args, **kwargs):
+            raise AssertionError("propagation started on an invalid grid config")
+
+        monkeypatch.setattr(cli.dynamics, "run", no_run)
+        out = tmp_path / "wig"
+        assert cli.main(["wigner", write_config(tmp_path, **setting), "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidate:
     def test_preset_ok(self, capsys):
@@ -189,3 +202,11 @@ class TestValidate:
             rc = cli.main(["validate", cfg_path])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_runtime_estimate_scales_with_steps(self):
+        cfg = cli.resolve_config("fig2-4")
+        est = cli.estimated_runtime_s(cfg)
+        assert np.isfinite(est) and est > 0
+        # the per-step cost is now cached, so only the eigh count changes
+        cfg.n_steps *= 2
+        assert cli.estimated_runtime_s(cfg) == 2 * est

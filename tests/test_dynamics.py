@@ -69,6 +69,14 @@ class TestRun:
                 sta_params(), sta=True, n_steps=500, n_samples=n_samples, snapshot_times=times
             )
 
+    @pytest.mark.parametrize("ts", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_snapshot_rejected(self, ts):
+        with pytest.raises(ConfigError, match="finite"):
+            dynamics.evolve(
+                twolevel.TwoLevelSystem(sta_params()), n_steps=400, n_samples=41,
+                snapshot_times=(ts,),
+            )
+
     @pytest.mark.parametrize("n_samples", [41, 401])
     def test_cli_snapshot_fractions_on_grid(self, n_samples):
         p = sta_params(chi=0.5)

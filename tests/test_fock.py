@@ -99,43 +99,6 @@ class TestParity:
         assert abs(val - np.exp(-4)) < 1e-6
 
 
-class TestDisplacement:
-    def test_zero_is_identity(self):
-        assert np.abs(fock.displacement(0.0, 20).matrix - np.eye(20)).max() < 1e-12
-
-    def test_generates_coherent_state(self):
-        dim = 30
-        vac = np.zeros(dim, dtype=complex)
-        vac[0] = 1
-        moved = fock.StateVector(fock.displacement(np.sqrt(2), dim).matrix @ vac)
-        target, _ = fock.coherent_state(np.sqrt(2), dim)
-        assert moved.fidelity(target) >= 1 - 1e-10
-
-    def test_vacuum_matrix_element(self):
-        d = fock.displacement(1.0, 40).matrix
-        assert abs(d[0, 0] - np.exp(-0.5)) < 1e-10
-
-    def test_leading_block_matches_larger_space(self):
-        # guard adequacy: the leading block should agree with the same
-        # displacement computed in a much larger space
-        small = fock.displacement(1.2 + 0.7j, 30).matrix[:15, :15]
-        big = fock.displacement(1.2 + 0.7j, 60).matrix[:15, :15]
-        assert np.abs(small - big).max() <= 1e-10
-
-    def test_unitary_on_inner_block(self):
-        # unitarity degrades towards the truncation edge; the leading third
-        # of the matrix is clean
-        dim = 30
-        d = fock.displacement(1.2 + 0.7j, dim).matrix
-        defect = d.conj().T @ d - np.eye(dim)
-        assert np.abs(defect[:10, :10]).max() <= 1e-8
-
-    def test_inverse(self):
-        dim = 30
-        prod = fock.displacement(0.9, dim).matrix @ fock.displacement(-0.9, dim).matrix
-        assert np.abs((prod - np.eye(dim))[:12, :12]).max() <= 1e-8
-
-
 class TestPropagation:
     """The engine's midpoint-exponential step, exact for a constant H."""
 

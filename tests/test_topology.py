@@ -166,6 +166,35 @@ class TestSweep:
         with pytest.raises(ValueError):
             topology.sweep_chi(sta_params(), [])
 
+    @pytest.mark.parametrize(
+        "jobs, n_chis, workers", [(64, 3, 3), (64, 8, 4), (2, 8, 2), (1, 8, None), (8, 1, None)]
+    )
+    def test_pool_capped_at_cores_and_points(self, monkeypatch, jobs, n_chis, workers):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(topology, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(topology.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(
+            topology, "chern_from_run",
+            lambda params, protocol, initial, **kw: topology.ChernResult(1.0, "sta_polar", params.chi, initial),
+        )
+        results = topology.sweep_chi(sta_params(), [0.1 * i for i in range(n_chis)], jobs=jobs)
+        assert len(results) == n_chis
+        assert started == ([workers] if workers else [])
+
     def test_chern_from_run_unknown_protocol(self):
         with pytest.raises(ValueError):
             topology.chern_from_run(sta_params(), "adiabatic")

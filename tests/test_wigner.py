@@ -1,7 +1,35 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import laguerre
 
 from knosim import fock, wigner
+
+
+def reference_wigner(amplitudes, alphas):
+    """Independent oracle: (2/pi) <psi| D_a P D_a^dag |psi> at each point a,
+    with D_a = exp(a a^dag - a* a) built by eigh on a zero-padded Fock space
+    large enough to hold every displaced copy of psi."""
+    r = max(abs(a) for a in alphas) + np.sqrt(len(amplitudes))
+    big = int(np.ceil(r * r + 6 * r + 9)) + 10
+    psi = np.zeros(big, dtype=complex)
+    psi[: len(amplitudes)] = amplitudes
+    lower = np.diag(np.sqrt(np.arange(1, big)), 1).astype(complex)
+    signs = np.where(np.arange(big) % 2 == 0, 1.0, -1.0)
+    out = []
+    for a in alphas:
+        # D_a = exp(-i M) with M = i (a a^dag - a* a) Hermitian
+        w, v = np.linalg.eigh(1j * (a * lower.T - np.conj(a) * lower))
+        d = (v * np.exp(-1j * w)) @ v.conj().T
+        out.append(2 / np.pi * float(np.dot(signs, np.abs(d.conj().T @ psi) ** 2)))
+    return np.array(out)
+
+
+def random_state(dim, seed):
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return fock.StateVector(amp).normalized()
 
 
 def gaussian_wigner(axis, alpha):
@@ -88,12 +116,45 @@ class TestGridMechanics:
         with pytest.raises(ValueError):
             wigner.wigner(fock.StateVector(vac), n_points=11)
 
-    def test_working_dimension_grows_with_grid(self):
-        psi = fock.StateVector(np.eye(10, dtype=complex)[0])
-        assert wigner.working_dimension(psi, 6.0) > wigner.working_dimension(psi, 3.0)
-        assert wigner.working_dimension(psi, 3.0) >= psi.dim
-
     def test_values_layout(self, vacuum_grid):
         # values[i, j] = W(re_axis[j] + 1i * im_axis[i])
         g = vacuum_grid
         assert g.values.shape == (g.im_axis.size, g.re_axis.size)
+
+
+class TestClosedForm:
+    """The Laguerre-series W against oracles that share none of its algebra."""
+
+    @pytest.mark.parametrize("n", range(30))
+    def test_fock_state_is_laguerre(self, n):
+        # W of |n> is (2/pi) (-1)^n e^{-2|a|^2} L_n(4|a|^2)
+        g = wigner.wigner(fock.StateVector(np.eye(30, dtype=complex)[n]), half_width=3.0, n_points=41)
+        a2 = g.re_axis[None, :] ** 2 + g.im_axis[:, None] ** 2
+        expected = (2 / np.pi) * (-1) ** n * np.exp(-2 * a2) * laguerre.lagval(4 * a2, np.eye(n + 1)[n])
+        assert np.abs(g.values - expected).max() <= 1e-12
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        dim=st.integers(2, 40),
+        seed=st.integers(0, 2**32 - 1),
+        half_width=st.floats(0.5, 4.5),
+    )
+    def test_random_states_match_padded_reference(self, dim, seed, half_width):
+        psi = random_state(dim, seed)
+        g = wigner.wigner(psi, half_width=half_width, n_points=41)
+        assert np.abs(g.values).max() <= 2 / np.pi + 1e-12
+        idx = [0, 10, 20, 30, 40]
+        cells = [(i, j) for i in idx for j in idx]
+        alphas = [g.re_axis[j] + 1j * g.im_axis[i] for i, j in cells]
+        got = np.array([g.values[i, j] for i, j in cells])
+        assert np.abs(got - reference_wigner(psi.amplitudes, alphas)).max() <= 1e-12
+
+    def test_dim_100_wide_grid(self):
+        psi = random_state(100, 7)
+        g = wigner.wigner(psi, half_width=10.0, n_points=41)
+        assert np.isfinite(g.values).all()
+        assert np.abs(g.values).max() <= 2 / np.pi + 1e-12
+        cells = [(0, 0), (40, 40), (20, 20), (16, 12), (0, 20), (20, 40)]
+        alphas = [g.re_axis[j] + 1j * g.im_axis[i] for i, j in cells]
+        got = np.array([g.values[i, j] for i, j in cells])
+        assert np.abs(got - reference_wigner(psi.amplitudes, alphas)).max() <= 1e-12
