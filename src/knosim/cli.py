@@ -47,7 +47,7 @@ class ExperimentConfig:
     params: ModelParams
     sta: bool
     initial: str
-    n_steps: int
+    n_steps: int | None  # None: start at the sample grid (dynamics.start_steps)
     n_samples: int
     chi_values: list[float] = field(default_factory=list)
     out: str = "out"
@@ -78,6 +78,19 @@ def _load_raw(spec: str) -> dict:
     return raw
 
 
+def _number(kind, value, key: str):
+    """value as an int or a float; anything else, a fractional int included,
+    is a ConfigError naming key."""
+    try:
+        number = kind(value)
+        if kind is int and isinstance(value, float) and number != value:
+            raise ValueError(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
+    return number
+
+
 def resolve_config(spec: str, overrides: dict | None = None) -> ExperimentConfig:
     raw = _load_raw(spec)
     unknown = set(raw) - _ALL_KEYS
@@ -100,22 +113,29 @@ def resolve_config(spec: str, overrides: dict | None = None) -> ExperimentConfig
     initial = raw.get("initial", "ket0")
     if initial not in ("ket0", "ket1"):
         raise ConfigError(f"initial must be ket0 or ket1, got {initial!r}")
+    chis = raw.get("chi_values", [])
+    if not isinstance(chis, list):
+        raise ConfigError(f"chi_values must be a list of numbers, got {chis!r}")
+    n_steps = raw.get("n_steps")
 
     cfg = ExperimentConfig(
         protocol=protocol,
         params=params,
         sta=bool(raw.get("sta", protocol in ("sta", "wigner_movie"))),
         initial=initial,
-        n_steps=int(raw.get("n_steps") or dynamics.default_n_steps(params)),
-        n_samples=int(raw.get("n_samples", dynamics.DEFAULT_N_SAMPLES)),
-        chi_values=[float(c) for c in raw.get("chi_values", [])],
+        n_steps=None if n_steps is None else _number(int, n_steps, "n_steps"),
+        n_samples=_number(int, raw.get("n_samples", dynamics.DEFAULT_N_SAMPLES), "n_samples"),
+        chi_values=[_number(float, c, "chi_values entry") for c in chis],
         out=str(out),
         format=fmt,
-        jobs=int(raw.get("jobs", 1)),
-        half_width=float(raw.get("half_width", 4.5)),
-        n_points=int(raw.get("n_points", 81)),
+        jobs=_number(int, raw.get("jobs", 1), "jobs"),
+        half_width=_number(float, raw.get("half_width", 4.5), "half_width"),
+        n_points=_number(int, raw.get("n_points", 81), "n_points"),
         source=raw,
     )
+    dynamics.start_steps(cfg.n_steps, cfg.n_samples)  # raises on a bad step or sample count
+    if cfg.jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")
     if not (np.isfinite(cfg.half_width) and cfg.half_width > 0):
         raise ConfigError(f"half_width must be finite and > 0, got {cfg.half_width}")
     if cfg.n_points < wigner_mod.MIN_GRID_POINTS:
@@ -221,6 +241,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "initial": chern.initial,
             "converged": traj.converged,
             "refine_diff": traj.refine_diff,
+            "n_steps_used": traj.n_steps,
+            "refine_history": traj.refine_history,
             "c1_quadrature": chern.c1_quadrature,
             "warning": chern.warning,
             "stabilizer_ratio": cfg.params.stabilizer_ratio,
@@ -229,6 +251,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         extra = {
             "converged": traj.converged,
             "n_steps_used": traj.n_steps,
+            "refine_history": traj.refine_history,
             "final_edge_population": _edge_population(traj.final_state),
         }
 
@@ -264,6 +287,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             writes.append((f"wigner_t{k}", ["re_alpha", "im_alpha", "w", "low_confidence"], rows))
         extra = {
             "converged": traj.converged,
+            "n_steps_used": traj.n_steps,
+            "refine_history": traj.refine_history,
             "snapshot_times_us": snap_times,
             "final_edge_population": _edge_population(traj.final_state),
         }
@@ -342,7 +367,7 @@ def _overrides(args: argparse.Namespace) -> dict:
     if getattr(args, "sta", None) is not None:
         ov["sta"] = args.sta == "on"
     if getattr(args, "chis", None):
-        ov["chi_values"] = [float(c) for c in args.chis.split(",")]
+        ov["chi_values"] = args.chis.split(",")
     return ov
 
 

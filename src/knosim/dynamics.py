@@ -21,26 +21,34 @@ from .fock import StateVector
 from .model import ModelParams
 
 REFINE_TOL = 1e-4
-MAX_REFINEMENTS = 2
+MIN_STEPS = 100
+STEP_BUDGET = 7  # steps a run may compute, in coarse passes: the pass and two doublings
+BUDGET_STEPS = 4000  # with no n_steps, the coarse pass the budget is counted in
 DEFAULT_N_SAMPLES = 401
 EIGH_SHARE_OF_STEP = 0.8  # of a fig2-4 step at dim 30; the rest is H(t), update, record
 
 
-def default_n_steps(params: ModelParams) -> int:
-    """Step-count heuristic: 500 steps/us, at least 4000 (validated by the
-    built-in step-doubling check)."""
-    return max(4000, int(round(500 * params.tau)))
-
-
 def _rounded_steps(n_steps: int, n_samples: int) -> int:
-    """The steps a propagation runs: n_steps rounded up to whole sample intervals."""
+    """n_steps rounded up to whole sample intervals."""
     return max(1, int(np.ceil(n_steps / (n_samples - 1)))) * (n_samples - 1)
 
 
-def expected_eigh_calls(n_steps: int, n_samples: int) -> int:
+def start_steps(n_steps: int | None, n_samples: int) -> int:
+    """Steps of the coarse pass: n_steps, or with None the coarsest grid
+    accepted, max(MIN_STEPS, n_samples); rounded up to whole sample intervals."""
+    if n_steps is None:
+        n_steps = max(MIN_STEPS, n_samples)
+    if n_steps < MIN_STEPS:
+        raise ConfigError(f"n_steps must be >= {MIN_STEPS}, got {n_steps}")
+    if n_samples < 2 or n_samples > n_steps:
+        raise ConfigError("need 2 <= n_samples <= n_steps")
+    return _rounded_steps(n_steps, n_samples)
+
+
+def expected_eigh_calls(n_steps: int | None, n_samples: int) -> int:
     """eigh calls of one evolve that converges at its first step doubling,
-    as the presets do: the coarse pass plus one pass at twice the steps."""
-    return 3 * _rounded_steps(n_steps, n_samples)
+    as the fig2-4 runs do: the coarse pass plus one pass at twice the steps."""
+    return 3 * start_steps(n_steps, n_samples)
 
 
 @functools.cache
@@ -69,9 +77,14 @@ class Trajectory:
     params: ModelParams
     sta: bool
     initial: str
-    refine_diff: float = float("nan")
+    refine_history: list[tuple[int, float]] = field(default_factory=list)
     final_state: StateVector | None = None
     snapshots: dict[float, StateVector] = field(default_factory=dict)
+
+    @property
+    def refine_diff(self) -> float:
+        """Bloch change at the last step doubling (nan if none ran)."""
+        return self.refine_history[-1][1] if self.refine_history else float("nan")
 
     @property
     def n_samples(self) -> int:
@@ -100,7 +113,8 @@ def _propagate(
     n_samples: int,
     snapshot_times=(),
 ) -> dict:
-    """Single fixed-step propagation; returns sampled arrays and snapshots."""
+    """Single fixed-step propagation over n_steps, a whole number of steps per
+    sample interval; returns sampled arrays and snapshots."""
     p = system.params
     snap_k = {}  # snapshot time -> sample index; off-grid times are rejected
     for ts in snapshot_times:
@@ -110,7 +124,6 @@ def _propagate(
         if not 0 <= k < n_samples or abs(k * p.tau / (n_samples - 1) - ts) > 1e-9 * p.tau:
             raise ConfigError(f"snapshot time {ts} is not on the sample grid k*tau/{n_samples - 1}")
         snap_k[float(ts)] = k
-    n_steps = _rounded_steps(n_steps, n_samples)
     spc = n_steps // (n_samples - 1)
     dt = p.tau / n_steps
 
@@ -158,7 +171,6 @@ def evolve(
     n_steps: int | None = None,
     n_samples: int = DEFAULT_N_SAMPLES,
     refine_tol: float = REFINE_TOL,
-    max_refinements: int = MAX_REFINEMENTS,
     snapshot_times=(),
 ) -> Trajectory:
     """Propagate a system over its ramp and sample the logical Bloch vector.
@@ -168,33 +180,39 @@ def evolve(
     ``total_matrix(t, sta)``, the Hermitian H(t). run passes a model.DriveSet,
     twolevel.reference_dynamics a twolevel.TwoLevelSystem.
 
-    The step count is validated by step doubling: the run converged when one
-    doubling changes every sampled s_j by at most refine_tol. The returned
-    trajectory is always the finest one computed; non-convergence after
-    max_refinements doublings is flagged, never silent. Snapshot times must
-    lie on the sample grid k * tau / (n_samples - 1).
+    The step count comes from the tolerance. The coarse pass has
+    start_steps(n_steps, n_samples) steps; with n_steps None that is the
+    coarsest grid accepted, 2 steps per sample interval for 401 samples.
+    Each further pass doubles the steps, and the run has converged once a
+    doubling changes every sampled s_j by at most refine_tol. The cost is
+    capped, not the number of doublings: all passes together compute at most
+    STEP_BUDGET (7) times the steps of a coarse pass of n_steps, or of
+    BUDGET_STEPS (4000) with n_steps None, and doubling stops before a pass
+    that would exceed that. An explicit n_steps N thus runs its coarse pass
+    and at most two doublings (7N steps); the default start at 401 samples
+    may double four times (800 to 12800 steps, 24800 in all). The returned
+    trajectory is always the finest one computed, and refine_history lists
+    (n_steps, diff) per doubling; non-convergence is flagged, never silent.
+    Snapshot times must lie on the sample grid k * tau / (n_samples - 1).
     """
     params = system.params
-    if n_steps is None:
-        n_steps = default_n_steps(params)
-    if n_steps < 100:
-        raise ConfigError(f"n_steps must be >= 100, got {n_steps}")
-    if n_samples < 2 or n_samples > n_steps:
-        raise ConfigError("need 2 <= n_samples <= n_steps")
+    start = start_steps(n_steps, n_samples)
+    budget = STEP_BUDGET * _rounded_steps(BUDGET_STEPS if n_steps is None else n_steps, n_samples)
     psi0, label = _initial_state(system, initial)
 
-    coarse = _propagate(system, psi0, sta, n_steps, n_samples, snapshot_times)
+    coarse = _propagate(system, psi0, sta, start, n_samples, snapshot_times)
+    spent = start
+    history = []
     converged = False
-    diff = float("nan")
-    for _ in range(max_refinements):
+    while not converged and spent + 2 * coarse["n_steps"] <= budget:
         fine = _propagate(system, psi0, sta, 2 * coarse["n_steps"], n_samples, snapshot_times)
+        spent += fine["n_steps"]
         diff = max(
             float(np.abs(fine[k] - coarse[k]).max()) for k in ("sx", "sy", "sz")
         )
+        history.append((fine["n_steps"], diff))
+        converged = diff <= refine_tol
         coarse = fine
-        if diff <= refine_tol:
-            converged = True
-            break
 
     return Trajectory(
         t=coarse["t"],
@@ -209,7 +227,7 @@ def evolve(
         params=params,
         sta=sta,
         initial=label,
-        refine_diff=diff,
+        refine_history=history,
         final_state=coarse["final_state"],
         snapshots=coarse["snapshots"],
     )

@@ -28,6 +28,7 @@ class TestResolveConfig:
         assert abs(cfg.params.omega0 - 2 * np.pi * 0.02) < 1e-12
         assert abs(cfg.params.delta_z - cfg.params.omega0) < 1e-12
         assert cfg.params.schedule == "cosine"
+        assert cfg.n_steps is None  # start at the sample grid
 
     def test_fig1_preset(self):
         cfg = cli.resolve_config("fig1")
@@ -58,6 +59,28 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match="invalid JSON"):
             cli.resolve_config(str(path))
 
+    @pytest.mark.parametrize("setting", [
+        {"n_steps": "many"}, {"n_samples": "x"}, {"jobs": "two"}, {"half_width": "wide"},
+        {"n_points": "many"}, {"chi_values": ["x"]}, {"chi_values": "0.5"}, {"n_steps": 400.5},
+    ])
+    def test_non_numeric_rejected(self, tmp_path, capsys, setting):
+        assert cli.main(["validate", write_config(tmp_path, **setting)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", [{"n_steps": 0}, {"n_steps": 99}, {"jobs": 0}])
+    def test_zero_steps_or_jobs_rejected(self, tmp_path, setting):
+        with pytest.raises(ConfigError):
+            cli.resolve_config(write_config(tmp_path, **setting))
+
+    def test_zero_steps_flag_rejected(self, capsys):
+        assert cli.main(["validate", "fig2-4", "--steps", "0"]) == 2
+        assert "n_steps" in capsys.readouterr().err
+
+    def test_null_steps_start_at_sample_grid(self, tmp_path):
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps({"preset": "fig1", "n_steps": None}))
+        assert cli.resolve_config(str(path)).n_steps is None
+
     def test_bad_protocol(self, tmp_path):
         with pytest.raises(ConfigError, match="protocol"):
             cli.resolve_config(write_config(tmp_path, protocol="adiabatic"))
@@ -78,6 +101,9 @@ class TestSimulate:
         man = json.loads((out / "run-manifest.json").read_text())
         assert man["protocol"] == "sta"
         assert man["final_edge_population"] < 1e-6
+        for obj in (chern, man):
+            assert obj["n_steps_used"] == 800
+            assert [n for n, _ in obj["refine_history"]] == [800]
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert header == "t_us,theta_rad,sx,sy,sz,pop,norm"
 
@@ -174,6 +200,8 @@ class TestWigner:
         assert len(lines) == 1 + 41 * 41
         man = json.loads((out / "run-manifest.json").read_text())
         assert len(man["snapshot_times_us"]) == 5
+        assert man["n_steps_used"] == 800
+        assert [n for n, _ in man["refine_history"]] == [800]
 
     @pytest.mark.parametrize(
         "setting", [{"n_points": 11}, {"half_width": "nan"}, {"half_width": 0}]
@@ -204,7 +232,7 @@ class TestValidate:
         assert "FAIL" in capsys.readouterr().out
 
     def test_runtime_estimate_scales_with_steps(self):
-        cfg = cli.resolve_config("fig2-4")
+        cfg = cli.resolve_config("fig1")
         est = cli.estimated_runtime_s(cfg)
         assert np.isfinite(est) and est > 0
         # the per-step cost is now cached, so only the eigh count changes

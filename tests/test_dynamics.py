@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import sta_params
-from knosim import cli, dynamics, fock, logical, model, twolevel
+from conftest import linear_response_params, sta_params
+from knosim import cli, dynamics, fock, logical, model, topology, twolevel
 from knosim.errors import ConfigError
 from knosim.fock import StateVector
 
@@ -83,8 +83,7 @@ class TestRun:
         system = twolevel.TwoLevelSystem(p)
         times = [f * p.tau for f in cli.SNAPSHOT_FRACTIONS]
         traj = dynamics.evolve(
-            system, sta=True, n_steps=800, n_samples=n_samples, max_refinements=0,
-            snapshot_times=times,
+            system, sta=True, n_steps=800, n_samples=n_samples, snapshot_times=times,
         )
         assert list(traj.snapshots) == times
         for ts, state in traj.snapshots.items():
@@ -97,8 +96,7 @@ class TestRun:
 
     def test_nonconvergence_flagged(self):
         traj = dynamics.run(
-            sta_params(), sta=True, n_steps=100, n_samples=21,
-            refine_tol=1e-14, max_refinements=1,
+            sta_params(), sta=True, n_steps=100, n_samples=21, refine_tol=1e-14,
         )
         assert not traj.converged
         assert traj.refine_diff > 1e-14
@@ -113,9 +111,70 @@ class TestRun:
         with pytest.raises(ConfigError):
             dynamics.run(sta_params(), n_steps=200, n_samples=1)
 
-    def test_default_n_steps(self):
-        assert dynamics.default_n_steps(sta_params()) == 4000
-        assert dynamics.default_n_steps(sta_params(tau=40.0)) == 20000
+    def test_default_start_is_the_sample_grid(self):
+        # the coarsest grid evolve accepts, rounded up to whole sample intervals
+        assert dynamics.start_steps(None, 401) == 800
+        assert dynamics.start_steps(None, 41) == 120
+        assert dynamics.start_steps(4000, 401) == 4000
+        assert dynamics.start_steps(4000, 400) == 4389
+        assert dynamics.expected_eigh_calls(None, 401) == 2400
+
+
+def _exact_step(chi):
+    """C1q from the exact counterdiabatic endpoints Theta = atan2(sin th, cos th + chi)."""
+    return 0.5 * (np.cos(np.arctan2(0.0, 1 + chi)) - np.cos(np.arctan2(0.0, chi - 1)))
+
+
+class TestStepCount:
+    """The step count comes from refine_tol, within a cap on the steps computed."""
+
+    @pytest.fixture
+    def steps_computed(self, monkeypatch):
+        passes = []
+        propagate = dynamics._propagate
+
+        def counting(system, psi0, sta, n_steps, *args):
+            passes.append(n_steps)
+            return propagate(system, psi0, sta, n_steps, *args)
+
+        monkeypatch.setattr(dynamics, "_propagate", counting)
+        return passes
+
+    @pytest.mark.parametrize("chi", [0.3, -0.6, 1.35])
+    def test_fig24_default_converges_at_1600(self, chi, steps_computed):
+        traj = dynamics.run(sta_params(chi=chi), sta=True)
+        assert traj.converged
+        assert steps_computed == [800, 1600]
+        assert traj.n_steps == 1600
+        assert [n for n, _ in traj.refine_history] == [1600]
+        assert traj.refine_diff <= dynamics.REFINE_TOL
+        c1 = topology.chern_sta(topology.theta_q_series(traj), traj).c1
+        assert abs(c1 - _exact_step(chi)) <= 1e-6
+
+    def test_fig1_default_converges(self, steps_computed):
+        traj = dynamics.run(linear_response_params())
+        assert traj.converged
+        assert steps_computed == [800, 1600, 3200, 6400]
+        assert traj.refine_history[-1][1] <= dynamics.REFINE_TOL < traj.refine_history[-2][1]
+
+    def test_explicit_steps_cost_at_most_seven_times(self, steps_computed):
+        traj = dynamics.evolve(
+            twolevel.TwoLevelSystem(sta_params(chi=0.5)), sta=True, n_steps=400, n_samples=41,
+            refine_tol=1e-14,
+        )
+        assert not traj.converged
+        assert steps_computed == [400, 800, 1600]
+        assert sum(steps_computed) == 7 * 400
+        assert [n for n, _ in traj.refine_history] == [800, 1600]
+
+    def test_default_start_capped_at_4000_step_budget(self, steps_computed):
+        traj = dynamics.evolve(
+            twolevel.TwoLevelSystem(sta_params(chi=0.5)), sta=True, refine_tol=1e-14
+        )
+        assert not traj.converged
+        assert steps_computed == [800, 1600, 3200, 6400, 12800]
+        assert sum(steps_computed) <= dynamics.STEP_BUDGET * dynamics.BUDGET_STEPS
+        assert len(traj.refine_history) == 4
 
 
 class TestEigenstateFidelity:

@@ -130,7 +130,7 @@ class TestPropagation:
 
         def step(state, tau):
             return dynamics.evolve(
-                ConstantSystem(h, tau), state, n_steps=100, n_samples=2, max_refinements=0
+                ConstantSystem(h, tau), state, n_steps=100, n_samples=2
             ).final_state
 
         full = step(psi, 0.8)
@@ -142,8 +142,7 @@ class TestPropagation:
         m = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
         psi, _ = fock.coherent_state(1.5, 20)
         traj = dynamics.evolve(
-            ConstantSystem(50 * (m + m.conj().T), tau=2.5), psi, n_steps=100, n_samples=11,
-            max_refinements=0,
+            ConstantSystem(50 * (m + m.conj().T), tau=2.5), psi, n_steps=100, n_samples=11
         )
         assert np.abs(traj.norm - 1).max() <= 1e-9
         assert abs(traj.final_state.norm - 1) <= 1e-9

@@ -165,7 +165,7 @@ class TestTotalHamiltonian:
         params = sta_params(omega0=0.0, delta_z=0.0, delta_0=0.0)
         ds = model.drive_set(params)
         for initial, ket in (("ket0", ds.frame.ket0), ("ket1", ds.frame.ket1)):
-            traj = dynamics.run(params, initial, n_steps=100, n_samples=2, max_refinements=0)
+            traj = dynamics.run(params, initial, n_steps=100, n_samples=2)
             assert traj.final_state.fidelity(ket) >= 1 - 1e-6
 
 

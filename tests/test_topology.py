@@ -134,7 +134,7 @@ class TestSweep:
         p = sta_params()
         results = topology.sweep_chi(
             p, [0.0, 1.0, 1.5], protocol="sta",
-            n_steps=400, n_samples=41, max_refinements=1, refine_tol=1e-2,
+            n_steps=400, n_samples=41, refine_tol=1e-2,
         )
         assert [r.chi for r in results] == [0.0, 1.0, 1.5]
         assert abs(results[0].c1 - 1) < 0.05

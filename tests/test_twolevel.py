@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import linear_response_params, sta_params
-from knosim import twolevel
+from knosim import dynamics, topology, twolevel
 from knosim.errors import ConfigError, DegenerateHamiltonianError, OnManifoldDegeneracyError
 
 
@@ -86,6 +86,40 @@ class TestReferenceDynamics:
     def test_sample_count_checked(self, n_steps, n_samples):
         with pytest.raises(ConfigError, match="n_samples"):
             twolevel.reference_dynamics(sta_params(), n_steps=n_steps, n_samples=n_samples)
+
+
+# |chi| away from the transition at 1, where the counterdiabatic term is singular
+CHIS = st.one_of(st.floats(-0.9, 0.9), st.floats(1.1, 2.0), st.floats(-2.0, -1.1))
+
+
+def sta_c1(chi: float, initial: str) -> tuple[float, dynamics.Trajectory]:
+    """C1q of the 2x2 counterdiabatic run from the default start."""
+    traj = dynamics.evolve(twolevel.TwoLevelSystem(sta_params(chi=chi)), initial, sta=True)
+    return topology.chern_sta(topology.theta_q_series(traj), traj).c1, traj
+
+
+class TestProperties:
+    """Physics identities of the 2x2 counterdiabatic run through dynamics.evolve."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(CHIS)
+    def test_norm_and_ket1_mirror(self, chi):
+        c0, t0 = sta_c1(chi, "ket0")
+        c1, t1 = sta_c1(chi, "ket1")
+        for traj in (t0, t1):
+            assert traj.converged
+            assert np.abs(traj.norm - 1).max() <= 1e-9
+        assert abs(c1 + c0) <= 1e-9
+
+    @settings(max_examples=15, deadline=None)
+    @given(CHIS)
+    def test_chi_mirror(self, chi):
+        assert abs(sta_c1(chi, "ket0")[0] - sta_c1(-chi, "ket0")[0]) <= 1e-9
+
+    @settings(max_examples=50, deadline=None)
+    @given(CHIS)
+    def test_monopole_flux_quantized(self, chi):
+        assert abs(twolevel.monopole_chern(chi) - (1.0 if abs(chi) < 1 else 0.0)) <= 1e-4
 
 
 class TestMonopoleChern:
