@@ -209,13 +209,29 @@ def _traj_rows(traj: dynamics.Trajectory):
 
 
 TRAJ_HEADER = ["t_us", "theta_rad", "sx", "sy", "sz", "pop", "norm"]
+SWEEP_HEADER = [
+    "chi", "c1", "method", "initial", "converged", "status", "n_steps_used", "refine_diff",
+]
 
 
 # ------------------------------------------------------------- protocols ---
 
+def _readout_error(cfg: ExperimentConfig) -> str | None:
+    """Why the configured linear-response readout cannot be taken, or None."""
+    if cfg.protocol == "linear_response" or (cfg.protocol == "sweep" and not cfg.sta):
+        if cfg.sta:
+            return "linear response needs the bare ramp: set sta off"
+        if cfg.params.phi != 0.0:
+            return f"linear response assumes phi = 0, got {cfg.params.phi}"
+    return None
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run the configured protocol; returns the manifest. File writes happen
     in one serial phase after all computation."""
+    error = _readout_error(cfg)
+    if error:
+        raise ConfigError(error)
     outdir = Path(cfg.out)
     writes = []  # (basename, header, rows) or ("json", name, obj)
 
@@ -264,11 +280,16 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             jobs=cfg.jobs, n_steps=cfg.n_steps, n_samples=cfg.n_samples,
         )
         rows = [
-            (r.chi, r.c1, r.method, r.initial, r.converged, r.error or "ok")
+            (r.chi, r.c1, r.method, r.initial, r.converged, r.error or "ok",
+             r.n_steps_used, r.refine_diff)
             for r in results
         ]
-        writes.append(("sweep", ["chi", "c1", "method", "initial", "converged", "status"], rows))
-        extra = {"sweep_protocol": sub, "n_points": len(results)}
+        writes.append(("sweep", SWEEP_HEADER, rows))
+        extra = {
+            "sweep_protocol": sub,
+            "n_points": len(results),
+            "points": [{"chi": r.chi, "refine_history": r.refine_history} for r in results],
+        }
 
     elif cfg.protocol == "wigner_movie":
         snap_times = [f * cfg.params.tau for f in SNAPSHOT_FRACTIONS]
@@ -308,11 +329,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     return manifest
 
 
-def estimated_runtime_s(cfg: ExperimentConfig) -> float:
-    """Expected eigh calls of the configured runs (one after another) times the step cost."""
+def estimated_runtime_s(cfg: ExperimentConfig, worst: bool = False) -> float:
+    """eigh calls of the configured runs, one after another, times the step
+    cost: as if each run converges at its first doubling, or with worst, as if
+    each computes its whole step budget."""
     n_runs = max(1, len(cfg.chi_values)) if cfg.protocol == "sweep" else 1
-    calls = n_runs * dynamics.expected_eigh_calls(cfg.n_steps, cfg.n_samples)
-    return calls * dynamics.step_seconds(cfg.params.dim)
+    per_run = dynamics.step_budget if worst else dynamics.expected_eigh_calls
+    return n_runs * per_run(cfg.n_steps, cfg.n_samples) * dynamics.step_seconds(cfg.params.dim)
 
 
 def validate_config(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
@@ -339,7 +362,12 @@ def validate_config(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
     if cfg.protocol == "sweep" and not cfg.chi_values:
         ok = False
         lines.append("FAIL sweep requires chi_values")
+    error = _readout_error(cfg)
+    if error:
+        ok = False
+        lines.append(f"FAIL {error}")
     lines.append(f"estimated_runtime_s {estimated_runtime_s(cfg):.1f}")
+    lines.append(f"max_runtime_s       {estimated_runtime_s(cfg, worst=True):.1f}")
     lines.append("OK" if ok else "INVALID")
     return ok, lines
 

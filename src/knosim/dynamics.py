@@ -45,6 +45,12 @@ def start_steps(n_steps: int | None, n_samples: int) -> int:
     return _rounded_steps(n_steps, n_samples)
 
 
+def step_budget(n_steps: int | None, n_samples: int) -> int:
+    """Most steps one evolve computes, all passes together: STEP_BUDGET coarse
+    passes of n_steps, or of BUDGET_STEPS with n_steps None."""
+    return STEP_BUDGET * _rounded_steps(BUDGET_STEPS if n_steps is None else n_steps, n_samples)
+
+
 def expected_eigh_calls(n_steps: int | None, n_samples: int) -> int:
     """eigh calls of one evolve that converges at its first step doubling,
     as the fig2-4 runs do: the coarse pass plus one pass at twice the steps."""
@@ -85,10 +91,6 @@ class Trajectory:
     def refine_diff(self) -> float:
         """Bloch change at the last step doubling (nan if none ran)."""
         return self.refine_history[-1][1] if self.refine_history else float("nan")
-
-    @property
-    def n_samples(self) -> int:
-        return self.t.size
 
     def bloch(self) -> np.ndarray:
         """(n_samples, 3) array of (sx, sy, sz)."""
@@ -186,8 +188,7 @@ def evolve(
     Each further pass doubles the steps, and the run has converged once a
     doubling changes every sampled s_j by at most refine_tol. The cost is
     capped, not the number of doublings: all passes together compute at most
-    STEP_BUDGET (7) times the steps of a coarse pass of n_steps, or of
-    BUDGET_STEPS (4000) with n_steps None, and doubling stops before a pass
+    step_budget(n_steps, n_samples) steps, and doubling stops before a pass
     that would exceed that. An explicit n_steps N thus runs its coarse pass
     and at most two doublings (7N steps); the default start at 401 samples
     may double four times (800 to 12800 steps, 24800 in all). The returned
@@ -197,7 +198,7 @@ def evolve(
     """
     params = system.params
     start = start_steps(n_steps, n_samples)
-    budget = STEP_BUDGET * _rounded_steps(BUDGET_STEPS if n_steps is None else n_steps, n_samples)
+    budget = step_budget(n_steps, n_samples)
     psi0, label = _initial_state(system, initial)
 
     coarse = _propagate(system, psi0, sta, start, n_samples, snapshot_times)
@@ -233,11 +234,9 @@ def evolve(
     )
 
 
-def run(
-    params: ModelParams, initial="ket0", sta: bool = False, orthogonalization: str = "lowdin", **kw
-) -> Trajectory:
+def run(params: ModelParams, initial="ket0", sta: bool = False, **kw) -> Trajectory:
     """Propagate the full oscillator, model.drive_set(params); kw as in evolve."""
-    return evolve(model.drive_set(params, orthogonalization), initial, sta, **kw)
+    return evolve(model.drive_set(params), initial, sta, **kw)
 
 
 class FidelityResult(NamedTuple):

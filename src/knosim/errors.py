@@ -25,10 +25,6 @@ class SingularDriveError(KnosimError):
     """Counterdiabatic coefficient diverges (degeneracy on the manifold)."""
 
 
-class DegenerateHamiltonianError(KnosimError):
-    """Two-level Hamiltonian vanishes; eigenbasis undefined."""
-
-
 class DegenerateReadoutError(KnosimError):
     """Bloch vector too short to define a polar angle."""
 
@@ -39,10 +35,6 @@ class InsufficientSamplingError(KnosimError):
 
 class OnManifoldDegeneracyError(KnosimError):
     """Degeneracy point lies exactly on the parameter manifold."""
-
-
-class PropagationError(KnosimError):
-    """Numerical failure inside the propagation kernel."""
 
 
 class ConfigError(KnosimError):

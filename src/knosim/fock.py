@@ -10,12 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidDimensionError,
-    PropagationError,
-    TruncationError,
-)
+from .errors import DimensionMismatchError, InvalidDimensionError, TruncationError
 
 HERMITIAN_ATOL = 1e-12
 
@@ -31,8 +26,7 @@ class Operator:
     """A dense operator on the truncated Fock basis.
 
     ``hermitian`` is a promise checked at construction (entrywise, absolute
-    tolerance ``HERMITIAN_ATOL``); expectation returns real values for
-    operators carrying it.
+    tolerance ``HERMITIAN_ATOL``).
     """
 
     matrix: np.ndarray
@@ -49,13 +43,6 @@ class Operator:
             defect = np.abs(m - m.conj().T).max()
             if defect > HERMITIAN_ATOL:
                 raise ValueError(f"operator flagged Hermitian but max|M - M^dag| = {defect:.3e}")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T, hermitian=self.hermitian)
 
 
 @dataclass(frozen=True)
@@ -87,16 +74,12 @@ class StateVector:
 
     def overlap(self, other: "StateVector") -> complex:
         """<self|other>."""
-        _check_dims(self.dim, other.dim)
+        if self.dim != other.dim:
+            raise DimensionMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def fidelity(self, other: "StateVector") -> float:
         return float(abs(self.overlap(other)) ** 2)
-
-
-def _check_dims(d1: int, d2: int):
-    if d1 != d2:
-        raise DimensionMismatchError(f"dimension mismatch: {d1} vs {d2}")
 
 
 def _check_dim(dim: int):
@@ -113,27 +96,10 @@ def annihilation(dim: int) -> Operator:
     return Operator(m)
 
 
-def creation(dim: int) -> Operator:
-    """Ladder operator a^dag."""
-    return annihilation(dim).dagger()
-
-
 def number(dim: int) -> Operator:
     """Photon number operator a^dag a = diag(0, 1, ..., dim-1)."""
     _check_dim(dim)
     return Operator(np.diag(np.arange(dim).astype(complex)), hermitian=True)
-
-
-def identity(dim: int) -> Operator:
-    _check_dim(dim)
-    return Operator(np.eye(dim, dtype=complex), hermitian=True)
-
-
-def parity(dim: int) -> Operator:
-    """Photon number parity exp(i pi a^dag a) = diag(+1, -1, +1, ...)."""
-    _check_dim(dim)
-    signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0).astype(complex)
-    return Operator(np.diag(signs), hermitian=True)
 
 
 def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
@@ -173,15 +139,3 @@ def coherent_state(
         )
     return StateVector(c).normalized(), leakage
 
-
-def expectation(psi: StateVector, m: Operator, imag_atol: float = 1e-9):
-    """<psi|M|psi>. Returns a real float for Hermitian-flagged M, complex otherwise."""
-    _check_dims(psi.dim, m.dim)
-    val = complex(np.vdot(psi.amplitudes, m.matrix @ psi.amplitudes))
-    if m.hermitian:
-        if abs(val.imag) > imag_atol:
-            raise PropagationError(
-                f"expectation of Hermitian operator has imaginary part {val.imag:.3e}"
-            )
-        return val.real
-    return val

@@ -190,11 +190,9 @@ class DriveSet:
     the full oscillator.
     """
 
-    def __init__(self, params: ModelParams, orthogonalization: str = "lowdin"):
+    def __init__(self, params: ModelParams):
         self.params = params
-        self.frame: LogicalFrame = logical.build_frame(
-            params.alpha0, params.dim, orthogonalization
-        )
+        self.frame: LogicalFrame = logical.build_frame(params.alpha0, params.dim)
         self.h0 = h0(params)
         self.hz = hz(params)
         self.hx = hx(params)
@@ -223,6 +221,6 @@ class DriveSet:
 
 
 @lru_cache(maxsize=16)
-def drive_set(params: ModelParams, orthogonalization: str = "lowdin") -> DriveSet:
-    return DriveSet(params, orthogonalization)
+def drive_set(params: ModelParams) -> DriveSet:
+    return DriveSet(params)
 

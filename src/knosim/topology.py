@@ -44,15 +44,33 @@ class ChernResult:
     method: str  # "linear_response" or "sta_polar"
     chi: float
     initial: str
-    converged: bool = True
+    converged: bool
+    n_steps_used: int = 0  # 0 for a failed point
+    refine_history: tuple[tuple[int, float], ...] = ()
     c1_quadrature: float | None = None  # sta only: discretized integral
     warning: str | None = None
     error: str | None = None
 
+    @property
+    def refine_diff(self) -> float:
+        """Bloch change at the last step doubling (nan if none ran)."""
+        return self.refine_history[-1][1] if self.refine_history else float("nan")
 
-def berry_curvature(traj: Trajectory, params: ModelParams | None = None) -> CurvatureSeries:
+
+def _run_fields(traj: Trajectory) -> dict:
+    """The ChernResult fields that describe the run behind it."""
+    return {
+        "chi": traj.params.chi,
+        "initial": traj.initial,
+        "converged": traj.converged,
+        "n_steps_used": traj.n_steps,
+        "refine_history": tuple(traj.refine_history),
+    }
+
+
+def berry_curvature(traj: Trajectory) -> CurvatureSeries:
     """Extract B_theta from a (non-STA, phi=0) trajectory."""
-    p = params if params is not None else traj.params
+    p = traj.params
     if traj.sta:
         raise ValueError("linear response needs the bare ramp: run with sta=False")
     if p.phi != 0.0:
@@ -69,21 +87,14 @@ def berry_curvature(traj: Trajectory, params: ModelParams | None = None) -> Curv
     return CurvatureSeries(theta=traj.theta.copy(), b_theta=b)
 
 
-def chern_linear_response(series: CurvatureSeries, traj: Trajectory | None = None) -> ChernResult:
+def chern_linear_response(series: CurvatureSeries, traj: Trajectory) -> ChernResult:
     """C1 = int_0^pi B_theta d theta by trapezoidal quadrature."""
     if series.theta.size < MIN_CURVATURE_POINTS:
         raise InsufficientSamplingError(
             f"need >= {MIN_CURVATURE_POINTS} curvature samples, got {series.theta.size}"
         )
     c1 = float(np.trapezoid(series.b_theta, series.theta))
-    chi = traj.params.chi if traj is not None else float("nan")
-    return ChernResult(
-        c1=c1,
-        method="linear_response",
-        chi=chi,
-        initial=traj.initial if traj is not None else "ket0",
-        converged=traj.converged if traj is not None else True,
-    )
+    return ChernResult(c1=c1, method="linear_response", **_run_fields(traj))
 
 
 def theta_q_series(traj: Trajectory) -> np.ndarray:
@@ -99,7 +110,7 @@ def theta_q_series(traj: Trajectory) -> np.ndarray:
     return np.stack([traj.theta, theta_q], axis=1)
 
 
-def chern_sta(series: np.ndarray, traj: Trajectory | None = None) -> ChernResult:
+def chern_sta(series: np.ndarray, traj: Trajectory) -> ChernResult:
     """C1q from the polar-angle series.
 
     Closed form (1/2)[cos theta_q(0) - cos theta_q(pi)] is the exact
@@ -118,15 +129,9 @@ def chern_sta(series: np.ndarray, traj: Trajectory | None = None) -> ChernResult
             f"closed-form C1q={closed:.4f} and quadrature {quad:.4f} disagree by "
             f"{abs(closed - quad):.4f}: non-monotone sampling of theta_q"
         )
-    chi = traj.params.chi if traj is not None else float("nan")
     return ChernResult(
-        c1=float(closed),
-        method="sta_polar",
-        chi=chi,
-        initial=traj.initial if traj is not None else "ket0",
-        converged=traj.converged if traj is not None else True,
-        c1_quadrature=quad,
-        warning=warning,
+        c1=float(closed), method="sta_polar", c1_quadrature=quad, warning=warning,
+        **_run_fields(traj),
     )
 
 

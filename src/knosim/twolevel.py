@@ -11,13 +11,11 @@ number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import dynamics
 from .dynamics import Trajectory
-from .errors import DegenerateHamiltonianError, OnManifoldDegeneracyError
+from .errors import OnManifoldDegeneracyError
 from .fock import Operator, StateVector
 from .logical import LogicalFrame
 from .model import ModelParams, RampSchedule, cd_coefficient
@@ -30,36 +28,6 @@ _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 def hamiltonian(delta_z: float, omega: float, phi: float = 0.0) -> np.ndarray:
     off = omega / 2 * np.exp(-1j * phi)
     return np.array([[delta_z / 2, off], [np.conj(off), -delta_z / 2]])
-
-
-@dataclass(frozen=True)
-class Eigensystem:
-    e_plus: float
-    e_minus: float
-    mixing_angle: float
-    v_plus: np.ndarray
-    v_minus: np.ndarray
-
-
-def eigensystem(delta_z: float, omega: float, phi: float = 0.0) -> Eigensystem:
-    """E_pm = +-sqrt(Dz^2 + Om^2)/2 and the mixing-angle eigenvectors.
-
-    The branch Theta = atan2(Om, Dz) lies in (0, pi) for Om > 0 with endpoints
-    Theta = 0 (Om = 0, Dz > 0) and Theta = pi (Om = 0, Dz < 0), continuous
-    across Dz sign changes. Ground state is the lower eigenvalue E_minus.
-    """
-    r = np.hypot(delta_z, omega)
-    if r == 0.0:
-        raise DegenerateHamiltonianError("delta_z = omega = 0: eigenbasis undefined")
-    theta = float(np.arctan2(omega, delta_z))
-    half = theta / 2
-    ph = np.exp(1j * phi)
-    v_plus = np.array([np.cos(half), ph * np.sin(half)])
-    v_minus = np.array([-np.sin(half), ph * np.cos(half)])
-    return Eigensystem(
-        e_plus=r / 2, e_minus=-r / 2, mixing_angle=theta % (2 * np.pi),
-        v_plus=v_plus, v_minus=v_minus,
-    )
 
 
 class TwoLevelSystem:
@@ -75,10 +43,9 @@ class TwoLevelSystem:
         self.schedule: RampSchedule = params.ramp()
         e = np.eye(2, dtype=complex)
         self.frame = LogicalFrame(
-            alpha0=params.alpha0, dim=2, ket0=StateVector(e[0]), ket1=StateVector(e[1]),
-            projector=Operator(e, hermitian=True), pauli_x=Operator(_SX, hermitian=True),
-            pauli_y=Operator(_SY, hermitian=True), pauli_z=Operator(_SZ, hermitian=True),
-            orthogonalization="raw", raw_overlap=0.0,
+            ket0=StateVector(e[0]), ket1=StateVector(e[1]), projector=Operator(e, hermitian=True),
+            pauli_x=Operator(_SX, hermitian=True), pauli_y=Operator(_SY, hermitian=True),
+            pauli_z=Operator(_SZ, hermitian=True),
         )
 
     def total_matrix(self, t: float, sta: bool = False) -> np.ndarray:

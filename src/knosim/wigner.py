@@ -33,12 +33,6 @@ class WignerGrid:
     values: np.ndarray
     low_confidence: np.ndarray  # bool mask, same shape as values
 
-    def integral(self) -> float:
-        """Grid estimate of the unit normalization integral over d^2 alpha."""
-        dre = self.re_axis[1] - self.re_axis[0]
-        dim = self.im_axis[1] - self.im_axis[0]
-        return float(np.sum(self.values) * dre * dim)
-
     def at_origin(self) -> float:
         i = int(np.argmin(np.abs(self.im_axis)))
         j = int(np.argmin(np.abs(self.re_axis)))

@@ -54,10 +54,9 @@ class ConstantSystem:
             return Operator(e[:, :2] @ np.asarray(m2) @ e[:2], hermitian=True)
 
         self.frame = LogicalFrame(
-            alpha0=self.params.alpha0, dim=e.shape[0], ket0=StateVector(e[0]),
-            ket1=StateVector(e[1]), projector=op(np.eye(2)), pauli_x=op([[0, 1], [1, 0]]),
-            pauli_y=op([[0, -1j], [1j, 0]]), pauli_z=op([[1, 0], [0, -1]]),
-            orthogonalization="raw", raw_overlap=0.0,
+            ket0=StateVector(e[0]), ket1=StateVector(e[1]), projector=op(np.eye(2)),
+            pauli_x=op([[0, 1], [1, 0]]), pauli_y=op([[0, -1j], [1j, 0]]),
+            pauli_z=op([[1, 0], [0, -1]]),
         )
 
     def total_matrix(self, t: float, sta: bool = False) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from knosim import cli
-from knosim.errors import ConfigError
+from knosim.errors import ConfigError, SingularDriveError
 
 FAST_OVERRIDES = {"n_steps": 400, "n_samples": 41}
 
@@ -140,6 +140,18 @@ class TestSimulate:
         assert rc == 0
         assert (tmp_path / "envout" / "chern.json").exists()
 
+    @pytest.mark.parametrize("setting", [{"sta": True}, {"phi": 0.3}])
+    def test_linear_response_checked_before_running(self, tmp_path, monkeypatch, capsys, setting):
+        def no_run(*args, **kwargs):
+            raise AssertionError("propagation started for an unreadable linear response")
+
+        monkeypatch.setattr(cli.dynamics, "run", no_run)
+        cfg_path = write_config(tmp_path, protocol="linear_response", **setting)
+        out = tmp_path / "lr"
+        assert cli.main(["simulate", cfg_path, "--out", str(out)]) == 2
+        assert "linear response" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"preset": "fig2-4", "bogus": 1}))
@@ -176,12 +188,41 @@ class TestSweep:
         rc = cli.main(["sweep", cfg_path, "--chis", "0,1.5", "--out", str(out)])
         assert rc == 0
         lines = (out / "sweep.csv").read_text().splitlines()
-        assert lines[0] == "chi,c1,method,initial,converged,status"
+        assert lines[0] == "chi,c1,method,initial,converged,status,n_steps_used,refine_diff"
         assert len(lines) == 3
         row0 = lines[1].split(",")
         assert abs(float(row0[1]) - 1) < 0.05
         row1 = lines[2].split(",")
         assert abs(float(row1[1])) < 0.05
+        man = json.loads((out / "run-manifest.json").read_text())
+        assert [p["chi"] for p in man["points"]] == [0.0, 1.5]
+        for row, point in zip((row0, row1), man["points"]):
+            history = point["refine_history"]
+            assert [n for n, _ in history] == [800]
+            assert int(row[6]) == 800
+            assert float(row[7]) == history[-1][1]
+
+    def test_failed_point_has_empty_history(self, tmp_path, monkeypatch):
+        def singular(params, protocol, initial, **kw):
+            raise SingularDriveError("vanishing gap")
+
+        monkeypatch.setattr(cli.topology, "chern_from_run", singular)
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", write_config(tmp_path), "--chis=-1", "--out", str(out)]) == 0
+        row = (out / "sweep.csv").read_text().splitlines()[1].split(",")
+        assert row[5] == "vanishing gap"
+        assert row[6:] == ["0", "nan"]
+        man = json.loads((out / "run-manifest.json").read_text())
+        assert man["points"] == [{"chi": -1.0, "refine_history": []}]
+
+    def test_sta_on_selects_the_sta_sweep(self, tmp_path):
+        path = tmp_path / "fig1.json"
+        path.write_text(json.dumps({"preset": "fig1", **FAST_OVERRIDES, "chi_values": [0.5]}))
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", str(path), "--sta", "on", "--out", str(out)]) == 0
+        man = json.loads((out / "run-manifest.json").read_text())
+        assert man["sweep_protocol"] == "sta"
+        assert (out / "sweep.csv").read_text().splitlines()[1].split(",")[2] == "sta_polar"
 
     def test_sweep_without_chis(self, tmp_path):
         assert cli.main(["sweep", write_config(tmp_path), "--out", str(tmp_path / "x")]) == 2
@@ -231,10 +272,27 @@ class TestValidate:
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_runtime_estimate_scales_with_steps(self):
+    def test_runtime_estimate_scales_with_steps(self, tmp_path, capsys):
         cfg = cli.resolve_config("fig1")
         est = cli.estimated_runtime_s(cfg)
+        worst = cli.estimated_runtime_s(cfg, worst=True)
         assert np.isfinite(est) and est > 0
+        # an explicit n_steps N runs 3N steps when it converges at once, 7N at most
+        assert worst == pytest.approx(7 / 3 * est)
         # the per-step cost is now cached, so only the eigh count changes
         cfg.n_steps *= 2
         assert cli.estimated_runtime_s(cfg) == 2 * est
+        assert cli.estimated_runtime_s(cfg, worst=True) == 2 * worst
+        # from the sample grid: 2400 steps if the first doubling converges,
+        # and the budget of 7 passes of 4000 steps at most
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps({"preset": "fig1", "n_steps": None}))
+        assert cli.main(["validate", str(path)]) == 0
+        report = dict(line.split(maxsplit=1) for line in capsys.readouterr().out.splitlines()[:-1])
+        step_s = cli.dynamics.step_seconds(30)
+        assert float(report["estimated_runtime_s"]) == pytest.approx(2400 * step_s, abs=0.05)
+        assert float(report["max_runtime_s"]) == pytest.approx(28000 * step_s, abs=0.05)
+
+    def test_linear_response_with_sta_fails(self, capsys):
+        assert cli.main(["validate", "fig1", "--sta", "on"]) == 1
+        assert "FAIL linear response needs the bare ramp" in capsys.readouterr().out

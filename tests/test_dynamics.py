@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import linear_response_params, sta_params
-from knosim import cli, dynamics, fock, logical, model, topology, twolevel
+from knosim import cli, dynamics, logical, model, topology, twolevel
 from knosim.errors import ConfigError
 from knosim.fock import StateVector
 
@@ -88,7 +88,8 @@ class TestRun:
         assert list(traj.snapshots) == times
         for ts, state in traj.snapshots.items():
             k = int(np.argmin(np.abs(traj.t - ts)))
-            assert abs(fock.expectation(state, system.frame.pauli_z) - traj.sz[k]) < 1e-12
+            sz = np.vdot(state.amplitudes, system.frame.pauli_z.matrix @ state.amplitudes).real
+            assert abs(sz - traj.sz[k]) < 1e-12
 
     def test_refinement_reported(self, sta_run):
         assert sta_run.refine_diff <= dynamics.REFINE_TOL

@@ -6,7 +6,7 @@ from knosim import dynamics, topology, twolevel
 from knosim.errors import DegenerateReadoutError, InsufficientSamplingError
 
 
-def make_traj(theta, sx, sy, sz, params, sta=False, initial="ket0"):
+def make_traj(theta, sx, sy, sz, params, sta=False, initial="ket0", **kw):
     """Hand-built trajectory for post-processing tests."""
     theta = np.asarray(theta, float)
     # invert the linear schedule for t
@@ -17,8 +17,13 @@ def make_traj(theta, sx, sy, sz, params, sta=False, initial="ket0"):
         sx=np.asarray(sx, float) * ones, sy=np.asarray(sy, float) * ones,
         sz=np.asarray(sz, float) * ones,
         pop=ones.copy(), norm=ones.copy(), n_steps=theta.size - 1,
-        converged=True, params=params, sta=sta, initial=initial,
+        params=params, sta=sta, initial=initial, **{"converged": True, **kw},
     )
+
+
+def sta_series_traj():
+    """A placeholder run for chern_sta tests that only check the series."""
+    return make_traj(np.linspace(0, np.pi, 11), 0.0, 0.0, 1.0, sta_params(), sta=True)
 
 
 class TestBerryCurvature:
@@ -69,9 +74,11 @@ class TestBerryCurvature:
         assert abs(res.c1 - 2) < 1e-4
 
     def test_too_few_samples(self):
-        series = topology.CurvatureSeries(np.linspace(0, np.pi, 5), np.zeros(5))
+        theta = np.linspace(0, np.pi, 5)
+        series = topology.CurvatureSeries(theta, np.zeros(5))
+        traj = make_traj(theta, 0.0, 0.0, 1.0, linear_response_params())
         with pytest.raises(InsufficientSamplingError):
-            topology.chern_linear_response(series)
+            topology.chern_linear_response(series, traj)
 
     def test_descending_theta_rejected(self):
         with pytest.raises(ValueError):
@@ -104,7 +111,7 @@ class TestChernSta:
     def test_full_sweep_closed_form(self):
         theta_q = np.linspace(0, np.pi, 101)
         series = np.stack([theta_q, theta_q], axis=1)
-        res = topology.chern_sta(series)
+        res = topology.chern_sta(series, sta_series_traj())
         assert abs(res.c1 - 1) < 1e-12
         assert abs(res.c1_quadrature - 1) < 1e-3
         assert res.warning is None
@@ -114,19 +121,43 @@ class TestChernSta:
         # theta_q goes out to pi/3 and returns: both routes give zero
         theta_q = np.concatenate([np.linspace(0, np.pi / 3, 40), np.linspace(np.pi / 3, 0, 40)])
         theta = np.linspace(0, np.pi, 80)
-        res = topology.chern_sta(np.stack([theta, theta_q], axis=1))
+        res = topology.chern_sta(np.stack([theta, theta_q], axis=1), sta_series_traj())
         assert abs(res.c1) < 1e-12
 
     def test_quadrature_disagreement_warns(self):
         # non-monotone path whose net quadrature differs from the endpoints
         theta_q = np.array([0.0, np.pi, 0.0, np.pi / 2])
         theta = np.linspace(0, np.pi, 4)
-        res = topology.chern_sta(np.stack([theta, theta_q], axis=1))
+        res = topology.chern_sta(np.stack([theta, theta_q], axis=1), sta_series_traj())
         assert res.warning is not None
 
     def test_too_short(self):
         with pytest.raises(InsufficientSamplingError):
-            topology.chern_sta(np.zeros((1, 2)))
+            topology.chern_sta(np.zeros((1, 2)), sta_series_traj())
+
+
+class TestRunLabels:
+    """A ChernResult describes the run it was read from."""
+
+    @pytest.mark.parametrize("converged", [True, False])
+    def test_labels_come_from_the_trajectory(self, converged):
+        theta = np.linspace(0, np.pi, 41)
+        history = [(80, 3e-3), (160, 7e-4)]
+        kw = {"initial": "ket1", "converged": converged, "refine_history": history}
+        lr_traj = make_traj(theta, 0.0, 0.1, 0.0, linear_response_params(chi=0.5), **kw)
+        sta_traj = make_traj(theta, np.sin(theta), 0.0, np.cos(theta), sta_params(chi=0.5),
+                             sta=True, **kw)
+        results = (
+            topology.chern_linear_response(topology.berry_curvature(lr_traj), lr_traj),
+            topology.chern_sta(topology.theta_q_series(sta_traj), sta_traj),
+        )
+        for res in results:
+            assert res.initial == "ket1"
+            assert res.chi == 0.5
+            assert res.converged is converged
+            assert res.n_steps_used == 40
+            assert res.refine_history == ((80, 3e-3), (160, 7e-4))
+            assert res.refine_diff == 7e-4
 
 
 class TestSweep:
@@ -143,6 +174,8 @@ class TestSweep:
         # the run completes and lands exactly between the two plateaus
         assert abs(results[1].c1 - 0.5) < 0.05
         assert abs(results[2].c1) < 0.05
+        for r in results:
+            assert r.refine_history and r.n_steps_used == r.refine_history[-1][0]
 
     def test_sweep_records_singular_points(self, monkeypatch):
         from knosim.errors import SingularDriveError, TruncationError
@@ -152,7 +185,7 @@ class TestSweep:
                 raise SingularDriveError("vanishing gap")
             if abs(params.chi - 2.0) < 1e-9:
                 raise TruncationError("state leaks out of the truncation")
-            return topology.ChernResult(1.0, "sta_polar", params.chi, initial)
+            return topology.ChernResult(1.0, "sta_polar", params.chi, initial, True)
 
         monkeypatch.setattr(topology, "chern_from_run", boom)
         results = topology.sweep_chi(sta_params(), [0.5, 1.0, 2.0])
@@ -160,6 +193,7 @@ class TestSweep:
         for failed in results[1:]:
             assert failed.error is not None
             assert np.isnan(failed.c1) and not failed.converged
+            assert failed.n_steps_used == 0 and failed.refine_history == ()
         assert "leaks" in results[2].error
 
     def test_empty_sweep(self):
@@ -189,7 +223,8 @@ class TestSweep:
         monkeypatch.setattr(topology.os, "cpu_count", lambda: 4)
         monkeypatch.setattr(
             topology, "chern_from_run",
-            lambda params, protocol, initial, **kw: topology.ChernResult(1.0, "sta_polar", params.chi, initial),
+            lambda params, protocol, initial, **kw: topology.ChernResult(
+                1.0, "sta_polar", params.chi, initial, True),
         )
         results = topology.sweep_chi(sta_params(), [0.1 * i for i in range(n_chis)], jobs=jobs)
         assert len(results) == n_chis
