@@ -268,6 +268,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "converged": traj.converged,
             "n_steps_used": traj.n_steps,
             "refine_history": traj.refine_history,
+            "basis_dim": traj.basis_dim,
+            "leakage_bound": traj.leakage_bound,
             "final_edge_population": _edge_population(traj.final_state),
         }
 
@@ -288,7 +290,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         extra = {
             "sweep_protocol": sub,
             "n_points": len(results),
-            "points": [{"chi": r.chi, "refine_history": r.refine_history} for r in results],
+            "points": [
+                {"chi": r.chi, "refine_history": r.refine_history,
+                 "basis_dim": r.basis_dim, "leakage_bound": r.leakage_bound}
+                for r in results
+            ],
         }
 
     elif cfg.protocol == "wigner_movie":
@@ -311,6 +317,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "n_steps_used": traj.n_steps,
             "refine_history": traj.refine_history,
             "snapshot_times_us": snap_times,
+            "basis_dim": traj.basis_dim,
+            "leakage_bound": traj.leakage_bound,
             "final_edge_population": _edge_population(traj.final_state),
         }
     else:  # pragma: no cover
@@ -335,7 +343,7 @@ def estimated_runtime_s(cfg: ExperimentConfig, worst: bool = False) -> float:
     each computes its whole step budget."""
     n_runs = max(1, len(cfg.chi_values)) if cfg.protocol == "sweep" else 1
     per_run = dynamics.step_budget if worst else dynamics.expected_eigh_calls
-    return n_runs * per_run(cfg.n_steps, cfg.n_samples) * dynamics.step_seconds(cfg.params.dim)
+    return n_runs * per_run(cfg.n_steps, cfg.n_samples) * dynamics.step_seconds(cfg.params, cfg.sta)
 
 
 def validate_config(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
@@ -366,8 +374,12 @@ def validate_config(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
     if error:
         ok = False
         lines.append(f"FAIL {error}")
-    lines.append(f"estimated_runtime_s {estimated_runtime_s(cfg):.1f}")
-    lines.append(f"max_runtime_s       {estimated_runtime_s(cfg, worst=True):.1f}")
+    try:  # times steps of the configured model, so it must build
+        lines.append(f"estimated_runtime_s {estimated_runtime_s(cfg):.1f}")
+        lines.append(f"max_runtime_s       {estimated_runtime_s(cfg, worst=True):.1f}")
+    except KnosimError as exc:
+        ok = False
+        lines.append(f"FAIL model: {exc}")
     lines.append("OK" if ok else "INVALID")
     return ok, lines
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import timeit
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +25,6 @@ MIN_STEPS = 100
 STEP_BUDGET = 7  # steps a run may compute, in coarse passes: the pass and two doublings
 BUDGET_STEPS = 4000  # with no n_steps, the coarse pass the budget is counted in
 DEFAULT_N_SAMPLES = 401
-EIGH_SHARE_OF_STEP = 0.8  # of a fig2-4 step at dim 30; the rest is H(t), update, record
 
 
 def _rounded_steps(n_steps: int, n_samples: int) -> int:
@@ -58,13 +57,15 @@ def expected_eigh_calls(n_steps: int | None, n_samples: int) -> int:
 
 
 @functools.cache
-def step_seconds(dim: int) -> float:
-    """Cost of one propagation step at dim levels, measured once per process:
-    the fastest of a few dim x dim Hermitian eigh calls, over eigh's share."""
-    rng = np.random.default_rng(0)
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = m + m.conj().T
-    return min(timeit.repeat(lambda: np.linalg.eigh(h), number=1, repeat=20)) / EIGH_SHARE_OF_STEP
+def step_seconds(params: ModelParams, sta: bool) -> float:
+    """Cost of one propagation step of model.drive_set(params), measured once
+    per process: the median of a few MIN_STEPS-step runs after a warm-up run,
+    per step. The median, not the fastest run, since a long run sees the
+    host's slow spells too."""
+    system = model.drive_set(params)
+    psi0 = system.frame.ket0
+    runs = timeit.repeat(lambda: _propagate(system, psi0, sta, MIN_STEPS, 2), number=1, repeat=6)
+    return float(np.median(runs[1:])) / MIN_STEPS
 
 
 @dataclass
@@ -86,6 +87,8 @@ class Trajectory:
     refine_history: list[tuple[int, float]] = field(default_factory=list)
     final_state: StateVector | None = None
     snapshots: dict[float, StateVector] = field(default_factory=dict)
+    basis_dim: int | None = None  # run: the reduced basis size M
+    leakage_bound: float | None = None  # run: the leakage amplitude M meets
 
     @property
     def refine_diff(self) -> float:
@@ -235,8 +238,26 @@ def evolve(
 
 
 def run(params: ModelParams, initial="ket0", sta: bool = False, **kw) -> Trajectory:
-    """Propagate the full oscillator, model.drive_set(params); kw as in evolve."""
-    return evolve(model.drive_set(params), initial, sta, **kw)
+    """Propagate the oscillator, model.drive_set(params); kw as in evolve.
+
+    The run steps in the set's reduced H0 eigenbasis. A custom initial state
+    is normalized and, if it reaches outside that basis, runs on a basis grown
+    to cover it (DriveSet.covering). final_state and the snapshots are lifted
+    back to the dim Fock levels.
+    """
+    system = model.drive_set(params)
+    if isinstance(initial, StateVector):
+        initial = initial.normalized()
+        system = system.covering(initial)
+        initial = system.reduce(initial)
+    traj = evolve(system, initial, sta, **kw)
+    return replace(
+        traj,
+        final_state=system.lift(traj.final_state),
+        snapshots={t: system.lift(s) for t, s in traj.snapshots.items()},
+        basis_dim=system.basis_dim,
+        leakage_bound=system.leakage_bound,
+    )
 
 
 class FidelityResult(NamedTuple):

@@ -32,11 +32,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import fock, logical
-from .errors import ConfigError, SingularDriveError
-from .fock import Operator
+from .errors import ConfigError, DimensionMismatchError, SingularDriveError
+from .fock import Operator, StateVector
 from .logical import LogicalFrame
 
 STABILIZER_RATIO_WARN = 0.2
+LEAKAGE_TOL = 1e-6  # dynamics.REFINE_TOL / 100: first-order amplitude a dropped eigenstate may take
 
 SCHEDULE_SHAPES = ("linear", "cosine")
 HX_PREFACTOR_MODES = ("exact", "paper")
@@ -183,21 +184,77 @@ def mixing_angle(theta: float, chi: float) -> float:
 
 
 class DriveSet:
-    """Pre-built operators for a parameter set, with the frame for the CD term.
+    """H(t) of the oscillator for dynamics.evolve, on a reduced H0 eigenbasis.
 
-    drive_set caches one per params, so each H(t) from total_matrix only
-    combines the stored matrices. This is the system dynamics.evolve runs for
-    the full oscillator.
+    H0 is diagonalized once, and its eigenvectors are ordered by how far their
+    energies lie from the cat energy <ket0|H0|ket0>. The first basis_dim of
+    them, the columns of basis (dim x M), carry the dynamics: H0 is stored as
+    diag(w), and Hz, Hx, Hy and the frame as B^dag (...) B, so total_matrix
+    only combines M x M matrices. With basis_dim None, M is the smallest even
+    size whose dropped eigenstates k each take a first-order amplitude
+    |<k|V|c>| / |E_k - E_c| of at most LEAKAGE_TOL from the cat doublet c,
+    under the largest drive V (_largest_drive); leakage_bound is the largest
+    such amplitude left out, and M = dim, the whole space, when no smaller
+    size meets the bound. drive_set caches one per params.
     """
 
-    def __init__(self, params: ModelParams):
+    def __init__(self, params: ModelParams, basis_dim: int | None = None):
         self.params = params
-        self.frame: LogicalFrame = logical.build_frame(params.alpha0, params.dim)
-        self.h0 = h0(params)
-        self.hz = hz(params)
-        self.hx = hx(params)
-        self.hy = hy(params)
         self.schedule = params.ramp()
+        full = logical.build_frame(params.alpha0, params.dim)
+        h = h0(params).matrix
+        drives = (hz(params), hx(params), hy(params))
+        w, u = np.linalg.eigh(h)
+        cat = full.ket0.amplitudes
+        order = np.argsort(np.abs(w - np.vdot(cat, h @ cat).real), kind="stable")
+        w, u = w[order], u[:, order]
+        self._eigvecs = u
+        # largest first-order amplitude beyond the first m eigenvectors, m = 0..dim
+        self._leakage = _suffix(_leakage_amplitudes(w, u, _largest_drive(params, drives)), np.max)
+        m = _smallest_even(self._leakage, 2) if basis_dim is None else basis_dim
+        if not isinstance(m, (int, np.integer)) or not 2 <= m <= params.dim:
+            raise ConfigError(f"basis_dim must be an integer in [2, {params.dim}], got {m!r}")
+        self.basis = u[:, :m]
+        self.leakage_bound = float(self._leakage[m])
+        self.h0 = Operator(np.diag(w[:m]), hermitian=True)
+        self.hz, self.hx, self.hy = (self.project(op) for op in drives)
+        self.frame = LogicalFrame(
+            ket0=self.reduce(full.ket0),
+            ket1=self.reduce(full.ket1),
+            projector=self.project(full.projector),
+            pauli_x=self.project(full.pauli_x),
+            pauli_y=self.project(full.pauli_y),
+            pauli_z=self.project(full.pauli_z),
+        )
+
+    @property
+    def basis_dim(self) -> int:
+        return self.basis.shape[1]
+
+    def project(self, op: Operator) -> Operator:
+        """B^dag op B, symmetrized."""
+        m = self.basis.conj().T @ op.matrix @ self.basis
+        return Operator((m + m.conj().T) / 2, hermitian=True)
+
+    def reduce(self, state: StateVector) -> StateVector:
+        """B^dag psi: a dim-level state in the basis."""
+        return StateVector(self.basis.conj().T @ state.amplitudes)
+
+    def lift(self, state: StateVector) -> StateVector:
+        """B psi: a state in the basis, back on the dim Fock levels."""
+        return StateVector(self.basis @ state.amplitudes)
+
+    def covering(self, state: StateVector) -> DriveSet:
+        """This set, or the same model on a basis grown by twos until state
+        leaves a part of norm at most LEAKAGE_TOL * |state| outside it."""
+        if state.dim != self.params.dim:
+            raise DimensionMismatchError(
+                f"initial state has {state.dim} levels, the model {self.params.dim}"
+            )
+        weights = np.abs(self._eigvecs.conj().T @ state.amplitudes) ** 2
+        outside = np.sqrt(_suffix(weights, np.sum)) / state.norm
+        m = _smallest_even(outside, self.basis_dim)
+        return self if m == self.basis_dim else DriveSet(self.params, basis_dim=m)
 
     def total_matrix(self, t: float, sta: bool = False) -> np.ndarray:
         """H(t) = H0 + (Dz/2)Hz + (Om/2)(Hx cos phi + Hy sin phi) [+ (Theta_dot/2) sy_bar]."""
@@ -220,7 +277,40 @@ class DriveSet:
         return m
 
 
+def _largest_drive(params: ModelParams, drives: tuple[Operator, Operator, Operator]) -> np.ndarray:
+    """(|Dz| + |D0|)/2 Hz + |Om0|/2 (|cos phi| Hx + |sin phi| Hy) for (Hz, Hx, Hy):
+    the drive at its largest along the ramp. The counterdiabatic term lies in
+    the frame, so it couples nothing out of the basis."""
+    z, x, y = (op.matrix for op in drives)
+    p = params
+    return (abs(p.delta_z) + abs(p.delta_0)) / 2 * z + abs(p.omega0) / 2 * (
+        abs(np.cos(p.phi)) * x + abs(np.sin(p.phi)) * y
+    )
+
+
+def _leakage_amplitudes(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per eigenvector k (columns of u, energies w, the cat doublet first):
+    max over the doublet c of |<k|v|c>| / |E_k - E_c|; 0 for the doublet."""
+    coupling = np.abs(u.conj().T @ v @ u[:, :2])
+    gap = np.abs(w[:, None] - w[None, :2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        amp = np.where(coupling == 0.0, 0.0, coupling / gap).max(axis=1)
+    amp[:2] = 0.0
+    return amp
+
+
+def _suffix(values: np.ndarray, reduce) -> np.ndarray:
+    """reduce(values[m:]) for m = 0..len(values), 0 for the empty tail."""
+    return np.array([reduce(values[m:]) for m in range(values.size)] + [0.0])
+
+
+def _smallest_even(tail: np.ndarray, start: int) -> int:
+    """Smallest even m >= start below the dimension with tail[m] <= LEAKAGE_TOL,
+    else the dimension, len(tail) - 1."""
+    dim = tail.size - 1
+    return next((m for m in range(start, dim, 2) if tail[m] <= LEAKAGE_TOL), dim)
+
+
 @lru_cache(maxsize=16)
 def drive_set(params: ModelParams) -> DriveSet:
     return DriveSet(params)
-

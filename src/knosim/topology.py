@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import Trajectory
-from .errors import DegenerateReadoutError, InsufficientSamplingError, KnosimError
+from .errors import ConfigError, DegenerateReadoutError, InsufficientSamplingError, KnosimError
 from .model import ModelParams
 
 MIN_CURVATURE_POINTS = 10
@@ -47,6 +47,8 @@ class ChernResult:
     converged: bool
     n_steps_used: int = 0  # 0 for a failed point
     refine_history: tuple[tuple[int, float], ...] = ()
+    basis_dim: int | None = None  # None for a failed point
+    leakage_bound: float | None = None
     c1_quadrature: float | None = None  # sta only: discretized integral
     warning: str | None = None
     error: str | None = None
@@ -65,6 +67,8 @@ def _run_fields(traj: Trajectory) -> dict:
         "converged": traj.converged,
         "n_steps_used": traj.n_steps,
         "refine_history": tuple(traj.refine_history),
+        "basis_dim": traj.basis_dim,
+        "leakage_bound": traj.leakage_bound,
     }
 
 
@@ -72,9 +76,9 @@ def berry_curvature(traj: Trajectory) -> CurvatureSeries:
     """Extract B_theta from a (non-STA, phi=0) trajectory."""
     p = traj.params
     if traj.sta:
-        raise ValueError("linear response needs the bare ramp: run with sta=False")
+        raise ConfigError("linear response needs the bare ramp: run with sta=False")
     if p.phi != 0.0:
-        raise ValueError("linear-response extraction assumes phi = 0")
+        raise ConfigError("linear-response extraction assumes phi = 0")
     sched = p.ramp()
     v_theta = np.broadcast_to(np.asarray(sched.theta_dot(traj.t), dtype=float), traj.t.shape)
     sin_th = np.sin(traj.theta)

@@ -213,7 +213,9 @@ class TestSweep:
         assert row[5] == "vanishing gap"
         assert row[6:] == ["0", "nan"]
         man = json.loads((out / "run-manifest.json").read_text())
-        assert man["points"] == [{"chi": -1.0, "refine_history": []}]
+        assert man["points"] == [
+            {"chi": -1.0, "refine_history": [], "basis_dim": None, "leakage_bound": None}
+        ]
 
     def test_sta_on_selects_the_sta_sweep(self, tmp_path):
         path = tmp_path / "fig1.json"
@@ -226,6 +228,21 @@ class TestSweep:
 
     def test_sweep_without_chis(self, tmp_path):
         assert cli.main(["sweep", write_config(tmp_path), "--out", str(tmp_path / "x")]) == 2
+
+
+class TestBasisRecord:
+    @pytest.mark.parametrize("preset, m", [("fig2-4", 8), ("fig1", 10)])
+    def test_manifests_record_basis_dim_and_leakage_bound(self, tmp_path, preset, m):
+        cfg_path = write_config(tmp_path, preset=preset, n_points=41)
+        mans = {}
+        for cmd in ("simulate", "wigner", "sweep"):
+            out = tmp_path / cmd
+            chis = ["--chis=0.5"] if cmd == "sweep" else []
+            assert cli.main([cmd, cfg_path, *chis, "--out", str(out)]) == 0
+            mans[cmd] = json.loads((out / "run-manifest.json").read_text())
+        for record in (mans["simulate"], mans["wigner"], *mans["sweep"]["points"]):
+            assert record["basis_dim"] == m
+            assert 0 < record["leakage_bound"] <= cli.model.LEAKAGE_TOL
 
 
 class TestWigner:
@@ -289,7 +306,7 @@ class TestValidate:
         path.write_text(json.dumps({"preset": "fig1", "n_steps": None}))
         assert cli.main(["validate", str(path)]) == 0
         report = dict(line.split(maxsplit=1) for line in capsys.readouterr().out.splitlines()[:-1])
-        step_s = cli.dynamics.step_seconds(30)
+        step_s = cli.dynamics.step_seconds(cfg.params, cfg.sta)
         assert float(report["estimated_runtime_s"]) == pytest.approx(2400 * step_s, abs=0.05)
         assert float(report["max_runtime_s"]) == pytest.approx(28000 * step_s, abs=0.05)
 

@@ -178,6 +178,52 @@ class TestStepCount:
         assert len(traj.refine_history) == 4
 
 
+def _c1(traj):
+    if traj.sta:
+        return topology.chern_sta(topology.theta_q_series(traj), traj).c1
+    return topology.chern_linear_response(topology.berry_curvature(traj), traj).c1
+
+
+class TestReducedBasisEquivalence:
+    """run steps in the reduced H0 eigenbasis; evolve on the same model with
+    basis_dim = dim is the whole space."""
+
+    def _compare(self, params, sta, initial="ket0", **kw):
+        times = [f * params.tau for f in cli.SNAPSHOT_FRACTIONS]
+        reduced = dynamics.run(params, initial, sta, snapshot_times=times, **kw)
+        whole = model.DriveSet(params, basis_dim=params.dim)
+        start = initial if isinstance(initial, str) else whole.reduce(initial.normalized())
+        full = dynamics.evolve(whole, start, sta, snapshot_times=times, **kw)
+        assert reduced.n_steps == full.n_steps
+        ds = max(np.abs(getattr(reduced, k) - getattr(full, k)).max() for k in ("sx", "sy", "sz"))
+        assert ds <= 1e-8
+        assert abs(_c1(reduced) - _c1(full)) <= 1e-8
+        for ts in times:
+            state = reduced.snapshots[ts]
+            assert state.dim == params.dim
+            assert state.fidelity(whole.lift(full.snapshots[ts])) >= 1 - 1e-8
+        assert reduced.final_state.dim == params.dim
+        return reduced
+
+    @pytest.mark.parametrize("chi", [0.353, -0.538, 1.347, -1.888])
+    def test_fig24(self, chi):
+        traj = self._compare(sta_params(chi=chi), sta=True)
+        assert traj.basis_dim == 8 and traj.leakage_bound <= model.LEAKAGE_TOL
+
+    def test_fig1(self):
+        traj = self._compare(linear_response_params(), sta=False, n_steps=2000)
+        assert traj.basis_dim == 10 and traj.leakage_bound <= model.LEAKAGE_TOL
+
+    def test_custom_state_outside_the_basis_grows_it(self):
+        p = sta_params(chi=0.5)
+        frame = logical.build_frame(p.alpha0, p.dim)
+        psi = frame.ket0.amplitudes + 0.2 * np.eye(p.dim)[6]
+        traj = self._compare(p, True, StateVector(psi), n_steps=400, n_samples=41)
+        assert traj.basis_dim > model.drive_set(p).basis_dim
+        assert abs(traj.norm[0] - 1) <= 1e-12
+        assert traj.snapshots[0.0].fidelity(StateVector(psi).normalized()) >= 1 - 1e-12
+
+
 class TestEigenstateFidelity:
     def test_sta_stays_in_eigenstate(self, sta_run):
         res = dynamics.instantaneous_eigenstate_fidelity(sta_run)

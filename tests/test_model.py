@@ -139,6 +139,11 @@ class TestDrives:
         assert np.abs(block - shift * np.eye(2) - target).max() <= tol
 
 
+def projected(ds, op):
+    """B^dag op B on the drive set's reduced basis."""
+    return ds.basis.conj().T @ op.matrix @ ds.basis
+
+
 class TestTotalHamiltonian:
     def test_hermitian_at_all_times(self):
         params = sta_params(chi=0.4)
@@ -148,13 +153,19 @@ class TestTotalHamiltonian:
             assert np.abs(h - h.conj().T).max() <= 1e-10
 
     def test_t0_has_no_omega(self, params):
-        h = model.drive_set(params).total_matrix(0.0)
-        expected = model.h0(params).matrix + params.delta_z / 2 * model.hz(params).matrix
+        ds = model.drive_set(params)
+        h = ds.total_matrix(0.0)
+        expected = projected(ds, model.h0(params)) + params.delta_z / 2 * projected(
+            ds, model.hz(params)
+        )
         assert np.abs(h - expected).max() <= 1e-9
 
     def test_midpoint_linear_ramp(self, params):
-        h = model.drive_set(params).total_matrix(params.tau / 2)
-        expected = model.h0(params).matrix + params.omega0 / 2 * model.hx(params).matrix
+        ds = model.drive_set(params)
+        h = ds.total_matrix(params.tau / 2)
+        expected = projected(ds, model.h0(params)) + params.omega0 / 2 * projected(
+            ds, model.hx(params)
+        )
         assert np.abs(h - expected).max() <= 1e-9
 
     def test_outside_window(self, params):
@@ -163,10 +174,52 @@ class TestTotalHamiltonian:
 
     def test_cat_states_stationary_without_drives(self):
         params = sta_params(omega0=0.0, delta_z=0.0, delta_0=0.0)
-        ds = model.drive_set(params)
-        for initial, ket in (("ket0", ds.frame.ket0), ("ket1", ds.frame.ket1)):
+        frame = logical.build_frame(params.alpha0, params.dim)
+        for initial, ket in (("ket0", frame.ket0), ("ket1", frame.ket1)):
             traj = dynamics.run(params, initial, n_steps=100, n_samples=2)
+            assert traj.basis_dim == 2  # no drive: the cat doublet alone
             assert traj.final_state.fidelity(ket) >= 1 - 1e-6
+
+
+class TestReducedBasis:
+    """DriveSet keeps the H0 eigenvectors nearest the cat energy, as many as a
+    first-order leakage bound of LEAKAGE_TOL needs."""
+
+    def test_leakage_tol_is_a_hundredth_of_refine_tol(self):
+        assert model.LEAKAGE_TOL == dynamics.REFINE_TOL / 100
+
+    @pytest.mark.parametrize("make, m", [(sta_params, 8), (linear_response_params, 10)])
+    def test_preset_basis_sizes(self, make, m):
+        ds = model.drive_set(make(chi=0.5))
+        assert ds.basis_dim == m
+        assert ds.leakage_bound <= model.LEAKAGE_TOL
+        # the next smaller basis would not meet the bound
+        assert model.DriveSet(make(chi=0.5), basis_dim=m - 2).leakage_bound > model.LEAKAGE_TOL
+
+    def test_basis_is_orthonormal_and_spans_the_frame(self, params):
+        ds = model.drive_set(params)
+        b = ds.basis
+        assert np.abs(b.conj().T @ b - np.eye(ds.basis_dim)).max() <= 1e-12
+        frame = logical.build_frame(params.alpha0, params.dim)
+        for ket in (frame.ket0, frame.ket1):
+            assert abs(ds.lift(ds.reduce(ket)).fidelity(ket) - 1) <= 1e-12
+
+    def test_whole_space_bounds_nothing(self, params):
+        ds = model.DriveSet(params, basis_dim=params.dim)
+        assert ds.leakage_bound == 0.0
+        th = 0.3 * np.pi  # linear ramp at t = 0.3 tau
+        expected = (
+            model.h0(params).matrix
+            + params.delta_z_of(th) / 2 * model.hz(params).matrix
+            + params.omega_of(th) / 2 * model.hx(params).matrix
+        )
+        lifted = ds.basis @ ds.total_matrix(0.3 * params.tau) @ ds.basis.conj().T
+        assert np.abs(lifted - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("m", [1, 31, 8.0])
+    def test_bad_basis_dim(self, params, m):
+        with pytest.raises(ConfigError, match="basis_dim"):
+            model.DriveSet(params, basis_dim=m)
 
 
 class TestCdCoefficient:

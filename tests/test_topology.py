@@ -3,7 +3,7 @@ import pytest
 
 from conftest import linear_response_params, sta_params
 from knosim import dynamics, topology, twolevel
-from knosim.errors import DegenerateReadoutError, InsufficientSamplingError
+from knosim.errors import ConfigError, DegenerateReadoutError, InsufficientSamplingError
 
 
 def make_traj(theta, sx, sy, sz, params, sta=False, initial="ket0", **kw):
@@ -52,13 +52,13 @@ class TestBerryCurvature:
     def test_rejects_sta_run(self):
         p = sta_params()
         traj = make_traj([0, 1, 2, 3], 0, 0, 1, p, sta=True)
-        with pytest.raises(ValueError, match="sta"):
+        with pytest.raises(ConfigError, match="sta"):
             topology.berry_curvature(traj)
 
     def test_rejects_phase(self):
         p = linear_response_params(phi=0.3)
         traj = make_traj([0, 1, 2, 3], 0, 0, 1, p)
-        with pytest.raises(ValueError, match="phi"):
+        with pytest.raises(ConfigError, match="phi"):
             topology.berry_curvature(traj)
 
     def test_analytic_lag(self):
@@ -195,6 +195,17 @@ class TestSweep:
             assert np.isnan(failed.c1) and not failed.converged
             assert failed.n_steps_used == 0 and failed.refine_history == ()
         assert "leaks" in results[2].error
+
+    def test_linear_response_sweep_with_phase_records_failed_points(self):
+        # every point propagates, then its readout is refused: recorded, not raised
+        results = topology.sweep_chi(
+            linear_response_params(phi=0.3), [0.5, 1.5], protocol="linear_response",
+            n_steps=400, n_samples=41,
+        )
+        assert [r.chi for r in results] == pytest.approx([0.5, 1.5])
+        for r in results:
+            assert "phi" in r.error
+            assert np.isnan(r.c1) and not r.converged
 
     def test_empty_sweep(self):
         with pytest.raises(ValueError):
