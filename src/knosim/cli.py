@@ -55,7 +55,6 @@ class ExperimentConfig:
     jobs: int = 1
     half_width: float = 4.5
     n_points: int = 81
-    source: dict = field(default_factory=dict)
 
 
 def _load_raw(spec: str) -> dict:
@@ -131,7 +130,6 @@ def resolve_config(spec: str, overrides: dict | None = None) -> ExperimentConfig
         jobs=_number(int, raw.get("jobs", 1), "jobs"),
         half_width=_number(float, raw.get("half_width", 4.5), "half_width"),
         n_points=_number(int, raw.get("n_points", 81), "n_points"),
-        source=raw,
     )
     dynamics.start_steps(cfg.n_steps, cfg.n_samples)  # raises on a bad step or sample count
     if cfg.jobs < 1:
@@ -445,7 +443,7 @@ def main(argv=None) -> int:
             cfg.protocol = "sweep"
         elif args.command == "wigner":
             cfg.protocol = "wigner_movie"
-            cfg.sta = True
+            cfg.sta = args.sta != "off"
 
         if args.command == "validate":
             ok, lines = validate_config(cfg)

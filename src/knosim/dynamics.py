@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import functools
 import timeit
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import model
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatchError
 from .fock import StateVector
 from .model import ModelParams
 
@@ -87,8 +87,8 @@ class Trajectory:
     refine_history: list[tuple[int, float]] = field(default_factory=list)
     final_state: StateVector | None = None
     snapshots: dict[float, StateVector] = field(default_factory=dict)
-    basis_dim: int | None = None  # run: the reduced basis size M
-    leakage_bound: float | None = None  # run: the leakage amplitude M meets
+    basis_dim: int | None = None  # the system's basis size M
+    leakage_bound: float | None = None  # the leakage amplitude the basis leaves out
 
     @property
     def refine_diff(self) -> float:
@@ -100,8 +100,12 @@ class Trajectory:
         return np.stack([self.sx, self.sy, self.sz], axis=1)
 
 
-def _initial_state(system, initial) -> tuple[StateVector, str]:
+def _initial_state(system: model.DriveSet, initial) -> tuple[StateVector, str]:
     if isinstance(initial, StateVector):
+        if initial.dim != system.basis_dim:
+            raise DimensionMismatchError(
+                f"initial state has {initial.dim} amplitudes, the system's basis {system.basis_dim}"
+            )
         return initial.normalized(), "custom"
     if initial == "ket0":
         return system.frame.ket0, "ket0"
@@ -111,7 +115,7 @@ def _initial_state(system, initial) -> tuple[StateVector, str]:
 
 
 def _propagate(
-    system,
+    system: model.DriveSet,
     psi0: StateVector,
     sta: bool,
     n_steps: int,
@@ -170,7 +174,7 @@ def _propagate(
 
 
 def evolve(
-    system,
+    system: model.DriveSet,
     initial="ket0",
     sta: bool = False,
     n_steps: int | None = None,
@@ -178,12 +182,15 @@ def evolve(
     refine_tol: float = REFINE_TOL,
     snapshot_times=(),
 ) -> Trajectory:
-    """Propagate a system over its ramp and sample the logical Bloch vector.
+    """Propagate a system, a model.DriveSet, over its ramp and sample the
+    logical Bloch vector.
 
-    A system has ``params`` (ModelParams: tau and the ramp), ``frame`` (a
-    LogicalFrame on its basis: initial states and observables) and
-    ``total_matrix(t, sta)``, the Hermitian H(t). run passes a model.DriveSet,
-    twolevel.reference_dynamics a twolevel.TwoLevelSystem.
+    The run steps on the system's basis: initial is "ket0" or "ket1" of its
+    frame, or a StateVector of basis_dim amplitudes on the basis, which is
+    normalized (any other size is a DimensionMismatchError). final_state and
+    the snapshots are lifted back through the basis (DriveSet.lift), and the
+    trajectory records basis_dim and leakage_bound. run passes
+    model.drive_set(params), twolevel.reference_dynamics twolevel.system(params).
 
     The step count comes from the tolerance. The coarse pass has
     start_steps(n_steps, n_samples) steps; with n_steps None that is the
@@ -232,32 +239,17 @@ def evolve(
         sta=sta,
         initial=label,
         refine_history=history,
-        final_state=coarse["final_state"],
-        snapshots=coarse["snapshots"],
+        final_state=system.lift(coarse["final_state"]),
+        snapshots={t: system.lift(s) for t, s in coarse["snapshots"].items()},
+        basis_dim=system.basis_dim,
+        leakage_bound=system.leakage_bound,
     )
 
 
 def run(params: ModelParams, initial="ket0", sta: bool = False, **kw) -> Trajectory:
-    """Propagate the oscillator, model.drive_set(params); kw as in evolve.
-
-    The run steps in the set's reduced H0 eigenbasis. A custom initial state
-    is normalized and, if it reaches outside that basis, runs on a basis grown
-    to cover it (DriveSet.covering). final_state and the snapshots are lifted
-    back to the dim Fock levels.
-    """
-    system = model.drive_set(params)
-    if isinstance(initial, StateVector):
-        initial = initial.normalized()
-        system = system.covering(initial)
-        initial = system.reduce(initial)
-    traj = evolve(system, initial, sta, **kw)
-    return replace(
-        traj,
-        final_state=system.lift(traj.final_state),
-        snapshots={t: system.lift(s) for t, s in traj.snapshots.items()},
-        basis_dim=system.basis_dim,
-        leakage_bound=system.leakage_bound,
-    )
+    """Propagate the oscillator, model.drive_set(params), on its reduced H0
+    eigenbasis; initial and kw as in evolve."""
+    return evolve(model.drive_set(params), initial, sta, **kw)
 
 
 class FidelityResult(NamedTuple):

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidDimensionError, TruncationError
 
 HERMITIAN_ATOL = 1e-12
+COHERENT_LEAKAGE_TOL = 1e-8  # the truncated weight a coherent state may lose
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -121,20 +122,18 @@ def coherent_truncation_ok(alpha: complex, dim: int) -> bool:
     return r * r + 6 * r + 9 <= dim
 
 
-def coherent_state(
-    alpha: complex, dim: int, leakage_threshold: float = 1e-8
-) -> tuple[StateVector, float]:
+def coherent_state(alpha: complex, dim: int) -> tuple[StateVector, float]:
     """Truncated coherent state |alpha>, renormalized after truncation.
 
     Returns (state, leakage) where leakage = 1 - sum |c_n|^2 before
-    renormalization. Raises TruncationError when the leakage exceeds the
-    threshold.
+    renormalization. Raises TruncationError when the leakage exceeds
+    COHERENT_LEAKAGE_TOL.
     """
     c = coherent_amplitudes(alpha, dim)
     leakage = float(1.0 - np.sum(np.abs(c) ** 2))
-    if leakage > leakage_threshold:
+    if leakage > COHERENT_LEAKAGE_TOL:
         raise TruncationError(
-            f"coherent state |{alpha}> leaks {leakage:.3e} > {leakage_threshold:.1e} "
+            f"coherent state |{alpha}> leaks {leakage:.3e} > {COHERENT_LEAKAGE_TOL:.1e} "
             f"at dim={dim}; increase the truncation"
         )
     return StateVector(c).normalized(), leakage

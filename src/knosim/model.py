@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import fock, logical
-from .errors import ConfigError, DimensionMismatchError, SingularDriveError
+from .errors import ConfigError, SingularDriveError
 from .fock import Operator, StateVector
 from .logical import LogicalFrame
 
@@ -184,96 +184,48 @@ def mixing_angle(theta: float, chi: float) -> float:
 
 
 class DriveSet:
-    """H(t) of the oscillator for dynamics.evolve, on a reduced H0 eigenbasis.
+    """One system for dynamics.evolve: the model's H(t) on a basis,
 
-    H0 is diagonalized once, and its eigenvectors are ordered by how far their
-    energies lie from the cat energy <ket0|H0|ket0>. The first basis_dim of
-    them, the columns of basis (dim x M), carry the dynamics: H0 is stored as
-    diag(w), and Hz, Hx, Hy and the frame as B^dag (...) B, so total_matrix
-    only combines M x M matrices. With basis_dim None, M is the smallest even
-    size whose dropped eigenstates k each take a first-order amplitude
-    |<k|V|c>| / |E_k - E_c| of at most LEAKAGE_TOL from the cat doublet c,
-    under the largest drive V (_largest_drive); leakage_bound is the largest
-    such amplitude left out, and M = dim, the whole space, when no smaller
-    size meets the bound. drive_set caches one per params.
+        H(t) = H0 + (Dz/2) Hz + (Om/2)(cos phi Hx + sin phi Hy) [+ (Theta_dot/2) sy_bar],
+
+    with Dz, Om ramped as params says and sy_bar the frame's pauli_y. H0 and
+    the drives are matrices on the basis (0 for none), and so is the frame
+    (the initial states and the observables). basis holds the basis vectors
+    as columns, and lift maps a state on it back to the columns' space.
+    leakage_bound is the first-order amplitude the basis leaves out.
+    drive_set builds the oscillator, twolevel.system the 2x2 reduction.
     """
 
-    def __init__(self, params: ModelParams, basis_dim: int | None = None):
+    def __init__(self, params: ModelParams, h0, hz, hx, hy, frame: LogicalFrame,
+                 basis: np.ndarray, leakage_bound: float = 0.0):
         self.params = params
         self.schedule = params.ramp()
-        full = logical.build_frame(params.alpha0, params.dim)
-        h = h0(params).matrix
-        drives = (hz(params), hx(params), hy(params))
-        w, u = np.linalg.eigh(h)
-        cat = full.ket0.amplitudes
-        order = np.argsort(np.abs(w - np.vdot(cat, h @ cat).real), kind="stable")
-        w, u = w[order], u[:, order]
-        self._eigvecs = u
-        # largest first-order amplitude beyond the first m eigenvectors, m = 0..dim
-        self._leakage = _suffix(_leakage_amplitudes(w, u, _largest_drive(params, drives)), np.max)
-        m = _smallest_even(self._leakage, 2) if basis_dim is None else basis_dim
-        if not isinstance(m, (int, np.integer)) or not 2 <= m <= params.dim:
-            raise ConfigError(f"basis_dim must be an integer in [2, {params.dim}], got {m!r}")
-        self.basis = u[:, :m]
-        self.leakage_bound = float(self._leakage[m])
-        self.h0 = Operator(np.diag(w[:m]), hermitian=True)
-        self.hz, self.hx, self.hy = (self.project(op) for op in drives)
-        self.frame = LogicalFrame(
-            ket0=self.reduce(full.ket0),
-            ket1=self.reduce(full.ket1),
-            projector=self.project(full.projector),
-            pauli_x=self.project(full.pauli_x),
-            pauli_y=self.project(full.pauli_y),
-            pauli_z=self.project(full.pauli_z),
-        )
+        self.h0 = h0
+        self.frame = frame
+        self.basis = basis
+        self.leakage_bound = leakage_bound
+        # halved and mixed at phi once, as total_matrix runs every step
+        self.hz_half = hz / 2
+        self.hphi_half = (np.cos(params.phi) * hx + np.sin(params.phi) * hy) / 2
+        self.sy_half = frame.pauli_y.matrix / 2
 
     @property
     def basis_dim(self) -> int:
         return self.basis.shape[1]
 
-    def project(self, op: Operator) -> Operator:
-        """B^dag op B, symmetrized."""
-        m = self.basis.conj().T @ op.matrix @ self.basis
-        return Operator((m + m.conj().T) / 2, hermitian=True)
-
-    def reduce(self, state: StateVector) -> StateVector:
-        """B^dag psi: a dim-level state in the basis."""
-        return StateVector(self.basis.conj().T @ state.amplitudes)
-
     def lift(self, state: StateVector) -> StateVector:
-        """B psi: a state in the basis, back on the dim Fock levels."""
+        """B psi: a state on the basis, back in the space of its columns."""
         return StateVector(self.basis @ state.amplitudes)
 
-    def covering(self, state: StateVector) -> DriveSet:
-        """This set, or the same model on a basis grown by twos until state
-        leaves a part of norm at most LEAKAGE_TOL * |state| outside it."""
-        if state.dim != self.params.dim:
-            raise DimensionMismatchError(
-                f"initial state has {state.dim} levels, the model {self.params.dim}"
-            )
-        weights = np.abs(self._eigvecs.conj().T @ state.amplitudes) ** 2
-        outside = np.sqrt(_suffix(weights, np.sum)) / state.norm
-        m = _smallest_even(outside, self.basis_dim)
-        return self if m == self.basis_dim else DriveSet(self.params, basis_dim=m)
-
     def total_matrix(self, t: float, sta: bool = False) -> np.ndarray:
-        """H(t) = H0 + (Dz/2)Hz + (Om/2)(Hx cos phi + Hy sin phi) [+ (Theta_dot/2) sy_bar]."""
         p = self.params
         if t < 0 or t > p.tau + 1e-12:
             raise ValueError(f"t={t} outside [0, {p.tau}]")
         th = float(self.schedule.theta(t))
-        dz = p.delta_z_of(th)
-        om = p.omega_of(th)
-        m = (
-            self.h0.matrix
-            + dz / 2 * self.hz.matrix
-            + om / 2 * np.cos(p.phi) * self.hx.matrix
-            + om / 2 * np.sin(p.phi) * self.hy.matrix
-        )
+        m = self.h0 + p.delta_z_of(th) * self.hz_half
+        m += p.omega_of(th) * self.hphi_half
         if sta:
-            thd = float(self.schedule.theta_dot(t))
-            cd = cd_coefficient(th, thd, p.chi)
-            m = m + cd / 2 * self.frame.pauli_y.matrix
+            m += cd_coefficient(th, float(self.schedule.theta_dot(t)), p.chi) * self.sy_half
         return m
 
 
@@ -299,18 +251,53 @@ def _leakage_amplitudes(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarr
     return amp
 
 
-def _suffix(values: np.ndarray, reduce) -> np.ndarray:
-    """reduce(values[m:]) for m = 0..len(values), 0 for the empty tail."""
-    return np.array([reduce(values[m:]) for m in range(values.size)] + [0.0])
+@lru_cache(maxsize=16, typed=True)
+def drive_set(params: ModelParams, basis_dim: int | None = None) -> DriveSet:
+    """The oscillator as a DriveSet on a reduced H0 eigenbasis.
 
+    H0 is diagonalized once, and its eigenvectors are ordered by how far their
+    energies lie from the cat energy <ket0|H0|ket0>. The first basis_dim of
+    them, the columns of basis (dim x M), carry the dynamics: H0 is stored as
+    diag(w), and Hz, Hx, Hy and the frame as B^dag (...) B, so total_matrix
+    only combines M x M matrices. With basis_dim None, M is the smallest even
+    size whose dropped eigenstates k each take a first-order amplitude
+    |<k|V|c>| / |E_k - E_c| of at most LEAKAGE_TOL from the cat doublet c,
+    under the largest drive V (_largest_drive); leakage_bound is the largest
+    such amplitude left out, and M = dim, the whole space, when no smaller
+    size meets the bound.
+    """
+    full = logical.build_frame(params.alpha0, params.dim)
+    h = h0(params).matrix
+    drives = (hz(params), hx(params), hy(params))
+    w, u = np.linalg.eigh(h)
+    cat = full.ket0.amplitudes
+    order = np.argsort(np.abs(w - np.vdot(cat, h @ cat).real), kind="stable")
+    w, u = w[order], u[:, order]
+    # tail[m]: the largest amplitude beyond the first m eigenvectors, m = 0..dim
+    amp = _leakage_amplitudes(w, u, _largest_drive(params, drives))
+    tail = np.append(np.maximum.accumulate(amp[::-1])[::-1], 0.0)
+    m = basis_dim
+    if m is None:
+        m = next((k for k in range(2, params.dim, 2) if tail[k] <= LEAKAGE_TOL), params.dim)
+    if not isinstance(m, (int, np.integer)) or not 2 <= m <= params.dim:
+        raise ConfigError(f"basis_dim must be an integer in [2, {params.dim}], got {m!r}")
+    b = u[:, :m]
 
-def _smallest_even(tail: np.ndarray, start: int) -> int:
-    """Smallest even m >= start below the dimension with tail[m] <= LEAKAGE_TOL,
-    else the dimension, len(tail) - 1."""
-    dim = tail.size - 1
-    return next((m for m in range(start, dim, 2) if tail[m] <= LEAKAGE_TOL), dim)
+    def project(op: Operator) -> Operator:
+        """B^dag op B, symmetrized."""
+        x = b.conj().T @ op.matrix @ b
+        return Operator((x + x.conj().T) / 2, hermitian=True)
 
+    def reduce(state: StateVector) -> StateVector:
+        return StateVector(b.conj().T @ state.amplitudes)
 
-@lru_cache(maxsize=16)
-def drive_set(params: ModelParams) -> DriveSet:
-    return DriveSet(params)
+    frame = LogicalFrame(
+        ket0=reduce(full.ket0),
+        ket1=reduce(full.ket1),
+        projector=project(full.projector),
+        pauli_x=project(full.pauli_x),
+        pauli_y=project(full.pauli_y),
+        pauli_z=project(full.pauli_z),
+    )
+    z, x, y = (project(op).matrix for op in drives)
+    return DriveSet(params, np.diag(w[:m]), z, x, y, frame, b, float(tail[m]))

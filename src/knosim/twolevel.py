@@ -1,6 +1,9 @@
 """Analytic two-level reference for the driven cat qubit.
 
-Everything here ignores the oscillator: the qubit Hamiltonian is
+Everything here ignores the oscillator: in the cat subspace the drives Hz, Hx
+and Hy act as the Pauli matrices and H0 as a constant, so the qubit
+Hamiltonian is the model's own H(t) with H0 = 0 and the drives replaced by
+sigma_z, sigma_x and sigma_y,
 
     H2 = (1/2) [[Dz, Om e^{-i phi}], [Om e^{i phi}, -Dz]]
 
@@ -18,53 +21,36 @@ from .dynamics import Trajectory
 from .errors import OnManifoldDegeneracyError
 from .fock import Operator, StateVector
 from .logical import LogicalFrame
-from .model import ModelParams, RampSchedule, cd_coefficient
+from .model import DriveSet, ModelParams
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+_ID = np.eye(2, dtype=complex)
+_ZERO = np.zeros((2, 2), dtype=complex)
+
+# The bare qubit basis: ket0 = (1, 0), ket1 = (0, 1), the Pauli matrices and
+# the identity projector.
+_FRAME = LogicalFrame(
+    ket0=StateVector(_ID[0]), ket1=StateVector(_ID[1]), projector=Operator(_ID, hermitian=True),
+    pauli_x=Operator(_SX, hermitian=True), pauli_y=Operator(_SY, hermitian=True),
+    pauli_z=Operator(_SZ, hermitian=True),
+)
 
 
-def hamiltonian(delta_z: float, omega: float, phi: float = 0.0) -> np.ndarray:
-    off = omega / 2 * np.exp(-1j * phi)
-    return np.array([[delta_z / 2, off], [np.conj(off), -delta_z / 2]])
-
-
-class TwoLevelSystem:
-    """The 2x2 reduction as a system for dynamics.evolve.
-
-    H(t) is hamiltonian(Dz(theta), Om(theta), phi), plus (Theta_dot/2) sigma_y
-    with sta, on the bare qubit basis. Its frame is exact: ket0 = (1, 0),
-    ket1 = (0, 1), the Pauli matrices and the identity projector.
-    """
-
-    def __init__(self, params: ModelParams):
-        self.params = params
-        self.schedule: RampSchedule = params.ramp()
-        e = np.eye(2, dtype=complex)
-        self.frame = LogicalFrame(
-            ket0=StateVector(e[0]), ket1=StateVector(e[1]), projector=Operator(e, hermitian=True),
-            pauli_x=Operator(_SX, hermitian=True), pauli_y=Operator(_SY, hermitian=True),
-            pauli_z=Operator(_SZ, hermitian=True),
-        )
-
-    def total_matrix(self, t: float, sta: bool = False) -> np.ndarray:
-        p = self.params
-        th = float(self.schedule.theta(t))
-        m = hamiltonian(p.delta_z_of(th), p.omega_of(th), p.phi)
-        if sta:
-            cd = cd_coefficient(th, float(self.schedule.theta_dot(t)), p.chi)
-            m = m + cd / 2 * _SY
-        return m
+def system(params: ModelParams) -> DriveSet:
+    """The 2x2 reduction as a DriveSet: H0 = 0 and the drives on the Pauli
+    matrices, so H(t) is H2 above, plus (Theta_dot/2) sigma_y with sta."""
+    return DriveSet(params, _ZERO, _SZ, _SX, _SY, _FRAME, _ID)
 
 
 def reference_dynamics(params: ModelParams, initial="ket0", sta: bool = False, **kw) -> Trajectory:
-    """Propagate the 2x2 reduction, TwoLevelSystem(params); kw as in dynamics.evolve.
+    """Propagate the 2x2 reduction, system(params); kw as in dynamics.evolve.
 
     The engine and stepper are those of the full-oscillator run, so the Bloch
     samples compare directly (pop is identically 1 here).
     """
-    return dynamics.evolve(TwoLevelSystem(params), initial, sta, **kw)
+    return dynamics.evolve(system(params), initial, sta, **kw)
 
 
 def monopole_chern(

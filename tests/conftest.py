@@ -4,7 +4,7 @@ from dataclasses import replace
 
 from knosim.fock import Operator, StateVector
 from knosim.logical import LogicalFrame
-from knosim.model import ModelParams
+from knosim.model import DriveSet, ModelParams
 
 TWO_PI = 2 * np.pi
 PUMP = TWO_PI * 1000.0
@@ -41,26 +41,23 @@ def sta_params(chi: float = 0.0, **kw) -> ModelParams:
     return replace(p, **kw) if kw else p
 
 
-class ConstantSystem:
-    """A fake system for dynamics.evolve: H(t) = h over a ramp of length tau,
-    read out with the Pauli matrices on Fock levels 0 and 1."""
+def constant_system(h: np.ndarray, tau: float = 1.0) -> DriveSet:
+    """A DriveSet with H(t) = h and no drives over a ramp of length tau, on
+    the Fock levels themselves, read out with the Pauli matrices on levels 0
+    and 1."""
+    h = np.asarray(h, dtype=complex)
+    params = ModelParams(kerr=1.0, pump=4.0, omega0=0.0, delta_z=0.0, tau=tau)
+    e = np.eye(h.shape[0], dtype=complex)
 
-    def __init__(self, h: np.ndarray, tau: float = 1.0):
-        self.h = np.asarray(h, dtype=complex)
-        self.params = ModelParams(kerr=1.0, pump=4.0, omega0=0.0, delta_z=0.0, tau=tau)
-        e = np.eye(self.h.shape[0], dtype=complex)
+    def op(m2):
+        return Operator(e[:, :2] @ np.asarray(m2) @ e[:2], hermitian=True)
 
-        def op(m2):
-            return Operator(e[:, :2] @ np.asarray(m2) @ e[:2], hermitian=True)
-
-        self.frame = LogicalFrame(
-            ket0=StateVector(e[0]), ket1=StateVector(e[1]), projector=op(np.eye(2)),
-            pauli_x=op([[0, 1], [1, 0]]), pauli_y=op([[0, -1j], [1j, 0]]),
-            pauli_z=op([[1, 0], [0, -1]]),
-        )
-
-    def total_matrix(self, t: float, sta: bool = False) -> np.ndarray:
-        return self.h
+    frame = LogicalFrame(
+        ket0=StateVector(e[0]), ket1=StateVector(e[1]), projector=op(np.eye(2)),
+        pauli_x=op([[0, 1], [1, 0]]), pauli_y=op([[0, -1j], [1j, 0]]),
+        pauli_z=op([[1, 0], [0, -1]]),
+    )
+    return DriveSet(params, h, 0, 0, 0, frame, e)
 
 
 @pytest.fixture(scope="session")

@@ -261,6 +261,18 @@ class TestWigner:
         assert man["n_steps_used"] == 800
         assert [n for n, _ in man["refine_history"]] == [800]
 
+    def test_sta_off_is_honoured(self, tmp_path):
+        cfg_path = write_config(tmp_path, half_width=3.0, n_points=41)
+        runs = {}
+        for name, flags in (("default", []), ("off", ["--sta", "off"])):
+            out = tmp_path / name
+            assert cli.main(["wigner", cfg_path, "--out", str(out), *flags]) == 0
+            man = json.loads((out / "run-manifest.json").read_text())
+            runs[name] = (man["sta"], (out / "trajectory.csv").read_text())
+        assert runs["default"][0] is True
+        assert runs["off"][0] is False
+        assert runs["off"][1] != runs["default"][1]
+
     @pytest.mark.parametrize(
         "setting", [{"n_points": 11}, {"half_width": "nan"}, {"half_width": 0}]
     )

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import linear_response_params, sta_params
 from knosim import cli, dynamics, logical, model, topology, twolevel
-from knosim.errors import ConfigError
+from knosim.errors import ConfigError, DimensionMismatchError
 from knosim.fock import StateVector
 
 
@@ -38,12 +38,22 @@ class TestRun:
         assert traj.sz[-1] > -0.5  # fast bare ramp cannot follow
 
     def test_custom_initial_state(self):
+        # a custom state is given on the drive set's basis, and normalized
         p = sta_params()
-        frame = logical.build_frame(p.alpha0, p.dim)
-        plus = StateVector((frame.ket0.amplitudes + frame.ket1.amplitudes) / np.sqrt(2))
+        frame = model.drive_set(p).frame
+        plus = StateVector(frame.ket0.amplitudes + frame.ket1.amplitudes)
         traj = dynamics.run(p, initial=plus, sta=True, n_steps=800, n_samples=41)
         assert traj.initial == "custom"
         assert abs(traj.sx[0] - 1) < 1e-9
+        assert abs(traj.norm[0] - 1) < 1e-12
+        assert traj.final_state.dim == p.dim
+
+    def test_state_off_the_basis_rejected(self):
+        # a 30-level Fock state is not on the 8-vector basis: no silent truncation
+        p = sta_params()
+        ket0 = logical.build_frame(p.alpha0, p.dim).ket0
+        with pytest.raises(DimensionMismatchError, match="30 amplitudes"):
+            dynamics.run(p, initial=ket0, sta=True, n_steps=400, n_samples=41)
 
     def test_ket1_start(self):
         traj = dynamics.run(sta_params(), initial="ket1", sta=True, n_steps=800, n_samples=41)
@@ -73,14 +83,14 @@ class TestRun:
     def test_non_finite_snapshot_rejected(self, ts):
         with pytest.raises(ConfigError, match="finite"):
             dynamics.evolve(
-                twolevel.TwoLevelSystem(sta_params()), n_steps=400, n_samples=41,
+                twolevel.system(sta_params()), n_steps=400, n_samples=41,
                 snapshot_times=(ts,),
             )
 
     @pytest.mark.parametrize("n_samples", [41, 401])
     def test_cli_snapshot_fractions_on_grid(self, n_samples):
         p = sta_params(chi=0.5)
-        system = twolevel.TwoLevelSystem(p)
+        system = twolevel.system(p)
         times = [f * p.tau for f in cli.SNAPSHOT_FRACTIONS]
         traj = dynamics.evolve(
             system, sta=True, n_steps=800, n_samples=n_samples, snapshot_times=times,
@@ -160,7 +170,7 @@ class TestStepCount:
 
     def test_explicit_steps_cost_at_most_seven_times(self, steps_computed):
         traj = dynamics.evolve(
-            twolevel.TwoLevelSystem(sta_params(chi=0.5)), sta=True, n_steps=400, n_samples=41,
+            twolevel.system(sta_params(chi=0.5)), sta=True, n_steps=400, n_samples=41,
             refine_tol=1e-14,
         )
         assert not traj.converged
@@ -170,7 +180,7 @@ class TestStepCount:
 
     def test_default_start_capped_at_4000_step_budget(self, steps_computed):
         traj = dynamics.evolve(
-            twolevel.TwoLevelSystem(sta_params(chi=0.5)), sta=True, refine_tol=1e-14
+            twolevel.system(sta_params(chi=0.5)), sta=True, refine_tol=1e-14
         )
         assert not traj.converged
         assert steps_computed == [800, 1600, 3200, 6400, 12800]
@@ -188,12 +198,11 @@ class TestReducedBasisEquivalence:
     """run steps in the reduced H0 eigenbasis; evolve on the same model with
     basis_dim = dim is the whole space."""
 
-    def _compare(self, params, sta, initial="ket0", **kw):
+    def _compare(self, params, sta, **kw):
         times = [f * params.tau for f in cli.SNAPSHOT_FRACTIONS]
-        reduced = dynamics.run(params, initial, sta, snapshot_times=times, **kw)
-        whole = model.DriveSet(params, basis_dim=params.dim)
-        start = initial if isinstance(initial, str) else whole.reduce(initial.normalized())
-        full = dynamics.evolve(whole, start, sta, snapshot_times=times, **kw)
+        reduced = dynamics.run(params, "ket0", sta, snapshot_times=times, **kw)
+        whole = model.drive_set(params, basis_dim=params.dim)
+        full = dynamics.evolve(whole, "ket0", sta, snapshot_times=times, **kw)
         assert reduced.n_steps == full.n_steps
         ds = max(np.abs(getattr(reduced, k) - getattr(full, k)).max() for k in ("sx", "sy", "sz"))
         assert ds <= 1e-8
@@ -201,7 +210,7 @@ class TestReducedBasisEquivalence:
         for ts in times:
             state = reduced.snapshots[ts]
             assert state.dim == params.dim
-            assert state.fidelity(whole.lift(full.snapshots[ts])) >= 1 - 1e-8
+            assert state.fidelity(full.snapshots[ts]) >= 1 - 1e-8
         assert reduced.final_state.dim == params.dim
         return reduced
 
@@ -213,15 +222,6 @@ class TestReducedBasisEquivalence:
     def test_fig1(self):
         traj = self._compare(linear_response_params(), sta=False, n_steps=2000)
         assert traj.basis_dim == 10 and traj.leakage_bound <= model.LEAKAGE_TOL
-
-    def test_custom_state_outside_the_basis_grows_it(self):
-        p = sta_params(chi=0.5)
-        frame = logical.build_frame(p.alpha0, p.dim)
-        psi = frame.ket0.amplitudes + 0.2 * np.eye(p.dim)[6]
-        traj = self._compare(p, True, StateVector(psi), n_steps=400, n_samples=41)
-        assert traj.basis_dim > model.drive_set(p).basis_dim
-        assert abs(traj.norm[0] - 1) <= 1e-12
-        assert traj.snapshots[0.0].fidelity(StateVector(psi).normalized()) >= 1 - 1e-12
 
 
 class TestEigenstateFidelity:

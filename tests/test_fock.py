@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ConstantSystem
+from conftest import constant_system
 from knosim import dynamics, fock
 from knosim.errors import DimensionMismatchError, InvalidDimensionError, TruncationError
 
@@ -116,7 +116,7 @@ class TestPropagation:
         psi = np.zeros(dim, dtype=complex)
         psi[1] = 1
         traj = dynamics.evolve(
-            ConstantSystem(h, tau=0.3), fock.StateVector(psi), n_steps=100, n_samples=2
+            constant_system(h, tau=0.3), fock.StateVector(psi), n_steps=100, n_samples=2
         )
         assert abs(traj.final_state.amplitudes[1] - np.exp(-1j * omega * 0.3)) < 1e-12
         assert traj.converged and traj.refine_diff < 1e-12
@@ -125,7 +125,7 @@ class TestPropagation:
         dim = 10
         psi, _ = fock.coherent_state(0.5, dim)
         traj = dynamics.evolve(
-            ConstantSystem(np.zeros((dim, dim)), tau=1.0), psi, n_steps=100, n_samples=2
+            constant_system(np.zeros((dim, dim)), tau=1.0), psi, n_steps=100, n_samples=2
         )
         assert np.abs(traj.final_state.amplitudes - psi.amplitudes).max() < 1e-12
 
@@ -137,7 +137,7 @@ class TestPropagation:
 
         def step(state, tau):
             return dynamics.evolve(
-                ConstantSystem(h, tau), state, n_steps=100, n_samples=2
+                constant_system(h, tau), state, n_steps=100, n_samples=2
             ).final_state
 
         full = step(psi, 0.8)
@@ -149,7 +149,7 @@ class TestPropagation:
         m = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
         psi, _ = fock.coherent_state(1.5, 20)
         traj = dynamics.evolve(
-            ConstantSystem(50 * (m + m.conj().T), tau=2.5), psi, n_steps=100, n_samples=11
+            constant_system(50 * (m + m.conj().T), tau=2.5), psi, n_steps=100, n_samples=11
         )
         assert np.abs(traj.norm - 1).max() <= 1e-9
         assert abs(traj.final_state.norm - 1) <= 1e-9

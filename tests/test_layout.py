@@ -1,5 +1,6 @@
-"""Layout guard: every top-level public function and class in src/knosim is
-used by the program itself, so API that only tests call does not creep back.
+"""Layout guard: every top-level public function and class in src/knosim,
+and every public method and property of a public class, is used by the
+program itself, so API that only tests call does not creep back.
 
 A definition counts as used when its name appears, outside its own body, as a
 name, an attribute or a string constant (bench/spans.py patches by name) in a
@@ -14,7 +15,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # name -> why it stays although src/ and bench/ do not call it
 ALLOWED = {
     "instantaneous_eigenstate_fidelity": "acceptance criterion 6 reads the STA eigenstate fidelity",
+    "WignerGrid.at_origin": "acceptance criterion 9 reads the Wigner value at the origin",
 }
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _names(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -34,20 +38,30 @@ def _names(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return out
 
 
+def _public_defs(tree: ast.Module):
+    """(qualified name, node) of each public top-level def or class, and of
+    each public method or property of a public class."""
+    for node in tree.body:
+        if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, _FUNCTIONS) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
 def unreferenced(package: dict[str, ast.Module], users: list[ast.Module]) -> list[str]:
-    """module.name of each public top-level def or class in package that no
-    module of package or users names outside its own definition."""
+    """module.name of each public definition in package (_public_defs) that
+    no module of package or users names outside its own definition."""
     everywhere = [_names(tree) for tree in users]
     found = []
     for mod, tree in package.items():
         others = [_names(t) for m, t in package.items() if m != mod] + everywhere
-        for node in tree.body:
-            defined = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            if not isinstance(node, defined) or node.name.startswith("_"):
-                continue
+        for qualified, node in _public_defs(tree):
             if node.name in _names(tree, skip=node) or any(node.name in s for s in others):
                 continue
-            found.append(f"{mod}.{node.name}")
+            found.append(f"{mod}.{qualified}")
     return found
 
 
@@ -60,12 +74,20 @@ def test_src_has_no_test_only_api():
                      if p.name != "__init__.py")
     bench = list(_parse(sorted((ROOT / "bench").glob("*.py"))).values())
     found = unreferenced(package, bench)
-    assert sorted(n.split(".")[1] for n in found) == sorted(ALLOWED), found
+    assert sorted(n.split(".", 1)[1] for n in found) == sorted(ALLOWED), found
 
 
 def test_guard_flags_an_unused_helper():
     package = {
-        "lib": ast.parse("def used(): pass\ndef helper(): return helper\nclass Kept: pass\n"),
-        "app": ast.parse("from .lib import used\nused()\nx: 'Kept'\n"),
+        "lib": ast.parse(
+            "def used(): pass\ndef helper(): return helper\nclass Kept: pass\n"
+            "class Tool:\n"
+            "    def run(self): return self.step()\n"
+            "    def step(self): pass\n"
+            "    def spare(self): return self.spare()\n"
+            "    @property\n"
+            "    def size(self): return 1\n"
+        ),
+        "app": ast.parse("from .lib import used\nused()\nx: 'Kept'\nTool().run()\n"),
     }
-    assert unreferenced(package, []) == ["lib.helper"]
+    assert unreferenced(package, []) == ["lib.helper", "lib.Tool.spare", "lib.Tool.size"]

@@ -182,7 +182,7 @@ class TestTotalHamiltonian:
 
 
 class TestReducedBasis:
-    """DriveSet keeps the H0 eigenvectors nearest the cat energy, as many as a
+    """drive_set keeps the H0 eigenvectors nearest the cat energy, as many as a
     first-order leakage bound of LEAKAGE_TOL needs."""
 
     def test_leakage_tol_is_a_hundredth_of_refine_tol(self):
@@ -194,18 +194,19 @@ class TestReducedBasis:
         assert ds.basis_dim == m
         assert ds.leakage_bound <= model.LEAKAGE_TOL
         # the next smaller basis would not meet the bound
-        assert model.DriveSet(make(chi=0.5), basis_dim=m - 2).leakage_bound > model.LEAKAGE_TOL
+        assert model.drive_set(make(chi=0.5), basis_dim=m - 2).leakage_bound > model.LEAKAGE_TOL
 
     def test_basis_is_orthonormal_and_spans_the_frame(self, params):
         ds = model.drive_set(params)
         b = ds.basis
         assert np.abs(b.conj().T @ b - np.eye(ds.basis_dim)).max() <= 1e-12
         frame = logical.build_frame(params.alpha0, params.dim)
-        for ket in (frame.ket0, frame.ket1):
-            assert abs(ds.lift(ds.reduce(ket)).fidelity(ket) - 1) <= 1e-12
+        # a ket's part on the basis, lifted back, has the ket's whole weight
+        for ket, on_basis in ((frame.ket0, ds.frame.ket0), (frame.ket1, ds.frame.ket1)):
+            assert abs(ds.lift(on_basis).fidelity(ket) - 1) <= 1e-12
 
     def test_whole_space_bounds_nothing(self, params):
-        ds = model.DriveSet(params, basis_dim=params.dim)
+        ds = model.drive_set(params, basis_dim=params.dim)
         assert ds.leakage_bound == 0.0
         th = 0.3 * np.pi  # linear ramp at t = 0.3 tau
         expected = (
@@ -219,7 +220,7 @@ class TestReducedBasis:
     @pytest.mark.parametrize("m", [1, 31, 8.0])
     def test_bad_basis_dim(self, params, m):
         with pytest.raises(ConfigError, match="basis_dim"):
-            model.DriveSet(params, basis_dim=m)
+            model.drive_set(params, basis_dim=m)
 
 
 class TestCdCoefficient:

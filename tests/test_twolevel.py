@@ -3,18 +3,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import linear_response_params, sta_params
-from knosim import dynamics, topology, twolevel
+from conftest import KERR, PUMP, linear_response_params, sta_params
+from knosim import dynamics, model, topology, twolevel
 from knosim.errors import ConfigError, OnManifoldDegeneracyError
-from knosim.model import mixing_angle
+from knosim.model import ModelParams, mixing_angle
+
+
+def midpoint_params(dz: float, om: float, phi: float = 0.0) -> ModelParams:
+    """A linear ramp whose midpoint, theta = pi/2, has Dz = dz and Om = om
+    (Dz up to cos(pi/2) ~ 6e-17)."""
+    return ModelParams(kerr=KERR, pump=PUMP, omega0=om, delta_z=1.0, delta_0=dz, phi=phi)
+
+
+def midpoint_h(p: ModelParams) -> np.ndarray:
+    return twolevel.system(p).total_matrix(p.tau / 2)
+
+
+# |chi| away from the transition at 1, where the counterdiabatic term is singular
+CHIS = st.one_of(st.floats(-0.9, 0.9), st.floats(1.1, 2.0), st.floats(-2.0, -1.1))
 
 
 class TestEigensystem:
-    """Closed forms of hamiltonian(Dz, Om, phi): energies +-sqrt(Dz^2 + Om^2)/2,
+    """Closed forms of the 2x2 H(Dz, Om, phi): energies +-sqrt(Dz^2 + Om^2)/2,
     upper eigenvector (cos(T/2), e^{i phi} sin(T/2)) with T = atan2(Om, Dz)."""
 
     def test_energies(self):
-        assert np.allclose(np.linalg.eigvalsh(twolevel.hamiltonian(3.0, 4.0)), [-2.5, 2.5])
+        assert np.allclose(np.linalg.eigvalsh(midpoint_h(midpoint_params(3.0, 4.0))), [-2.5, 2.5])
 
     def test_mixing_angle_endpoints(self):
         # T = atan2(Om, Dz) at theta = 0, pi, pi/2 of the chi = 0 ramp
@@ -23,7 +37,7 @@ class TestEigensystem:
         assert abs(mixing_angle(np.pi / 2, 0.0) - np.pi / 2) < 1e-12
 
     def test_degenerate(self):
-        assert np.allclose(np.linalg.eigvalsh(twolevel.hamiltonian(0.0, 0.0)), [0, 0])
+        assert np.allclose(np.linalg.eigvalsh(midpoint_h(midpoint_params(0.0, 0.0))), [0, 0])
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -32,7 +46,9 @@ class TestEigensystem:
         st.floats(-np.pi, np.pi, allow_nan=False),
     )
     def test_eigenvectors_solve_the_hamiltonian(self, dz, om, phi):
-        h = twolevel.hamiltonian(dz, om, phi)
+        p = midpoint_params(dz, om, phi)
+        h = midpoint_h(p)
+        dz, om = p.delta_z_of(np.pi / 2), p.omega_of(np.pi / 2)
         r = np.hypot(dz, om)
         assert np.abs(np.linalg.eigvalsh(h) - [-r / 2, r / 2]).max() <= 1e-12 * r
         half = np.arctan2(om, dz) / 2
@@ -40,8 +56,35 @@ class TestEigensystem:
         assert np.abs(h @ v_plus - r / 2 * v_plus).max() <= 1e-10 * max(abs(dz), om)
 
     def test_hermitian_with_phase(self):
-        h = twolevel.hamiltonian(0.3, 1.1, 0.7)
+        h = midpoint_h(midpoint_params(0.3, 1.1, 0.7))
         assert np.abs(h - h.conj().T).max() <= 1e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(0.01, 5).flatmap(lambda a: st.sampled_from([a, -a])),
+        CHIS,
+        st.floats(-5, 5),
+        st.floats(-np.pi, np.pi),
+        st.floats(0, 1),
+        st.sampled_from(["linear", "cosine"]),
+        st.booleans(),
+    )
+    def test_total_matrix_is_the_closed_form(self, dz0, chi, om0, phi, frac, shape, sta):
+        # system(p).total_matrix(t) = (1/2)[[Dz, Om e^{-i phi}], [Om e^{i phi}, -Dz]]
+        # at theta(t), plus (Theta_dot/2) sigma_y with sta
+        p = ModelParams(kerr=KERR, pump=PUMP, omega0=om0, delta_z=dz0, delta_0=chi * dz0,
+                        tau=1.3, schedule=shape, phi=phi)
+        t = frac * p.tau
+        ramp = p.ramp()
+        th = float(ramp.theta(t))
+        dz, om = p.delta_z_of(th), p.omega_of(th)
+        off = om / 2 * np.exp(-1j * phi)
+        expected = np.array([[dz / 2, off], [np.conj(off), -dz / 2]])
+        if sta:
+            cd = model.cd_coefficient(th, float(ramp.theta_dot(t)), p.chi)
+            expected = expected + cd / 2 * np.array([[0, -1j], [1j, 0]])
+        h = twolevel.system(p).total_matrix(t, sta)
+        assert np.abs(h - expected).max() <= 1e-15 * max(1.0, np.abs(expected).max())
 
 
 class TestReferenceDynamics:
@@ -88,13 +131,9 @@ class TestReferenceDynamics:
             twolevel.reference_dynamics(sta_params(), n_steps=n_steps, n_samples=n_samples)
 
 
-# |chi| away from the transition at 1, where the counterdiabatic term is singular
-CHIS = st.one_of(st.floats(-0.9, 0.9), st.floats(1.1, 2.0), st.floats(-2.0, -1.1))
-
-
 def sta_c1(chi: float, initial: str) -> tuple[float, dynamics.Trajectory]:
     """C1q of the 2x2 counterdiabatic run from the default start."""
-    traj = dynamics.evolve(twolevel.TwoLevelSystem(sta_params(chi=chi)), initial, sta=True)
+    traj = dynamics.evolve(twolevel.system(sta_params(chi=chi)), initial, sta=True)
     return topology.chern_sta(topology.theta_q_series(traj), traj).c1, traj
 
 
