@@ -57,9 +57,11 @@ class ExperimentConfig:
     n_points: int = 81
 
 
-def _load_raw(spec: str) -> dict:
+def _load_raw(spec: str, defaults: dict) -> dict:
+    """The config of a preset or a JSON file; defaults override a preset's
+    values, and a file's own keys override both."""
     if spec in PRESETS:
-        return dict(PRESETS[spec])
+        return {**PRESETS[spec], **defaults}
     path = Path(spec)
     if not path.exists():
         raise ConfigError(f"{spec!r} is neither a preset ({', '.join(PRESETS)}) nor a file")
@@ -73,8 +75,8 @@ def _load_raw(spec: str) -> dict:
         base = raw.pop("preset")
         if base not in PRESETS:
             raise ConfigError(f"{path}: unknown preset {base!r}")
-        raw = {**PRESETS[base], **raw}
-    return raw
+        return {**PRESETS[base], **defaults, **raw}
+    return {**defaults, **raw}
 
 
 def _number(kind, value, key: str):
@@ -90,8 +92,13 @@ def _number(kind, value, key: str):
     return number
 
 
-def resolve_config(spec: str, overrides: dict | None = None) -> ExperimentConfig:
-    raw = _load_raw(spec)
+def resolve_config(spec: str, overrides: dict | None = None,
+                   defaults: dict | None = None) -> ExperimentConfig:
+    """The config of spec, a preset name or a JSON file path. defaults (a
+    command's own, such as the Wigner movie's STA ramp) override a preset's
+    values but not the file's own keys; overrides (the command-line flags)
+    override everything."""
+    raw = _load_raw(spec, defaults or {})
     unknown = set(raw) - _ALL_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -336,11 +343,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 
 def estimated_runtime_s(cfg: ExperimentConfig, worst: bool = False) -> float:
-    """eigh calls of the configured runs, one after another, times the step
-    cost: as if each run converges at its first doubling, or with worst, as if
+    """Steps (matrices diagonalized) of the configured runs, one after
+    another, times the step cost: as if each run converges at its first doubling, or with worst, as if
     each computes its whole step budget."""
     n_runs = max(1, len(cfg.chi_values)) if cfg.protocol == "sweep" else 1
-    per_run = dynamics.step_budget if worst else dynamics.expected_eigh_calls
+    per_run = dynamics.step_budget if worst else dynamics.expected_steps
     return n_runs * per_run(cfg.n_steps, cfg.n_samples) * dynamics.step_seconds(cfg.params, cfg.sta)
 
 
@@ -437,13 +444,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args.config, _overrides(args))
+        # the movie runs the STA ramp unless --sta or the file itself says otherwise
+        defaults = {"sta": True} if args.command == "wigner" else None
+        cfg = resolve_config(args.config, _overrides(args), defaults)
         cfg = _apply_chi(cfg, args)
         if args.command == "sweep":
             cfg.protocol = "sweep"
         elif args.command == "wigner":
             cfg.protocol = "wigner_movie"
-            cfg.sta = args.sta != "off"
 
         if args.command == "validate":
             ok, lines = validate_config(cfg)

@@ -3,7 +3,11 @@
 Midpoint-exponential stepping: each step applies exp(-i H(t + dt/2) dt)
 through the Hermitian eigendecomposition kernel. This is unconditionally
 norm-preserving, which matters because the stabilizer Hamiltonian is stiff
-(large eigenvalues at high Fock indices).
+(large eigenvalues at high Fock indices). A pass diagonalizes its midpoint
+H(t) in stacks of up to CHUNK_STEPS, one np.linalg.eigh call per stack, so
+the work is counted in matrices diagonalized, one per step computed. With
+no n_steps a run starts at one step per sample interval (400 steps for 401
+samples) and doubles until the samples settle.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ MIN_STEPS = 100
 STEP_BUDGET = 7  # steps a run may compute, in coarse passes: the pass and two doublings
 BUDGET_STEPS = 4000  # with no n_steps, the coarse pass the budget is counted in
 DEFAULT_N_SAMPLES = 401
+CHUNK_STEPS = 256  # midpoint steps diagonalized as one stack
 
 
 def _rounded_steps(n_steps: int, n_samples: int) -> int:
@@ -34,13 +39,14 @@ def _rounded_steps(n_steps: int, n_samples: int) -> int:
 
 def start_steps(n_steps: int | None, n_samples: int) -> int:
     """Steps of the coarse pass: n_steps, or with None the coarsest grid
-    accepted, max(MIN_STEPS, n_samples); rounded up to whole sample intervals."""
+    accepted, max(MIN_STEPS, n_samples - 1), one step per sample interval at
+    401 samples; rounded up to whole sample intervals."""
     if n_steps is None:
-        n_steps = max(MIN_STEPS, n_samples)
+        n_steps = max(MIN_STEPS, n_samples - 1)
     if n_steps < MIN_STEPS:
         raise ConfigError(f"n_steps must be >= {MIN_STEPS}, got {n_steps}")
-    if n_samples < 2 or n_samples > n_steps:
-        raise ConfigError("need 2 <= n_samples <= n_steps")
+    if n_samples < 2 or n_samples - 1 > n_steps:
+        raise ConfigError("need 2 <= n_samples <= n_steps + 1")
     return _rounded_steps(n_steps, n_samples)
 
 
@@ -50,9 +56,10 @@ def step_budget(n_steps: int | None, n_samples: int) -> int:
     return STEP_BUDGET * _rounded_steps(BUDGET_STEPS if n_steps is None else n_steps, n_samples)
 
 
-def expected_eigh_calls(n_steps: int | None, n_samples: int) -> int:
-    """eigh calls of one evolve that converges at its first step doubling,
-    as the fig2-4 runs do: the coarse pass plus one pass at twice the steps."""
+def expected_steps(n_steps: int | None, n_samples: int) -> int:
+    """Matrices diagonalized (steps computed) by one evolve that converges at
+    its first step doubling, as the fig2-4 runs do: the coarse pass plus one
+    pass at twice the steps."""
     return 3 * start_steps(n_steps, n_samples)
 
 
@@ -114,6 +121,24 @@ def _initial_state(system: model.DriveSet, initial) -> tuple[StateVector, str]:
     raise ConfigError(f"initial must be 'ket0', 'ket1' or a StateVector, got {initial!r}")
 
 
+def _interval_propagators(system: model.DriveSet, sta: bool, first: int, stop: int,
+                          spc: int, dt: float) -> np.ndarray:
+    """Propagators of sample intervals first..stop-1, (stop - first, M, M): each
+    the product, in step order, of its spc midpoint steps V e^{-i w dt} V^dag.
+    An interval of more than CHUNK_STEPS steps is built a chunk at a time."""
+    total = None
+    piece = min(spc, CHUNK_STEPS)
+    for s0 in range(0, spc, piece):
+        steps = np.arange(first, stop)[:, None] * spc + np.arange(s0, min(s0 + piece, spc))
+        w, v = np.linalg.eigh(system.total_matrix((steps + 0.5) * dt, sta=sta))
+        u = (v * np.exp(-1j * w * dt)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        while u.shape[1] > 1:  # multiply neighbouring steps, later on the left
+            even = u.shape[1] // 2 * 2
+            u = np.concatenate([u[:, 1:even:2] @ u[:, 0:even:2], u[:, even:]], axis=1)
+        total = u[:, 0] if total is None else u[:, 0] @ total
+    return total
+
+
 def _propagate(
     system: model.DriveSet,
     psi0: StateVector,
@@ -123,7 +148,14 @@ def _propagate(
     snapshot_times=(),
 ) -> dict:
     """Single fixed-step propagation over n_steps, a whole number of steps per
-    sample interval; returns sampled arrays and snapshots."""
+    sample interval; returns sampled arrays and snapshots.
+
+    The pass runs in chunks of whole sample intervals, of at most CHUNK_STEPS
+    steps (an interval longer than that is built CHUNK_STEPS steps at a time),
+    so its memory does not grow with n_steps: every midpoint H(t) of a chunk
+    is built and diagonalized as one stack, each interval's steps are
+    multiplied into one propagator, and the state advances interval by
+    interval. The observables of all samples are read at the end."""
     p = system.params
     snap_k = {}  # snapshot time -> sample index; off-grid times are rejected
     for ts in snapshot_times:
@@ -135,41 +167,28 @@ def _propagate(
         snap_k[float(ts)] = k
     spc = n_steps // (n_samples - 1)
     dt = p.tau / n_steps
+    per_chunk = max(1, CHUNK_STEPS // spc)  # sample intervals per chunk
+
+    psi = np.empty((n_samples, system.basis_dim), dtype=complex)
+    psi[0] = psi0.amplitudes
+    for first in range(0, n_samples - 1, per_chunk):
+        stop = min(first + per_chunk, n_samples - 1)
+        for k, u in enumerate(_interval_propagators(system, sta, first, stop, spc, dt), first):
+            psi[k + 1] = u @ psi[k]
 
     frame = system.frame
-    obs = (frame.pauli_x.matrix, frame.pauli_y.matrix, frame.pauli_z.matrix, frame.projector.matrix)
-
-    psi = psi0.amplitudes.copy()
-    out = np.empty((n_samples, 6))
-    states: dict[int, StateVector] = {}
-
-    def record(k_sample: int, step: int):
-        vals = [np.vdot(psi, m @ psi).real for m in obs]
-        out[k_sample] = [step * dt, *vals, np.linalg.norm(psi)]
-        if k_sample in snap_k.values():
-            states[k_sample] = StateVector(psi.copy())
-
-    record(0, 0)
-    k = 1
-    for i in range(n_steps):
-        h = system.total_matrix((i + 0.5) * dt, sta=sta)
-        w, v = np.linalg.eigh(h)
-        psi = v @ (np.exp(-1j * w * dt) * (v.conj().T @ psi))
-        if (i + 1) % spc == 0:
-            record(k, i + 1)
-            k += 1
-    assert k == n_samples
-
+    obs = np.stack([op.matrix for op in (frame.pauli_x, frame.pauli_y, frame.pauli_z, frame.projector)])
+    sx, sy, sz, pop = np.einsum("ki,oij,kj->ok", psi.conj(), obs, psi).real
     return {
-        "t": out[:, 0],
-        "sx": out[:, 1],
-        "sy": out[:, 2],
-        "sz": out[:, 3],
-        "pop": out[:, 4],
-        "norm": out[:, 5],
+        "t": np.arange(n_samples) * spc * dt,
+        "sx": sx,
+        "sy": sy,
+        "sz": sz,
+        "pop": pop,
+        "norm": np.linalg.norm(psi, axis=1),
         "n_steps": n_steps,
-        "final_state": StateVector(psi),
-        "snapshots": {ts: states[k] for ts, k in snap_k.items()},
+        "final_state": StateVector(psi[-1].copy()),
+        "snapshots": {ts: StateVector(psi[k].copy()) for ts, k in snap_k.items()},
     }
 
 
@@ -194,14 +213,14 @@ def evolve(
 
     The step count comes from the tolerance. The coarse pass has
     start_steps(n_steps, n_samples) steps; with n_steps None that is the
-    coarsest grid accepted, 2 steps per sample interval for 401 samples.
+    coarsest grid accepted, one step per sample interval for 401 samples.
     Each further pass doubles the steps, and the run has converged once a
     doubling changes every sampled s_j by at most refine_tol. The cost is
     capped, not the number of doublings: all passes together compute at most
     step_budget(n_steps, n_samples) steps, and doubling stops before a pass
     that would exceed that. An explicit n_steps N thus runs its coarse pass
     and at most two doublings (7N steps); the default start at 401 samples
-    may double four times (800 to 12800 steps, 24800 in all). The returned
+    may double five times (400 to 12800 steps, 25200 in all). The returned
     trajectory is always the finest one computed, and refine_history lists
     (n_steps, diff) per doubling; non-convergence is flagged, never silent.
     Snapshot times must lie on the sample grid k * tau / (n_samples - 1).

@@ -165,17 +165,22 @@ def hy(params: ModelParams) -> Operator:
     return Operator(m, hermitian=True)
 
 
-def cd_coefficient(theta: float, theta_dot: float, chi: float) -> float:
-    """Closed-form Theta_dot for Theta = arctan(sin th / (cos th + chi)).
+def cd_coefficient(theta, theta_dot, chi: float):
+    """Closed-form Theta_dot for Theta = arctan(sin th / (cos th + chi)),
+    elementwise over theta and theta_dot.
 
     Valid in the counterdiabatic setting delta_z = omega0 (caller asserts).
+    A singular point raises SingularDriveError naming the first such theta.
     """
-    denom = 1 + 2 * chi * np.cos(theta) + chi**2
-    if abs(denom) < 1e-12:
+    cos = np.cos(theta)
+    denom = 1 + 2 * chi * cos + chi**2
+    singular = np.abs(denom) < 1e-12
+    if np.any(singular):
+        first = float(np.asarray(theta)[singular][0])
         raise SingularDriveError(
-            f"counterdiabatic coefficient singular at theta={theta}, chi={chi}"
+            f"counterdiabatic coefficient singular at theta={first}, chi={chi}"
         )
-    return theta_dot * (1 + chi * np.cos(theta)) / denom
+    return theta_dot * (1 + chi * cos) / denom
 
 
 def mixing_angle(theta: float, chi: float) -> float:
@@ -217,15 +222,19 @@ class DriveSet:
         """B psi: a state on the basis, back in the space of its columns."""
         return StateVector(self.basis @ state.amplitudes)
 
-    def total_matrix(self, t: float, sta: bool = False) -> np.ndarray:
+    def total_matrix(self, t, sta: bool = False) -> np.ndarray:
+        """H(t) as an M x M matrix for a scalar t; for an array of times, the
+        stack of H at each, of shape t.shape + (M, M)."""
         p = self.params
-        if t < 0 or t > p.tau + 1e-12:
+        t = np.asarray(t, dtype=float)
+        if np.any((t < 0) | (t > p.tau + 1e-12)):
             raise ValueError(f"t={t} outside [0, {p.tau}]")
-        th = float(self.schedule.theta(t))
+        t = t[..., None, None]  # each time's coefficients scale its own matrix
+        th = self.schedule.theta(t)
         m = self.h0 + p.delta_z_of(th) * self.hz_half
         m += p.omega_of(th) * self.hphi_half
         if sta:
-            m += cd_coefficient(th, float(self.schedule.theta_dot(t)), p.chi) * self.sy_half
+            m += cd_coefficient(th, self.schedule.theta_dot(t), p.chi) * self.sy_half
         return m
 
 

@@ -273,6 +273,24 @@ class TestWigner:
         assert runs["off"][0] is False
         assert runs["off"][1] != runs["default"][1]
 
+    def test_file_sta_is_honoured(self, tmp_path):
+        # a file's own "sta" holds, --sta wins over it, and a preset's bare
+        # ramp (fig1) still gives way to the movie's STA default
+        runs = {}
+        for name, extra, flags in (
+            ("default", {}, []), ("file_off", {"sta": False}, []),
+            ("flag_on", {"sta": False}, ["--sta", "on"]), ("fig1", {"preset": "fig1"}, []),
+        ):
+            cfg_path = write_config(tmp_path, f"{name}.json", half_width=3.0, n_points=41, **extra)
+            out = tmp_path / name
+            assert cli.main(["wigner", cfg_path, "--out", str(out), *flags]) == 0
+            man = json.loads((out / "run-manifest.json").read_text())
+            runs[name] = (man["sta"], (out / "trajectory.csv").read_text())
+        assert runs["file_off"][0] is False
+        assert runs["file_off"][1] != runs["default"][1]
+        assert runs["flag_on"] == runs["default"]
+        assert runs["fig1"][0] is True
+
     @pytest.mark.parametrize(
         "setting", [{"n_points": 11}, {"half_width": "nan"}, {"half_width": 0}]
     )
@@ -308,18 +326,18 @@ class TestValidate:
         assert np.isfinite(est) and est > 0
         # an explicit n_steps N runs 3N steps when it converges at once, 7N at most
         assert worst == pytest.approx(7 / 3 * est)
-        # the per-step cost is now cached, so only the eigh count changes
+        # the per-step cost is now cached, so only the step count changes
         cfg.n_steps *= 2
         assert cli.estimated_runtime_s(cfg) == 2 * est
         assert cli.estimated_runtime_s(cfg, worst=True) == 2 * worst
-        # from the sample grid: 2400 steps if the first doubling converges,
+        # from the sample grid: 1200 steps if the first doubling converges,
         # and the budget of 7 passes of 4000 steps at most
         path = tmp_path / "null.json"
         path.write_text(json.dumps({"preset": "fig1", "n_steps": None}))
         assert cli.main(["validate", str(path)]) == 0
         report = dict(line.split(maxsplit=1) for line in capsys.readouterr().out.splitlines()[:-1])
         step_s = cli.dynamics.step_seconds(cfg.params, cfg.sta)
-        assert float(report["estimated_runtime_s"]) == pytest.approx(2400 * step_s, abs=0.05)
+        assert float(report["estimated_runtime_s"]) == pytest.approx(1200 * step_s, abs=0.05)
         assert float(report["max_runtime_s"]) == pytest.approx(28000 * step_s, abs=0.05)
 
     def test_linear_response_with_sta_fails(self, capsys):

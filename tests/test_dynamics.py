@@ -124,11 +124,64 @@ class TestRun:
 
     def test_default_start_is_the_sample_grid(self):
         # the coarsest grid evolve accepts, rounded up to whole sample intervals
-        assert dynamics.start_steps(None, 401) == 800
+        assert dynamics.start_steps(None, 401) == 400
         assert dynamics.start_steps(None, 41) == 120
         assert dynamics.start_steps(4000, 401) == 4000
         assert dynamics.start_steps(4000, 400) == 4389
-        assert dynamics.expected_eigh_calls(None, 401) == 2400
+        assert dynamics.expected_steps(None, 401) == 1200
+
+    def test_one_step_per_sample_interval_accepted(self):
+        assert dynamics.start_steps(400, 401) == 400
+        with pytest.raises(ConfigError, match="n_samples"):
+            dynamics.start_steps(400, 402)
+        traj = dynamics.evolve(twolevel.system(sta_params()), sta=True, n_steps=100, n_samples=101)
+        assert traj.refine_history[0][0] == 200 and traj.t.size == 101
+
+
+def _reference_pass(system, psi0, sta, n_steps, n_samples):
+    """The per-step loop: psi <- V e^{-i w dt} V^dag psi at each midpoint H(t),
+    the state kept at every sample."""
+    spc = n_steps // (n_samples - 1)
+    dt = system.params.tau / n_steps
+    psi = psi0.amplitudes.copy()
+    states = [psi]
+    for i in range(n_steps):
+        w, v = np.linalg.eigh(system.total_matrix((i + 0.5) * dt, sta=sta))
+        psi = v @ (np.exp(-1j * w * dt) * (v.conj().T @ psi))
+        if (i + 1) % spc == 0:
+            states.append(psi)
+    return np.array(states)
+
+
+class TestBatchedPass:
+    """_propagate diagonalizes chunks of steps as one stack; it must give what
+    the step-by-step loop gives."""
+
+    @pytest.mark.parametrize("system, n_steps, n_samples", [
+        ("twolevel", 300, 301),  # one step per interval, 300 = 256 + 44
+        ("twolevel", 903, 302),  # 3 per interval, chunks of 85 intervals
+        ("twolevel", 600, 3),  # 300 per interval, more than CHUNK_STEPS
+        ("drive_set", 1500, 301),  # 5 per interval on the 8-level basis
+        ("drive_set", 1200, 2),  # one interval of 1200 steps
+    ])
+    def test_matches_the_step_loop(self, system, n_steps, n_samples):
+        p = sta_params(chi=0.6, phi=0.4)
+        ds = model.drive_set(p) if system == "drive_set" else twolevel.system(p)
+        psi0 = ds.frame.ket0
+        spc = n_steps // (n_samples - 1)
+        times = [p.tau / (n_samples - 1) * k for k in (0, n_samples // 2, n_samples - 1)]
+        got = dynamics._propagate(ds, psi0, True, n_steps, n_samples, times)
+        want = _reference_pass(ds, psi0, True, n_steps, n_samples)
+        frame = ds.frame
+        for key, op in (("sx", frame.pauli_x), ("sy", frame.pauli_y), ("sz", frame.pauli_z),
+                        ("pop", frame.projector)):
+            ref = np.einsum("ki,ij,kj->k", want.conj(), op.matrix, want).real
+            assert np.abs(got[key] - ref).max() <= 1e-12, key
+        assert np.abs(got["norm"] - np.linalg.norm(want, axis=1)).max() <= 1e-12
+        np.testing.assert_array_equal(got["t"], np.arange(n_samples) * spc * (p.tau / n_steps))
+        assert np.abs(got["final_state"].amplitudes - want[-1]).max() <= 1e-12
+        for ts, k in zip(times, (0, n_samples // 2, n_samples - 1)):
+            assert np.abs(got["snapshots"][ts].amplitudes - want[k]).max() <= 1e-12
 
 
 def _exact_step(chi):
@@ -152,12 +205,12 @@ class TestStepCount:
         return passes
 
     @pytest.mark.parametrize("chi", [0.3, -0.6, 1.35])
-    def test_fig24_default_converges_at_1600(self, chi, steps_computed):
+    def test_fig24_default_converges_at_800(self, chi, steps_computed):
         traj = dynamics.run(sta_params(chi=chi), sta=True)
         assert traj.converged
-        assert steps_computed == [800, 1600]
-        assert traj.n_steps == 1600
-        assert [n for n, _ in traj.refine_history] == [1600]
+        assert steps_computed == [400, 800]
+        assert traj.n_steps == 800
+        assert [n for n, _ in traj.refine_history] == [800]
         assert traj.refine_diff <= dynamics.REFINE_TOL
         c1 = topology.chern_sta(topology.theta_q_series(traj), traj).c1
         assert abs(c1 - _exact_step(chi)) <= 1e-6
@@ -165,7 +218,7 @@ class TestStepCount:
     def test_fig1_default_converges(self, steps_computed):
         traj = dynamics.run(linear_response_params())
         assert traj.converged
-        assert steps_computed == [800, 1600, 3200, 6400]
+        assert steps_computed == [400, 800, 1600, 3200, 6400]
         assert traj.refine_history[-1][1] <= dynamics.REFINE_TOL < traj.refine_history[-2][1]
 
     def test_explicit_steps_cost_at_most_seven_times(self, steps_computed):
@@ -183,9 +236,9 @@ class TestStepCount:
             twolevel.system(sta_params(chi=0.5)), sta=True, refine_tol=1e-14
         )
         assert not traj.converged
-        assert steps_computed == [800, 1600, 3200, 6400, 12800]
+        assert steps_computed == [400, 800, 1600, 3200, 6400, 12800]
         assert sum(steps_computed) <= dynamics.STEP_BUDGET * dynamics.BUDGET_STEPS
-        assert len(traj.refine_history) == 4
+        assert len(traj.refine_history) == 5
 
 
 def _c1(traj):

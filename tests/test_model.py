@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 from conftest import linear_response_params, sta_params
-from knosim import dynamics, fock, logical, model
+from knosim import dynamics, fock, logical, model, twolevel
 from knosim.errors import ConfigError, SingularDriveError
 
 ALPHA0 = np.sqrt(2)
@@ -171,6 +171,21 @@ class TestTotalHamiltonian:
     def test_outside_window(self, params):
         with pytest.raises(ValueError):
             model.drive_set(params).total_matrix(params.tau + 1.0)
+        with pytest.raises(ValueError):
+            model.drive_set(params).total_matrix(np.array([0.0, params.tau + 1.0]))
+
+    @pytest.mark.parametrize("system", ["drive_set", "twolevel"])
+    @pytest.mark.parametrize("schedule", model.SCHEDULE_SHAPES)
+    @pytest.mark.parametrize("sta", [False, True])
+    @pytest.mark.parametrize("phi", [0.0, 0.7])
+    def test_array_of_times_is_the_stack(self, system, schedule, sta, phi):
+        params = sta_params(chi=0.4, schedule=schedule, phi=phi)
+        ds = model.drive_set(params) if system == "drive_set" else twolevel.system(params)
+        t = (np.arange(24).reshape(4, 6) + 0.5) * (params.tau / 24)
+        stack = ds.total_matrix(t, sta=sta)
+        assert stack.shape == (4, 6, ds.basis_dim, ds.basis_dim)
+        each = np.array([[ds.total_matrix(x, sta=sta) for x in row] for row in t])
+        assert np.abs(stack - each).max() <= 1e-15 * np.abs(each).max()
 
     def test_cat_states_stationary_without_drives(self):
         params = sta_params(omega0=0.0, delta_z=0.0, delta_0=0.0)
@@ -259,6 +274,15 @@ class TestCdCoefficient:
     def test_singular_point(self):
         with pytest.raises(SingularDriveError):
             model.cd_coefficient(np.pi, 1.0, 1.0)
+
+    def test_array_with_one_singular_theta(self):
+        th = np.array([0.1, 0.5, np.pi, 2.0])
+        with pytest.raises(SingularDriveError, match=r"theta=3\.141592653589793, chi=1\.0$"):
+            model.cd_coefficient(th, np.ones_like(th), 1.0)
+        # elementwise: each entry as the scalar call gives it
+        values = model.cd_coefficient(th, np.full_like(th, 1.3), 0.4)
+        each = [model.cd_coefficient(x, 1.3, 0.4) for x in th]
+        np.testing.assert_allclose(values, each, rtol=1e-15, atol=0)
 
     def test_sta_chi_zero_cd_equals_ramp_rate(self):
         sched = model.RampSchedule(shape="cosine", tau=1.5)
