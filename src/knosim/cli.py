@@ -30,10 +30,10 @@ from .presets import PRESETS
 SNAPSHOT_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 FLOAT_FMT = "{:.17g}"
 
-_MODEL_KEYS = (
-    "kerr", "pump", "omega0", "delta_z", "delta_0", "tau",
-    "schedule", "phi", "hx_prefactor", "dim",
-)
+_MODEL_KEYS = {  # key -> the number type it is read as; None for a string
+    "kerr": float, "pump": float, "omega0": float, "delta_z": float, "delta_0": float,
+    "tau": float, "schedule": None, "phi": float, "hx_prefactor": None, "dim": int,
+}
 _RUN_KEYS = ("protocol", "sta", "initial", "n_steps", "n_samples")
 _IO_KEYS = ("out", "format", "jobs", "chi_values", "half_width", "n_points", "preset")
 _ALL_KEYS = set(_MODEL_KEYS) | set(_RUN_KEYS) | set(_IO_KEYS)
@@ -111,7 +111,8 @@ def resolve_config(spec: str, overrides: dict | None = None,
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
-    params = ModelParams(**{k: raw[k] for k in _MODEL_KEYS if k in raw})
+    params = ModelParams(**{k: raw[k] if kind is None else _number(kind, raw[k], k)
+                            for k, kind in _MODEL_KEYS.items() if k in raw})
     out = raw.get("out") or os.environ.get("KNOSIM_OUT", "out")
     fmt = raw.get("format", "csv")
     if fmt not in ("csv", "json"):
@@ -123,11 +124,14 @@ def resolve_config(spec: str, overrides: dict | None = None,
     if not isinstance(chis, list):
         raise ConfigError(f"chi_values must be a list of numbers, got {chis!r}")
     n_steps = raw.get("n_steps")
+    sta = raw.get("sta", protocol in ("sta", "wigner_movie"))
+    if not isinstance(sta, bool):
+        raise ConfigError(f"sta must be true or false, got {sta!r}")
 
     cfg = ExperimentConfig(
         protocol=protocol,
         params=params,
-        sta=bool(raw.get("sta", protocol in ("sta", "wigner_movie"))),
+        sta=sta,
         initial=initial,
         n_steps=None if n_steps is None else _number(int, n_steps, "n_steps"),
         n_samples=_number(int, raw.get("n_samples", dynamics.DEFAULT_N_SAMPLES), "n_samples"),
@@ -178,9 +182,7 @@ def _table(path_base: Path, fmt: str, header: list[str], rows) -> None:
         _write_json(path_base.with_suffix(".json"), obj)
 
 
-def _edge_population(state: fock.StateVector | None) -> float | None:
-    if state is None:
-        return None
+def _edge_population(state: fock.StateVector) -> float:
     return float(np.sum(np.abs(state.amplitudes[-3:]) ** 2))
 
 
@@ -380,8 +382,8 @@ def validate_config(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
         ok = False
         lines.append(f"FAIL {error}")
     try:  # times steps of the configured model, so it must build
-        lines.append(f"estimated_runtime_s {estimated_runtime_s(cfg):.1f}")
-        lines.append(f"max_runtime_s       {estimated_runtime_s(cfg, worst=True):.1f}")
+        lines.append(f"estimated_runtime_s {estimated_runtime_s(cfg):.3g}")
+        lines.append(f"max_runtime_s       {estimated_runtime_s(cfg, worst=True):.3g}")
     except KnosimError as exc:
         ok = False
         lines.append(f"FAIL model: {exc}")

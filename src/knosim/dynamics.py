@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import model
+from . import logical, model
 from .errors import ConfigError, DimensionMismatchError
 from .fock import StateVector
 from .model import ModelParams
@@ -114,10 +114,8 @@ def _initial_state(system: model.DriveSet, initial) -> tuple[StateVector, str]:
                 f"initial state has {initial.dim} amplitudes, the system's basis {system.basis_dim}"
             )
         return initial.normalized(), "custom"
-    if initial == "ket0":
-        return system.frame.ket0, "ket0"
-    if initial == "ket1":
-        return system.frame.ket1, "ket1"
+    if initial in ("ket0", "ket1"):
+        return getattr(system.frame, initial), initial
     raise ConfigError(f"initial must be 'ket0', 'ket1' or a StateVector, got {initial!r}")
 
 
@@ -176,9 +174,7 @@ def _propagate(
         for k, u in enumerate(_interval_propagators(system, sta, first, stop, spc, dt), first):
             psi[k + 1] = u @ psi[k]
 
-    frame = system.frame
-    obs = np.stack([op.matrix for op in (frame.pauli_x, frame.pauli_y, frame.pauli_z, frame.projector)])
-    sx, sy, sz, pop = np.einsum("ki,oij,kj->ok", psi.conj(), obs, psi).real
+    sx, sy, sz, pop = logical.bloch(system.frame, psi)
     return {
         "t": np.arange(n_samples) * spc * dt,
         "sx": sx,

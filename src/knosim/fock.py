@@ -6,51 +6,20 @@ angular-frequency units (rad/us, hbar = 1); everything else is dimensionless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidDimensionError, TruncationError
 
-HERMITIAN_ATOL = 1e-12
 COHERENT_LEAKAGE_TOL = 1e-8  # the truncated weight a coherent state may lose
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=complex)
-    a.setflags(write=False)
-    return a
-
-
-@dataclass(frozen=True)
-class Operator:
-    """A dense operator on the truncated Fock basis.
-
-    ``hermitian`` is a promise checked at construction (entrywise, absolute
-    tolerance ``HERMITIAN_ATOL``).
-    """
-
-    matrix: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self):
-        m = _readonly(self.matrix)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidDimensionError(f"operator matrix must be square, got {m.shape}")
-        if m.shape[0] < 2:
-            raise InvalidDimensionError(f"dim must be >= 2, got {m.shape[0]}")
-        if self.hermitian:
-            defect = np.abs(m - m.conj().T).max()
-            if defect > HERMITIAN_ATOL:
-                raise ValueError(f"operator flagged Hermitian but max|M - M^dag| = {defect:.3e}")
 
 
 @dataclass(frozen=True)
 class StateVector:
     """A complex amplitude vector in the truncated Fock basis."""
 
-    amplitudes: np.ndarray = field()
+    amplitudes: np.ndarray
 
     def __post_init__(self):
         a = np.ascontiguousarray(self.amplitudes, dtype=complex)
@@ -88,19 +57,13 @@ def _check_dim(dim: int):
         raise InvalidDimensionError(f"dim must be an integer >= 2, got {dim!r}")
 
 
-def annihilation(dim: int) -> Operator:
+def annihilation(dim: int) -> np.ndarray:
     """Ladder operator a with <n-1|a|n> = sqrt(n)."""
     _check_dim(dim)
     m = np.zeros((dim, dim), dtype=complex)
     ns = np.arange(1, dim)
     m[ns - 1, ns] = np.sqrt(ns)
-    return Operator(m)
-
-
-def number(dim: int) -> Operator:
-    """Photon number operator a^dag a = diag(0, 1, ..., dim-1)."""
-    _check_dim(dim)
-    return Operator(np.diag(np.arange(dim).astype(complex)), hermitian=True)
+    return m
 
 
 def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:

@@ -3,7 +3,9 @@
 The qubit basis is built from the quasi-orthogonal coherent states
 |+alpha0> and |-alpha0> by Loewdin (symmetric) orthonormalization, which
 perturbs each state only at order of their overlap exp(-2 alpha0^2) and makes
-the Pauli algebra exact.
+the Pauli algebra exact. The frame is its two kets, and this module alone
+writes the logical operators, their dyads sx_bar = |0><1| + |1><0|,
+sy_bar = -i|0><1| + i|1><0|, sz_bar = |0><0| - |1><1| and Ibar = |0><0| + |1><1|.
 """
 
 from __future__ import annotations
@@ -14,25 +16,34 @@ import numpy as np
 
 from . import fock
 from .errors import IllConditionedBasisError
-from .fock import Operator, StateVector
+from .fock import StateVector
 
 MAX_BASIS_OVERLAP = 0.5
 
 
 @dataclass(frozen=True)
 class LogicalFrame:
-    """Qubit basis, projector and Pauli operators embedded in Fock space."""
+    """Qubit basis kets |0_bar>, |1_bar> in Fock space or on a reduced basis."""
 
     ket0: StateVector
     ket1: StateVector
-    projector: Operator
-    pauli_x: Operator
-    pauli_y: Operator
-    pauli_z: Operator
 
 
-def _dyad(bra_side: StateVector, ket_side: StateVector) -> np.ndarray:
-    return np.outer(ket_side.amplitudes, bra_side.amplitudes.conj())
+def bloch(frame: LogicalFrame, states: np.ndarray) -> np.ndarray:
+    """<psi|O|psi> for O = sx_bar, sy_bar, sz_bar, Ibar over a stack of states
+    (..., M), from c_j = <j|psi> and z = conj(c0) c1: 2 Re z, 2 Im z,
+    |c0|^2 - |c1|^2 and |c0|^2 + |c1|^2, stacked as (4, ...)."""
+    c0 = states @ frame.ket0.amplitudes.conj()
+    c1 = states @ frame.ket1.amplitudes.conj()
+    z = c0.conj() * c1
+    p0, p1 = np.abs(c0) ** 2, np.abs(c1) ** 2
+    return np.stack([2 * z.real, 2 * z.imag, p0 - p1, p0 + p1])
+
+
+def sigma_y(frame: LogicalFrame) -> np.ndarray:
+    """sy_bar = -i|0><1| + i|1><0| as a matrix on the kets' space."""
+    m = 1j * np.outer(frame.ket1.amplitudes, frame.ket0.amplitudes.conj())
+    return m + m.conj().T
 
 
 def build_frame(alpha0: float, dim: int = 30) -> LogicalFrame:
@@ -50,12 +61,4 @@ def build_frame(alpha0: float, dim: int = 30) -> LogicalFrame:
     odd = StateVector(plus.amplitudes - minus.amplitudes).normalized()
     ket0 = StateVector((even.amplitudes + odd.amplitudes) / np.sqrt(2))
     ket1 = StateVector((even.amplitudes - odd.amplitudes) / np.sqrt(2))
-
-    return LogicalFrame(
-        ket0=ket0,
-        ket1=ket1,
-        projector=Operator(_dyad(ket0, ket0) + _dyad(ket1, ket1), hermitian=True),
-        pauli_x=Operator(_dyad(ket1, ket0) + _dyad(ket0, ket1), hermitian=True),
-        pauli_y=Operator(-1j * _dyad(ket1, ket0) + 1j * _dyad(ket0, ket1), hermitian=True),
-        pauli_z=Operator(_dyad(ket0, ket0) - _dyad(ket1, ket1), hermitian=True),
-    )
+    return LogicalFrame(ket0=ket0, ket1=ket1)

@@ -33,11 +33,12 @@ import numpy as np
 
 from . import fock, logical
 from .errors import ConfigError, SingularDriveError
-from .fock import Operator, StateVector
+from .fock import StateVector
 from .logical import LogicalFrame
 
 STABILIZER_RATIO_WARN = 0.2
 LEAKAGE_TOL = 1e-6  # dynamics.REFINE_TOL / 100: first-order amplitude a dropped eigenstate may take
+DEGENERACY_ATOL = 1e-12  # |chi| this close to 1 puts the degeneracy on the ramp manifold
 
 SCHEDULE_SHAPES = ("linear", "cosine")
 HX_PREFACTOR_MODES = ("exact", "paper")
@@ -112,11 +113,8 @@ class ModelParams:
 
     @property
     def chi(self) -> float:
-        if self.delta_z == 0.0:
-            if self.delta_0 == 0.0:
-                return 0.0
-            raise ConfigError("chi undefined: delta_z = 0")
-        return self.delta_0 / self.delta_z
+        """delta_0 / delta_z; 0 with no drive (construction rejects delta_0 alone)."""
+        return self.delta_0 / self.delta_z if self.delta_z != 0.0 else 0.0
 
     @property
     def stabilizer_ratio(self) -> float:
@@ -133,36 +131,34 @@ class ModelParams:
         return self.omega0 * np.sin(theta)
 
 
-def h0(params: ModelParams) -> Operator:
+def h0(params: ModelParams) -> np.ndarray:
     """Stabilizer -(K/2) adag^2 a^2 + (P/2)(adag^2 + a^2)."""
-    a = fock.annihilation(params.dim).matrix
+    a = fock.annihilation(params.dim)
     ad = a.conj().T
-    m = -params.kerr / 2 * (ad @ ad @ a @ a) + params.pump / 2 * (ad @ ad + a @ a)
-    return Operator(m, hermitian=True)
+    return -params.kerr / 2 * (ad @ ad @ a @ a) + params.pump / 2 * (ad @ ad + a @ a)
 
 
-def hz(params: ModelParams) -> Operator:
+def hz(params: ModelParams) -> np.ndarray:
     """(adag + a) / (2 alpha0); projects to sigma_z_bar."""
-    a = fock.annihilation(params.dim).matrix
-    return Operator((a.conj().T + a) / (2 * params.alpha0), hermitian=True)
+    a = fock.annihilation(params.dim)
+    return (a.conj().T + a) / (2 * params.alpha0)
 
 
-def hx(params: ModelParams) -> Operator:
+def hx(params: ModelParams) -> np.ndarray:
     """Detuning drive c * adag a; see the module docstring for the prefactor."""
     a0 = params.alpha0
     if params.hx_prefactor == "exact":
         c = -np.exp(2 * a0**2) / (2 * a0**2)
     else:
         c = np.exp(2 * a0**2) / (2 * a0)
-    return Operator(c * fock.number(params.dim).matrix, hermitian=True)
+    return c * np.diag(np.arange(params.dim, dtype=complex))  # c * adag a
 
 
-def hy(params: ModelParams) -> Operator:
+def hy(params: ModelParams) -> np.ndarray:
     """(-i / 2 alpha0) exp(2 alpha0^2) (adag - a); projects to sigma_y_bar."""
-    a = fock.annihilation(params.dim).matrix
+    a = fock.annihilation(params.dim)
     a0 = params.alpha0
-    m = -1j / (2 * a0) * np.exp(2 * a0**2) * (a.conj().T - a)
-    return Operator(m, hermitian=True)
+    return -1j / (2 * a0) * np.exp(2 * a0**2) * (a.conj().T - a)
 
 
 def cd_coefficient(theta, theta_dot, chi: float):
@@ -170,17 +166,14 @@ def cd_coefficient(theta, theta_dot, chi: float):
     elementwise over theta and theta_dot.
 
     Valid in the counterdiabatic setting delta_z = omega0 (caller asserts).
-    A singular point raises SingularDriveError naming the first such theta.
+    |chi| within DEGENERACY_ATOL of 1 puts the degeneracy on the ramp, a
+    SingularDriveError whatever the theta grid; at any other chi the
+    denominator sin^2 th + (cos th + chi)^2 is positive.
     """
+    if abs(abs(chi) - 1.0) < DEGENERACY_ATOL:
+        raise SingularDriveError(f"counterdiabatic coefficient singular at chi={chi}")
     cos = np.cos(theta)
-    denom = 1 + 2 * chi * cos + chi**2
-    singular = np.abs(denom) < 1e-12
-    if np.any(singular):
-        first = float(np.asarray(theta)[singular][0])
-        raise SingularDriveError(
-            f"counterdiabatic coefficient singular at theta={first}, chi={chi}"
-        )
-    return theta_dot * (1 + chi * cos) / denom
+    return theta_dot * (1 + chi * cos) / (np.sin(theta) ** 2 + (cos + chi) ** 2)
 
 
 def mixing_angle(theta: float, chi: float) -> float:
@@ -193,12 +186,13 @@ class DriveSet:
 
         H(t) = H0 + (Dz/2) Hz + (Om/2)(cos phi Hx + sin phi Hy) [+ (Theta_dot/2) sy_bar],
 
-    with Dz, Om ramped as params says and sy_bar the frame's pauli_y. H0 and
-    the drives are matrices on the basis (0 for none), and so is the frame
-    (the initial states and the observables). basis holds the basis vectors
-    as columns, and lift maps a state on it back to the columns' space.
-    leakage_bound is the first-order amplitude the basis leaves out.
-    drive_set builds the oscillator, twolevel.system the 2x2 reduction.
+    with Dz, Om ramped as params says and sy_bar = logical.sigma_y(frame). H0
+    and the drives are matrices on the basis (0 for none), and the frame's
+    kets (the initial states and the readout) are vectors on it. basis holds
+    the basis vectors as columns, and lift maps a state on it back to the
+    columns' space. leakage_bound is the first-order amplitude the basis
+    leaves out. drive_set builds the oscillator, twolevel.system the 2x2
+    reduction.
     """
 
     def __init__(self, params: ModelParams, h0, hz, hx, hy, frame: LogicalFrame,
@@ -212,7 +206,7 @@ class DriveSet:
         # halved and mixed at phi once, as total_matrix runs every step
         self.hz_half = hz / 2
         self.hphi_half = (np.cos(params.phi) * hx + np.sin(params.phi) * hy) / 2
-        self.sy_half = frame.pauli_y.matrix / 2
+        self.sy_half = logical.sigma_y(frame) / 2
 
     @property
     def basis_dim(self) -> int:
@@ -238,12 +232,10 @@ class DriveSet:
         return m
 
 
-def _largest_drive(params: ModelParams, drives: tuple[Operator, Operator, Operator]) -> np.ndarray:
-    """(|Dz| + |D0|)/2 Hz + |Om0|/2 (|cos phi| Hx + |sin phi| Hy) for (Hz, Hx, Hy):
-    the drive at its largest along the ramp. The counterdiabatic term lies in
-    the frame, so it couples nothing out of the basis."""
-    z, x, y = (op.matrix for op in drives)
-    p = params
+def _largest_drive(p: ModelParams, z, x, y) -> np.ndarray:
+    """(|Dz| + |D0|)/2 Hz + |Om0|/2 (|cos phi| Hx + |sin phi| Hy) for z, x, y =
+    Hz, Hx, Hy: the drive at its largest along the ramp. The counterdiabatic
+    term lies in the frame, so it couples nothing out of the basis."""
     return (abs(p.delta_z) + abs(p.delta_0)) / 2 * z + abs(p.omega0) / 2 * (
         abs(np.cos(p.phi)) * x + abs(np.sin(p.phi)) * y
     )
@@ -267,23 +259,23 @@ def drive_set(params: ModelParams, basis_dim: int | None = None) -> DriveSet:
     H0 is diagonalized once, and its eigenvectors are ordered by how far their
     energies lie from the cat energy <ket0|H0|ket0>. The first basis_dim of
     them, the columns of basis (dim x M), carry the dynamics: H0 is stored as
-    diag(w), and Hz, Hx, Hy and the frame as B^dag (...) B, so total_matrix
-    only combines M x M matrices. With basis_dim None, M is the smallest even
-    size whose dropped eigenstates k each take a first-order amplitude
-    |<k|V|c>| / |E_k - E_c| of at most LEAKAGE_TOL from the cat doublet c,
-    under the largest drive V (_largest_drive); leakage_bound is the largest
-    such amplitude left out, and M = dim, the whole space, when no smaller
-    size meets the bound.
+    diag(w), Hz, Hx and Hy as B^dag (...) B and the frame's kets as B^dag k,
+    so total_matrix only combines M x M matrices. With basis_dim None, M is
+    the smallest even size whose dropped eigenstates k each take a first-order
+    amplitude |<k|V|c>| / |E_k - E_c| of at most LEAKAGE_TOL from the cat
+    doublet c, under the largest drive V (_largest_drive); leakage_bound is
+    the largest such amplitude left out, and M = dim, the whole space, when
+    no smaller size meets the bound.
     """
     full = logical.build_frame(params.alpha0, params.dim)
-    h = h0(params).matrix
+    h = h0(params)
     drives = (hz(params), hx(params), hy(params))
     w, u = np.linalg.eigh(h)
     cat = full.ket0.amplitudes
     order = np.argsort(np.abs(w - np.vdot(cat, h @ cat).real), kind="stable")
     w, u = w[order], u[:, order]
     # tail[m]: the largest amplitude beyond the first m eigenvectors, m = 0..dim
-    amp = _leakage_amplitudes(w, u, _largest_drive(params, drives))
+    amp = _leakage_amplitudes(w, u, _largest_drive(params, *drives))
     tail = np.append(np.maximum.accumulate(amp[::-1])[::-1], 0.0)
     m = basis_dim
     if m is None:
@@ -292,21 +284,12 @@ def drive_set(params: ModelParams, basis_dim: int | None = None) -> DriveSet:
         raise ConfigError(f"basis_dim must be an integer in [2, {params.dim}], got {m!r}")
     b = u[:, :m]
 
-    def project(op: Operator) -> Operator:
+    def project(op: np.ndarray) -> np.ndarray:
         """B^dag op B, symmetrized."""
-        x = b.conj().T @ op.matrix @ b
-        return Operator((x + x.conj().T) / 2, hermitian=True)
+        x = b.conj().T @ op @ b
+        return (x + x.conj().T) / 2
 
-    def reduce(state: StateVector) -> StateVector:
-        return StateVector(b.conj().T @ state.amplitudes)
-
-    frame = LogicalFrame(
-        ket0=reduce(full.ket0),
-        ket1=reduce(full.ket1),
-        projector=project(full.projector),
-        pauli_x=project(full.pauli_x),
-        pauli_y=project(full.pauli_y),
-        pauli_z=project(full.pauli_z),
-    )
-    z, x, y = (project(op).matrix for op in drives)
+    # exact: B^dag |k><k'| B = (B^dag k)(B^dag k')^dag
+    frame = LogicalFrame(*(StateVector(b.conj().T @ k.amplitudes) for k in (full.ket0, full.ket1)))
+    z, x, y = (project(op) for op in drives)
     return DriveSet(params, np.diag(w[:m]), z, x, y, frame, b, float(tail[m]))

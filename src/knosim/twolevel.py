@@ -16,32 +16,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import dynamics
+from . import dynamics, logical
 from .dynamics import Trajectory
 from .errors import OnManifoldDegeneracyError
-from .fock import Operator, StateVector
+from .fock import StateVector
 from .logical import LogicalFrame
-from .model import DriveSet, ModelParams
+from .model import DEGENERACY_ATOL, DriveSet, ModelParams
 
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _ID = np.eye(2, dtype=complex)
-_ZERO = np.zeros((2, 2), dtype=complex)
-
-# The bare qubit basis: ket0 = (1, 0), ket1 = (0, 1), the Pauli matrices and
-# the identity projector.
-_FRAME = LogicalFrame(
-    ket0=StateVector(_ID[0]), ket1=StateVector(_ID[1]), projector=Operator(_ID, hermitian=True),
-    pauli_x=Operator(_SX, hermitian=True), pauli_y=Operator(_SY, hermitian=True),
-    pauli_z=Operator(_SZ, hermitian=True),
-)
+_FRAME = LogicalFrame(StateVector(_ID[0]), StateVector(_ID[1]))  # ket0 = (1, 0), ket1 = (0, 1)
+_SX = np.array([[0, 1], [1, 0]], dtype=complex)
+_SY = logical.sigma_y(_FRAME)
+_SZ = np.diag([1, -1]).astype(complex)
 
 
 def system(params: ModelParams) -> DriveSet:
     """The 2x2 reduction as a DriveSet: H0 = 0 and the drives on the Pauli
     matrices, so H(t) is H2 above, plus (Theta_dot/2) sigma_y with sta."""
-    return DriveSet(params, _ZERO, _SZ, _SX, _SY, _FRAME, _ID)
+    return DriveSet(params, 0, _SZ, _SX, _SY, _FRAME, _ID)
 
 
 def reference_dynamics(params: ModelParams, initial="ket0", sta: bool = False, **kw) -> Trajectory:
@@ -68,7 +60,7 @@ def monopole_chern(
     the value is stable; 1 when the degeneracy R = 0 is enclosed
     (|chi| < 1), 0 when it is not.
     """
-    if abs(abs(chi) - 1.0) < 1e-12:
+    if abs(abs(chi) - 1.0) < DEGENERACY_ATOL:
         raise OnManifoldDegeneracyError(f"degeneracy lies on the manifold at chi={chi}")
 
     def flux(nt: int) -> float:

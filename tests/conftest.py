@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from knosim.fock import Operator, StateVector
+from knosim.fock import StateVector
 from knosim.logical import LogicalFrame
 from knosim.model import DriveSet, ModelParams
 
@@ -43,21 +43,11 @@ def sta_params(chi: float = 0.0, **kw) -> ModelParams:
 
 def constant_system(h: np.ndarray, tau: float = 1.0) -> DriveSet:
     """A DriveSet with H(t) = h and no drives over a ramp of length tau, on
-    the Fock levels themselves, read out with the Pauli matrices on levels 0
-    and 1."""
+    the Fock levels themselves, with levels 0 and 1 as the frame's kets."""
     h = np.asarray(h, dtype=complex)
     params = ModelParams(kerr=1.0, pump=4.0, omega0=0.0, delta_z=0.0, tau=tau)
     e = np.eye(h.shape[0], dtype=complex)
-
-    def op(m2):
-        return Operator(e[:, :2] @ np.asarray(m2) @ e[:2], hermitian=True)
-
-    frame = LogicalFrame(
-        ket0=StateVector(e[0]), ket1=StateVector(e[1]), projector=op(np.eye(2)),
-        pauli_x=op([[0, 1], [1, 0]]), pauli_y=op([[0, -1j], [1j, 0]]),
-        pauli_z=op([[1, 0], [0, -1]]),
-    )
-    return DriveSet(params, h, 0, 0, 0, frame, e)
+    return DriveSet(params, h, 0, 0, 0, LogicalFrame(StateVector(e[0]), StateVector(e[1])), e)
 
 
 @pytest.fixture(scope="session")

@@ -98,7 +98,8 @@ class TestRun:
         assert list(traj.snapshots) == times
         for ts, state in traj.snapshots.items():
             k = int(np.argmin(np.abs(traj.t - ts)))
-            sz = np.vdot(state.amplitudes, system.frame.pauli_z.matrix @ state.amplitudes).real
+            c0, c1 = (ket.overlap(state) for ket in (system.frame.ket0, system.frame.ket1))
+            sz = abs(c0) ** 2 - abs(c1) ** 2  # <psi|(|0><0| - |1><1|)|psi>
             assert abs(sz - traj.sz[k]) < 1e-12
 
     def test_refinement_reported(self, sta_run):
@@ -172,10 +173,11 @@ class TestBatchedPass:
         times = [p.tau / (n_samples - 1) * k for k in (0, n_samples // 2, n_samples - 1)]
         got = dynamics._propagate(ds, psi0, True, n_steps, n_samples, times)
         want = _reference_pass(ds, psi0, True, n_steps, n_samples)
-        frame = ds.frame
-        for key, op in (("sx", frame.pauli_x), ("sy", frame.pauli_y), ("sz", frame.pauli_z),
-                        ("pop", frame.projector)):
-            ref = np.einsum("ki,ij,kj->k", want.conj(), op.matrix, want).real
+        k0, k1 = ds.frame.ket0.amplitudes, ds.frame.ket1.amplitudes
+        d00, d01, d10, d11 = (np.outer(a, b.conj()) for a in (k0, k1) for b in (k0, k1))
+        for key, op in (("sx", d01 + d10), ("sy", -1j * d01 + 1j * d10), ("sz", d00 - d11),
+                        ("pop", d00 + d11)):
+            ref = np.einsum("ki,ij,kj->k", want.conj(), op, want).real
             assert np.abs(got[key] - ref).max() <= 1e-12, key
         assert np.abs(got["norm"] - np.linalg.norm(want, axis=1)).max() <= 1e-12
         np.testing.assert_array_equal(got["t"], np.arange(n_samples) * spc * (p.tau / n_steps))

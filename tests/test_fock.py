@@ -15,6 +15,12 @@ def mean(psi, m):
     return np.vdot(psi.amplitudes, m @ psi.amplitudes)
 
 
+def number(dim):
+    """a^dag a from the ladder operator."""
+    a = fock.annihilation(dim)
+    return a.conj().T @ a
+
+
 def fock_sum_number(alpha, dim):
     """Independent oracle: <a^dag a> = sum n |c_n|^2 from the explicit series."""
     c = [np.exp(-abs(alpha) ** 2 / 2) * alpha**n / math.sqrt(math.factorial(n)) for n in range(dim)]
@@ -30,21 +36,20 @@ def fock_sum_parity(alpha, dim):
 
 class TestLadder:
     def test_annihilation_entries_dim3(self):
-        m = fock.annihilation(3).matrix
+        m = fock.annihilation(3)
         expected = np.zeros((3, 3))
         expected[0, 1] = 1
         expected[1, 2] = np.sqrt(2)
         assert np.allclose(m, expected)
 
     def test_number_identity(self):
-        a = fock.annihilation(3).matrix
+        a = fock.annihilation(3)
         prod = a.conj().T @ a
         assert np.allclose(prod, np.diag([0, 1, 2]))
-        assert np.allclose(fock.number(3).matrix, np.diag([0, 1, 2]))
 
     def test_commutator_corner(self):
         dim = 30
-        a = fock.annihilation(dim).matrix
+        a = fock.annihilation(dim)
         comm = a @ a.conj().T - a.conj().T @ a
         expected = np.eye(dim)
         expected[-1, -1] = -(dim - 1)
@@ -54,7 +59,7 @@ class TestLadder:
         with pytest.raises(InvalidDimensionError):
             fock.annihilation(1)
         with pytest.raises(InvalidDimensionError):
-            fock.number(0)
+            fock.coherent_amplitudes(0.5, 0)
 
 
 class TestCoherent:
@@ -71,7 +76,7 @@ class TestCoherent:
 
     def test_mean_photon_number(self):
         psi, _ = fock.coherent_state(np.sqrt(2), 30)
-        val = mean(psi, fock.number(30).matrix).real
+        val = mean(psi, number(30)).real
         assert abs(val - fock_sum_number(np.sqrt(2), 30)) < 1e-12
         assert abs(val - 2.0) < 1e-8
 
@@ -86,16 +91,16 @@ class TestCoherent:
     def test_eigenvector_of_annihilation(self, alpha):
         dim = 30
         psi, _ = fock.coherent_state(alpha, dim)
-        resid = fock.annihilation(dim).matrix @ psi.amplitudes - alpha * psi.amplitudes
+        resid = fock.annihilation(dim) @ psi.amplitudes - alpha * psi.amplitudes
         assert np.linalg.norm(resid) <= 1e-6
 
 
 class TestParity:
     def test_dim2(self):
-        assert np.allclose(np.exp(1j * np.pi * fock.number(2).matrix.diagonal()), [1, -1])
+        assert np.allclose(np.exp(1j * np.pi * number(2).diagonal()), [1, -1])
 
     def test_squares_to_identity(self):
-        p = np.diag(np.exp(1j * np.pi * fock.number(17).matrix.diagonal()))
+        p = np.diag(np.exp(1j * np.pi * number(17).diagonal()))
         assert np.allclose(p, np.diag((-1.0) ** np.arange(17)))
         assert np.allclose(p @ p, np.eye(17))
 
@@ -158,7 +163,7 @@ class TestPropagation:
 class TestExpectation:
     def test_vacuum_number(self):
         psi, _ = fock.coherent_state(0.0, 8)
-        assert mean(psi, fock.number(8).matrix) == 0.0
+        assert mean(psi, number(8)) == 0.0
 
     def test_identity_unit(self):
         psi, _ = fock.coherent_state(1.1, 30)
@@ -172,8 +177,4 @@ class TestExpectation:
 
     def test_hermitian_returns_real(self):
         psi, _ = fock.coherent_state(0.7 + 0.2j, 20)
-        assert abs(mean(psi, fock.number(20).matrix).imag) < 1e-15
-
-    def test_non_hermitian_flag_rejected(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            fock.Operator(fock.annihilation(4).matrix, hermitian=True)
+        assert abs(mean(psi, number(20)).imag) < 1e-15

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knosim import fock, logical
+from conftest import sta_params
+from knosim import fock, logical, model, twolevel
 from knosim.errors import IllConditionedBasisError
 
 ALPHA0 = np.sqrt(2)
@@ -15,6 +16,30 @@ def frame():
     return logical.build_frame(ALPHA0, DIM)
 
 
+def dyad(ket, bra):
+    """|ket><bra| of two StateVectors."""
+    return np.outer(ket.amplitudes, bra.amplitudes.conj())
+
+
+def frame_operators(frame):
+    """(sx, sy, sz, projector) of a frame as dyads of its kets, written here
+    apart from logical.py."""
+    k0, k1 = frame.ket0, frame.ket1
+    return (
+        dyad(k0, k1) + dyad(k1, k0),
+        -1j * dyad(k0, k1) + 1j * dyad(k1, k0),
+        dyad(k0, k0) - dyad(k1, k1),
+        dyad(k0, k0) + dyad(k1, k1),
+    )
+
+
+@pytest.fixture(scope="module")
+def ops(frame):
+    """sx, sy, sz, projector; sy is logical.sigma_y, the others inline dyads."""
+    sx, _, sz, proj = frame_operators(frame)
+    return sx, logical.sigma_y(frame), sz, proj
+
+
 class TestBuildFrame:
     def test_lowdin_orthogonal(self, frame):
         plus, _ = fock.coherent_state(ALPHA0, DIM)
@@ -22,32 +47,31 @@ class TestBuildFrame:
         assert abs(plus.overlap(minus) - np.exp(-4)) < 1e-9
         assert abs(frame.ket0.overlap(frame.ket1)) < 1e-12
 
-    def test_sigma_z_action(self, frame):
-        sz = frame.pauli_z.matrix
+    def test_sigma_z_action(self, frame, ops):
+        sz = ops[2]
         assert np.abs(sz @ frame.ket0.amplitudes - frame.ket0.amplitudes).max() < 1e-10
         assert np.abs(sz @ frame.ket1.amplitudes + frame.ket1.amplitudes).max() < 1e-10
 
-    def test_projector_rank_two(self, frame):
-        assert abs(np.trace(frame.projector.matrix).real - 2) < 1e-10
+    def test_projector_rank_two(self, ops):
+        assert abs(np.trace(ops[3]).real - 2) < 1e-10
 
-    def test_projector_idempotent(self, frame):
-        p = frame.projector.matrix
+    def test_projector_idempotent(self, ops):
+        p = ops[3]
         assert np.abs(p @ p - p).max() < 1e-10
 
-    def test_pauli_squares(self, frame):
-        p = frame.projector.matrix
-        for op in (frame.pauli_x, frame.pauli_y, frame.pauli_z):
-            assert np.abs(op.matrix @ op.matrix - p).max() < 1e-10
+    def test_pauli_squares(self, ops):
+        p = ops[3]
+        for op in ops[:3]:
+            assert np.abs(op @ op - p).max() < 1e-10
 
-    def test_pauli_product_cycle(self, frame):
-        sx, sy, sz = frame.pauli_x.matrix, frame.pauli_y.matrix, frame.pauli_z.matrix
+    def test_pauli_product_cycle(self, ops):
+        sx, sy, sz, _ = ops
         assert np.abs(sx @ sy - 1j * sz).max() < 1e-10
         assert np.abs(sy @ sz - 1j * sx).max() < 1e-10
         assert np.abs(sz @ sx - 1j * sy).max() < 1e-10
 
-    def test_pauli_algebra(self, frame):
-        ops = [frame.pauli_x.matrix, frame.pauli_y.matrix, frame.pauli_z.matrix]
-        proj = frame.projector.matrix
+    def test_pauli_algebra(self, ops):
+        proj = ops[3]
         for i in range(3):
             for j in range(3):
                 anti = ops[i] @ ops[j] + ops[j] @ ops[i]
@@ -70,9 +94,8 @@ class TestBuildFrame:
 
 
 def bloch(psi, frame):
-    """(sx, sy, sz, pop): the frame's Paulis and projector on psi."""
-    ops = (frame.pauli_x, frame.pauli_y, frame.pauli_z, frame.projector)
-    return [np.vdot(psi.amplitudes, op.matrix @ psi.amplitudes).real for op in ops]
+    """(sx, sy, sz, pop) of one state, by logical.bloch."""
+    return list(logical.bloch(frame, psi.amplitudes))
 
 
 class TestBlochVector:
@@ -124,5 +147,41 @@ class TestLeakage:
         rng = np.random.default_rng(11)
         amp = rng.normal(size=DIM) + 1j * rng.normal(size=DIM)
         psi = fock.StateVector(amp).normalized()
-        outside = psi.amplitudes - frame.projector.matrix @ psi.amplitudes
+        outside = psi.amplitudes - frame_operators(frame)[3] @ psi.amplitudes
         assert abs(np.linalg.norm(outside) ** 2 + bloch(psi, frame)[3] - 1) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def reduced_frames():
+    """The frames of the 8-level drive_set basis and of the 2x2 reduction."""
+    p = sta_params(chi=0.3)
+    ds = model.drive_set(p)
+    assert ds.basis_dim == 8
+    return {"drive_set": ds.frame, "twolevel": twolevel.system(p).frame}
+
+
+class TestReadout:
+    """logical.bloch and logical.sigma_y against the four dyads of the kets."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["drive_set", "twolevel"]), st.integers(0, 2**32 - 1))
+    def test_bloch_is_the_dyad_expectations(self, reduced_frames, system, seed):
+        frame = reduced_frames[system]
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=(5, frame.ket0.dim)) + 1j * rng.normal(size=(5, frame.ket0.dim))
+        psi /= np.linalg.norm(psi, axis=1)[:, None]
+        got = logical.bloch(frame, psi)
+        assert got.shape == (4, 5)
+        want = [np.einsum("ki,ij,kj->k", psi.conj(), op, psi).real
+                for op in frame_operators(frame)]
+        assert np.abs(got - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("system", ["drive_set", "twolevel"])
+    def test_sigma_y_is_the_dyads(self, reduced_frames, system):
+        frame = reduced_frames[system]
+        assert np.abs(logical.sigma_y(frame) - frame_operators(frame)[1]).max() <= 1e-15
+
+    def test_twolevel_sigma_y_is_the_pauli_matrix(self, reduced_frames):
+        np.testing.assert_array_equal(
+            logical.sigma_y(reduced_frames["twolevel"]), [[0, -1j], [1j, 0]]
+        )

@@ -23,7 +23,7 @@ def frame(params):
 def project2(op, frame):
     """2x2 matrix of an operator in the orthonormal logical basis."""
     basis = np.array([frame.ket0.amplitudes, frame.ket1.amplitudes])
-    return basis.conj() @ op.matrix @ basis.T
+    return basis.conj() @ op @ basis.T
 
 
 class TestParams:
@@ -83,7 +83,7 @@ class TestStabilizer:
         target = params.pump**2 / (2 * params.kerr)
         for sign in (1, -1):
             psi, _ = fock.coherent_state(sign * params.alpha0, params.dim)
-            resid = h.matrix @ psi.amplitudes - target * psi.amplitudes
+            resid = h @ psi.amplitudes - target * psi.amplitudes
             assert np.linalg.norm(resid) <= 1e-6 * params.pump
 
     def test_eigenvalue_for_p_equals_2k(self, params):
@@ -91,7 +91,7 @@ class TestStabilizer:
         assert abs(params.pump**2 / (2 * params.kerr) - params.pump) < 1e-9
 
     def test_commutes_with_parity(self, params):
-        h = model.h0(params).matrix
+        h = model.h0(params)
         p = np.diag((-1.0) ** np.arange(params.dim))
         assert np.abs(h @ p - p @ h).max() <= 1e-10
 
@@ -141,7 +141,7 @@ class TestDrives:
 
 def projected(ds, op):
     """B^dag op B on the drive set's reduced basis."""
-    return ds.basis.conj().T @ op.matrix @ ds.basis
+    return ds.basis.conj().T @ op @ ds.basis
 
 
 class TestTotalHamiltonian:
@@ -225,12 +225,24 @@ class TestReducedBasis:
         assert ds.leakage_bound == 0.0
         th = 0.3 * np.pi  # linear ramp at t = 0.3 tau
         expected = (
-            model.h0(params).matrix
-            + params.delta_z_of(th) / 2 * model.hz(params).matrix
-            + params.omega_of(th) / 2 * model.hx(params).matrix
+            model.h0(params)
+            + params.delta_z_of(th) / 2 * model.hz(params)
+            + params.omega_of(th) / 2 * model.hx(params)
         )
         lifted = ds.basis @ ds.total_matrix(0.3 * params.tau) @ ds.basis.conj().T
         assert np.abs(lifted - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_frame_is_the_reduced_kets(self):
+        # B^dag |k><k'| B = (B^dag k)(B^dag k')^dag: the kets reduced as B^dag k
+        # give the counterdiabatic sy_bar that projecting the full one gives
+        params = sta_params(chi=0.3)
+        ds = model.drive_set(params)
+        full = logical.build_frame(params.alpha0, params.dim)
+        k0, k1 = full.ket0.amplitudes, full.ket1.amplitudes
+        sy_full = -1j * np.outer(k0, k1.conj()) + 1j * np.outer(k1, k0.conj())
+        for ket, on_basis in ((k0, ds.frame.ket0), (k1, ds.frame.ket1)):
+            assert np.abs(on_basis.amplitudes - ds.basis.conj().T @ ket).max() <= 1e-15
+        assert np.abs(2 * ds.sy_half - projected(ds, sy_full)).max() <= 1e-14
 
     @pytest.mark.parametrize("m", [1, 31, 8.0])
     def test_bad_basis_dim(self, params, m):
@@ -277,12 +289,28 @@ class TestCdCoefficient:
 
     def test_array_with_one_singular_theta(self):
         th = np.array([0.1, 0.5, np.pi, 2.0])
-        with pytest.raises(SingularDriveError, match=r"theta=3\.141592653589793, chi=1\.0$"):
+        with pytest.raises(SingularDriveError, match=r"singular at chi=1\.0$"):
             model.cd_coefficient(th, np.ones_like(th), 1.0)
         # elementwise: each entry as the scalar call gives it
         values = model.cd_coefficient(th, np.full_like(th, 1.3), 0.4)
         each = [model.cd_coefficient(x, 1.3, 0.4) for x in th]
         np.testing.assert_allclose(values, each, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("chi", [1.0, -1.0, 1 + 5e-13, -1 - 5e-13])
+    def test_degenerate_chi_raises_on_any_theta_grid(self, chi):
+        # decided by chi alone, not by whether a theta lands near the degeneracy
+        th = np.array([0.1, 0.5, 2.0])
+        with pytest.raises(SingularDriveError, match="chi="):
+            model.cd_coefficient(th, np.ones_like(th), chi)
+
+    @pytest.mark.parametrize("chi", [1 + 1e-9, 1 - 1e-9, -1 + 1e-9])
+    def test_closed_form_just_off_the_degeneracy(self, chi):
+        # at theta = pi, Theta_dot = (1 - chi) / (sin^2 pi + (chi - 1)^2) ~ 1/(1 - chi);
+        # 1 + 2 chi cos + chi^2 would cancel to rounding here
+        th = np.pi if chi > 0 else 0.0
+        cos = np.cos(th)
+        exact = (1 + chi * cos) / ((cos + chi) ** 2)
+        assert abs(model.cd_coefficient(th, 1.0, chi) / exact - 1) <= 1e-6
 
     def test_sta_chi_zero_cd_equals_ramp_rate(self):
         sched = model.RampSchedule(shape="cosine", tau=1.5)

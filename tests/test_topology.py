@@ -169,12 +169,12 @@ class TestSweep:
         )
         assert [r.chi for r in results] == [0.0, 1.0, 1.5]
         assert abs(results[0].c1 - 1) < 0.05
-        # at the transition the counterdiabatic term is singular only at the
-        # very endpoint theta = pi, which midpoint stepping never evaluates;
-        # the run completes and lands exactly between the two plateaus
-        assert abs(results[1].c1 - 0.5) < 0.05
+        # at the transition the degeneracy lies on the ramp, so the
+        # counterdiabatic term is singular: a recorded failed point
+        assert np.isnan(results[1].c1) and not results[1].converged
+        assert results[1].error == "counterdiabatic coefficient singular at chi=1.0"
         assert abs(results[2].c1) < 0.05
-        for r in results:
+        for r in (results[0], results[2]):
             assert r.refine_history and r.n_steps_used == r.refine_history[-1][0]
 
     def test_sweep_records_singular_points(self, monkeypatch):
