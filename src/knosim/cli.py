@@ -80,11 +80,11 @@ def _load_raw(spec: str, defaults: dict) -> dict:
 
 
 def _number(kind, value, key: str):
-    """value as an int or a float; anything else, a fractional int included,
-    is a ConfigError naming key."""
+    """value as an int or a float; anything else, a boolean or a fractional
+    int included, is a ConfigError naming key."""
     try:
         number = kind(value)
-        if kind is int and isinstance(value, float) and number != value:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float) and number != value):
             raise ValueError(value)
     except (TypeError, ValueError, OverflowError):
         what = "an integer" if kind is int else "a number"

@@ -63,7 +63,7 @@ class TestResolveConfig:
         {"n_steps": "many"}, {"n_samples": "x"}, {"jobs": "two"}, {"half_width": "wide"},
         {"n_points": "many"}, {"chi_values": ["x"]}, {"chi_values": "0.5"}, {"n_steps": 400.5},
         {"phi": "x"}, {"kerr": "abc"}, {"tau": None}, {"dim": "many"}, {"dim": 30.5},
-        {"sta": "false"}, {"sta": 1},
+        {"sta": "false"}, {"sta": 1}, {"phi": True}, {"jobs": True},
     ])
     def test_non_numeric_rejected(self, tmp_path, capsys, setting):
         assert cli.main(["validate", write_config(tmp_path, **setting)]) == 2

@@ -180,8 +180,3 @@ class TestReadout:
     def test_sigma_y_is_the_dyads(self, reduced_frames, system):
         frame = reduced_frames[system]
         assert np.abs(logical.sigma_y(frame) - frame_operators(frame)[1]).max() <= 1e-15
-
-    def test_twolevel_sigma_y_is_the_pauli_matrix(self, reduced_frames):
-        np.testing.assert_array_equal(
-            logical.sigma_y(reduced_frames["twolevel"]), [[0, -1j], [1j, 0]]
-        )
