@@ -73,7 +73,7 @@ def _load_raw(spec: str, defaults: dict) -> dict:
         raise ConfigError(f"{path}: top level must be a JSON object")
     if "preset" in raw:
         base = raw.pop("preset")
-        if base not in PRESETS:
+        if not isinstance(base, str) or base not in PRESETS:
             raise ConfigError(f"{path}: unknown preset {base!r}")
         return {**PRESETS[base], **defaults, **raw}
     return {**defaults, **raw}
@@ -223,64 +223,38 @@ SWEEP_HEADER = [
 
 # ------------------------------------------------------------- protocols ---
 
-def _readout_error(cfg: ExperimentConfig) -> str | None:
-    """Why the configured linear-response readout cannot be taken, or None."""
+def _snapshot_times(cfg: ExperimentConfig) -> list[float]:
+    """The Wigner movie's snapshot times; none for another protocol."""
+    if cfg.protocol != "wigner_movie":
+        return []
+    return [f * cfg.params.tau for f in SNAPSHOT_FRACTIONS]
+
+
+def _run_error(cfg: ExperimentConfig) -> str | None:
+    """Why the configured run cannot be taken, or None: a linear-response
+    readout it cannot read, or snapshot times off its sample grid."""
     if cfg.protocol == "linear_response" or (cfg.protocol == "sweep" and not cfg.sta):
         if cfg.sta:
             return "linear response needs the bare ramp: set sta off"
         if cfg.params.phi != 0.0:
             return f"linear response assumes phi = 0, got {cfg.params.phi}"
+    try:
+        dynamics.snapshot_indices(cfg.params.tau, cfg.n_samples, _snapshot_times(cfg))
+    except ConfigError as exc:
+        return str(exc)
     return None
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run the configured protocol; returns the manifest. File writes happen
     in one serial phase after all computation."""
-    error = _readout_error(cfg)
+    error = _run_error(cfg)
     if error:
         raise ConfigError(error)
     outdir = Path(cfg.out)
     writes = []  # (basename, header, rows) or ("json", name, obj)
 
-    if cfg.protocol in ("linear_response", "sta"):
-        traj = dynamics.run(
-            cfg.params, initial=cfg.initial, sta=cfg.sta,
-            n_steps=cfg.n_steps, n_samples=cfg.n_samples,
-        )
-        writes.append(("trajectory", TRAJ_HEADER, list(_traj_rows(traj))))
-        if cfg.protocol == "linear_response":
-            series = topology.berry_curvature(traj)
-            chern = topology.chern_linear_response(series, traj)
-            writes.append(("curvature", ["theta_rad", "b_theta"],
-                           list(zip(series.theta, series.b_theta))))
-        else:
-            tq = topology.theta_q_series(traj)
-            chern = topology.chern_sta(tq, traj)
-            writes.append(("theta_q", ["theta_rad", "theta_q_rad"], [tuple(r) for r in tq]))
-        chern_obj = {
-            "c1": chern.c1,
-            "method": chern.method,
-            "chi": chern.chi,
-            "initial": chern.initial,
-            "converged": traj.converged,
-            "refine_diff": traj.refine_diff,
-            "n_steps_used": traj.n_steps,
-            "refine_history": traj.refine_history,
-            "c1_quadrature": chern.c1_quadrature,
-            "warning": chern.warning,
-            "stabilizer_ratio": cfg.params.stabilizer_ratio,
-        }
-        writes.append(("json", "chern", chern_obj))
-        extra = {
-            "converged": traj.converged,
-            "n_steps_used": traj.n_steps,
-            "refine_history": traj.refine_history,
-            "basis_dim": traj.basis_dim,
-            "leakage_bound": traj.leakage_bound,
-            "final_edge_population": _edge_population(traj.final_state),
-        }
-
-    elif cfg.protocol == "sweep":
+    if cfg.protocol == "sweep":
         if not cfg.chi_values:
             raise ConfigError("sweep requires a non-empty chi_values list")
         sub = "sta" if cfg.sta else "linear_response"
@@ -303,33 +277,54 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 for r in results
             ],
         }
-
-    elif cfg.protocol == "wigner_movie":
-        snap_times = [f * cfg.params.tau for f in SNAPSHOT_FRACTIONS]
+    else:  # one trajectory, then the protocol's readout of it
+        snap_times = _snapshot_times(cfg)
         traj = dynamics.run(
             cfg.params, initial=cfg.initial, sta=cfg.sta,
             n_steps=cfg.n_steps, n_samples=cfg.n_samples, snapshot_times=snap_times,
         )
         writes.append(("trajectory", TRAJ_HEADER, list(_traj_rows(traj))))
-        for k, ts in enumerate(snap_times):
-            grid = wigner_mod.wigner(traj.snapshots[ts], cfg.half_width, cfg.n_points)
-            rows = [
-                (re, im, grid.values[i, j], bool(grid.low_confidence[i, j]))
-                for i, im in enumerate(grid.im_axis)
-                for j, re in enumerate(grid.re_axis)
-            ]
-            writes.append((f"wigner_t{k}", ["re_alpha", "im_alpha", "w", "low_confidence"], rows))
         extra = {
             "converged": traj.converged,
             "n_steps_used": traj.n_steps,
             "refine_history": traj.refine_history,
-            "snapshot_times_us": snap_times,
             "basis_dim": traj.basis_dim,
             "leakage_bound": traj.leakage_bound,
             "final_edge_population": _edge_population(traj.final_state),
         }
-    else:  # pragma: no cover
-        raise ConfigError(f"unhandled protocol {cfg.protocol!r}")
+        if cfg.protocol == "wigner_movie":
+            extra["snapshot_times_us"] = snap_times
+            for k, state in enumerate(traj.snapshots.values()):
+                grid = wigner_mod.wigner(state, cfg.half_width, cfg.n_points)
+                rows = [
+                    (re, im, grid.values[i, j], bool(grid.low_confidence[i, j]))
+                    for i, im in enumerate(grid.im_axis)
+                    for j, re in enumerate(grid.re_axis)
+                ]
+                writes.append((f"wigner_t{k}", ["re_alpha", "im_alpha", "w", "low_confidence"], rows))
+        else:
+            if cfg.protocol == "linear_response":
+                series = topology.berry_curvature(traj)
+                chern = topology.chern_linear_response(series, traj)
+                writes.append(("curvature", ["theta_rad", "b_theta"],
+                               list(zip(series.theta, series.b_theta))))
+            else:
+                tq = topology.theta_q_series(traj)
+                chern = topology.chern_sta(tq, traj)
+                writes.append(("theta_q", ["theta_rad", "theta_q_rad"], [tuple(r) for r in tq]))
+            writes.append(("json", "chern", {
+                "c1": chern.c1,
+                "method": chern.method,
+                "chi": chern.chi,
+                "initial": chern.initial,
+                "converged": traj.converged,
+                "refine_diff": traj.refine_diff,
+                "n_steps_used": traj.n_steps,
+                "refine_history": traj.refine_history,
+                "c1_quadrature": chern.c1_quadrature,
+                "warning": chern.warning,
+                "stabilizer_ratio": cfg.params.stabilizer_ratio,
+            }))
 
     manifest = _manifest(cfg, extra)
 
@@ -377,7 +372,7 @@ def validate_config(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
     if cfg.protocol == "sweep" and not cfg.chi_values:
         ok = False
         lines.append("FAIL sweep requires chi_values")
-    error = _readout_error(cfg)
+    error = _run_error(cfg)
     if error:
         ok = False
         lines.append(f"FAIL {error}")

@@ -77,25 +77,46 @@ def step_seconds(params: ModelParams, sta: bool) -> float:
 
 @dataclass
 class Trajectory:
-    """Sampled logical observables along one propagation."""
+    """One propagation: the system, the sample times t and ramp angles theta,
+    and the states (n_samples, M) on the system's basis, with the run that
+    made them. The observables are read off the states: sx, sy, sz and pop
+    by logical.bloch, norm as their length."""
 
+    system: model.DriveSet
     t: np.ndarray
     theta: np.ndarray
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
-    pop: np.ndarray
-    norm: np.ndarray
+    states: np.ndarray
     n_steps: int
-    converged: bool
-    params: ModelParams
     sta: bool
     initial: str
+    converged: bool = False
     refine_history: list[tuple[int, float]] = field(default_factory=list)
-    final_state: StateVector | None = None
-    snapshots: dict[float, StateVector] = field(default_factory=dict)
-    basis_dim: int | None = None  # the system's basis size M
-    leakage_bound: float | None = None  # the leakage amplitude the basis leaves out
+    snapshot_index: dict[float, int] = field(default_factory=dict)  # time -> sample
+
+    def __post_init__(self):
+        self.sx, self.sy, self.sz, self.pop = logical.bloch(self.system.frame, self.states)
+        self.norm = np.linalg.norm(self.states, axis=1)
+
+    @property
+    def params(self) -> ModelParams:
+        return self.system.params
+
+    @property
+    def basis_dim(self) -> int:
+        return self.system.basis_dim
+
+    @property
+    def leakage_bound(self) -> float:
+        return self.system.leakage_bound
+
+    @property
+    def final_state(self) -> StateVector:
+        return self.system.lift(StateVector(self.states[-1]))
+
+    @property
+    def snapshots(self) -> dict[float, StateVector]:
+        return {ts: self.system.lift(StateVector(self.states[k]))
+                for ts, k in self.snapshot_index.items()}
 
     @property
     def refine_diff(self) -> float:
@@ -119,6 +140,20 @@ def _initial_state(system: model.DriveSet, initial) -> tuple[StateVector, str]:
     raise ConfigError(f"initial must be 'ket0', 'ket1' or a StateVector, got {initial!r}")
 
 
+def snapshot_indices(tau: float, n_samples: int, snapshot_times) -> dict[float, int]:
+    """The sample index k of each snapshot time, which must be k * tau /
+    (n_samples - 1) for some sample k; any other time is a ConfigError."""
+    index = {}
+    for ts in snapshot_times:
+        if not np.isfinite(ts):
+            raise ConfigError(f"snapshot time must be finite, got {ts}")
+        k = int(round(ts / tau * (n_samples - 1)))
+        if not 0 <= k < n_samples or abs(k * tau / (n_samples - 1) - ts) > 1e-9 * tau:
+            raise ConfigError(f"snapshot time {ts} is not on the sample grid k*tau/{n_samples - 1}")
+        index[float(ts)] = k
+    return index
+
+
 def _interval_propagators(system: model.DriveSet, sta: bool, first: int, stop: int,
                           spc: int, dt: float) -> np.ndarray:
     """Propagators of sample intervals first..stop-1, (stop - first, M, M): each
@@ -137,34 +172,18 @@ def _interval_propagators(system: model.DriveSet, sta: bool, first: int, stop: i
     return total
 
 
-def _propagate(
-    system: model.DriveSet,
-    psi0: StateVector,
-    sta: bool,
-    n_steps: int,
-    n_samples: int,
-    snapshot_times=(),
-) -> dict:
+def _propagate(system: model.DriveSet, psi0: StateVector, sta: bool, n_steps: int,
+               n_samples: int) -> dict:
     """Single fixed-step propagation over n_steps, a whole number of steps per
-    sample interval; returns sampled arrays and snapshots.
+    sample interval; returns n_steps and psi, the state at every sample.
 
     The pass runs in chunks of whole sample intervals, of at most CHUNK_STEPS
-    steps (an interval longer than that is built CHUNK_STEPS steps at a time),
-    so its memory does not grow with n_steps: every midpoint H(t) of a chunk
-    is built and diagonalized as one stack, each interval's steps are
-    multiplied into one propagator, and the state advances interval by
-    interval. The observables of all samples are read at the end."""
-    p = system.params
-    snap_k = {}  # snapshot time -> sample index; off-grid times are rejected
-    for ts in snapshot_times:
-        if not np.isfinite(ts):
-            raise ConfigError(f"snapshot time must be finite, got {ts}")
-        k = int(round(ts / p.tau * (n_samples - 1)))
-        if not 0 <= k < n_samples or abs(k * p.tau / (n_samples - 1) - ts) > 1e-9 * p.tau:
-            raise ConfigError(f"snapshot time {ts} is not on the sample grid k*tau/{n_samples - 1}")
-        snap_k[float(ts)] = k
+    steps (an interval longer than that is built CHUNK_STEPS steps at a time):
+    every midpoint H(t) of a chunk is built and diagonalized as one stack,
+    each interval's steps are multiplied into one propagator, and the state
+    advances interval by interval."""
     spc = n_steps // (n_samples - 1)
-    dt = p.tau / n_steps
+    dt = system.params.tau / n_steps
     per_chunk = max(1, CHUNK_STEPS // spc)  # sample intervals per chunk
 
     psi = np.empty((n_samples, system.basis_dim), dtype=complex)
@@ -173,19 +192,7 @@ def _propagate(
         stop = min(first + per_chunk, n_samples - 1)
         for k, u in enumerate(_interval_propagators(system, sta, first, stop, spc, dt), first):
             psi[k + 1] = u @ psi[k]
-
-    sx, sy, sz, pop = logical.bloch(system.frame, psi)
-    return {
-        "t": np.arange(n_samples) * spc * dt,
-        "sx": sx,
-        "sy": sy,
-        "sz": sz,
-        "pop": pop,
-        "norm": np.linalg.norm(psi, axis=1),
-        "n_steps": n_steps,
-        "final_state": StateVector(psi[-1].copy()),
-        "snapshots": {ts: StateVector(psi[k].copy()) for ts, k in snap_k.items()},
-    }
+    return {"n_steps": n_steps, "psi": psi}
 
 
 def evolve(
@@ -197,68 +204,53 @@ def evolve(
     refine_tol: float = REFINE_TOL,
     snapshot_times=(),
 ) -> Trajectory:
-    """Propagate a system, a model.DriveSet, over its ramp and sample the
-    logical Bloch vector.
+    """Propagate a system, a model.DriveSet, over its ramp: a trajectory is
+    its states at the n_samples sample times; observables are read off them.
 
     The run steps on the system's basis: initial is "ket0" or "ket1" of its
     frame, or a StateVector of basis_dim amplitudes on the basis, which is
     normalized (any other size is a DimensionMismatchError). final_state and
-    the snapshots are lifted back through the basis (DriveSet.lift), and the
-    trajectory records basis_dim and leakage_bound. run passes
+    the snapshots are states lifted back through the basis (DriveSet.lift)
+    when read; snapshot times must lie on the sample grid
+    k * tau / (n_samples - 1), checked before any pass. run passes
     model.drive_set(params), twolevel.reference_dynamics twolevel.system(params).
 
     The step count comes from the tolerance. The coarse pass has
     start_steps(n_steps, n_samples) steps; with n_steps None that is the
     coarsest grid accepted, one step per sample interval for 401 samples.
-    Each further pass doubles the steps, and the run has converged once a
-    doubling changes every sampled s_j by at most refine_tol. The cost is
-    capped, not the number of doublings: all passes together compute at most
-    step_budget(n_steps, n_samples) steps, and doubling stops before a pass
-    that would exceed that. An explicit n_steps N thus runs its coarse pass
-    and at most two doublings (7N steps); the default start at 401 samples
-    may double five times (400 to 12800 steps, 25200 in all). The returned
-    trajectory is always the finest one computed, and refine_history lists
-    (n_steps, diff) per doubling; non-convergence is flagged, never silent.
-    Snapshot times must lie on the sample grid k * tau / (n_samples - 1).
+    Each pass is a Trajectory, each further pass doubles the steps, and the
+    run has converged once a doubling changes bloch() by at most refine_tol
+    everywhere. The cost is capped, not the number of doublings: all passes
+    together compute at most step_budget(n_steps, n_samples) steps, and
+    doubling stops before a pass that would exceed that. An explicit n_steps
+    N thus runs its coarse pass and at most two doublings (7N steps); the
+    default start at 401 samples may double five times (400 to 12800 steps,
+    25200 in all). The finest trajectory computed is returned, and
+    refine_history lists (n_steps, diff) per doubling; non-convergence is
+    flagged, never silent.
     """
-    params = system.params
+    tau = system.params.tau
     start = start_steps(n_steps, n_samples)
     budget = step_budget(n_steps, n_samples)
     psi0, label = _initial_state(system, initial)
+    snaps = snapshot_indices(tau, n_samples, snapshot_times)
 
-    coarse = _propagate(system, psi0, sta, start, n_samples, snapshot_times)
+    def trajectory(n: int) -> Trajectory:
+        t = np.arange(n_samples) * (n // (n_samples - 1)) * (tau / n)
+        return Trajectory(system, t, np.asarray(system.schedule.theta(t), dtype=float),
+                          _propagate(system, psi0, sta, n, n_samples)["psi"], n, sta, label,
+                          snapshot_index=snaps)
+
+    coarse = trajectory(start)
     spent = start
-    history = []
-    converged = False
-    while not converged and spent + 2 * coarse["n_steps"] <= budget:
-        fine = _propagate(system, psi0, sta, 2 * coarse["n_steps"], n_samples, snapshot_times)
-        spent += fine["n_steps"]
-        diff = max(
-            float(np.abs(fine[k] - coarse[k]).max()) for k in ("sx", "sy", "sz")
-        )
-        history.append((fine["n_steps"], diff))
-        converged = diff <= refine_tol
+    while not coarse.converged and spent + 2 * coarse.n_steps <= budget:
+        fine = trajectory(2 * coarse.n_steps)
+        spent += fine.n_steps
+        diff = float(np.abs(fine.bloch() - coarse.bloch()).max())
+        fine.refine_history = [*coarse.refine_history, (fine.n_steps, diff)]
+        fine.converged = diff <= refine_tol
         coarse = fine
-
-    return Trajectory(
-        t=coarse["t"],
-        theta=np.asarray(params.ramp().theta(coarse["t"]), dtype=float),
-        sx=coarse["sx"],
-        sy=coarse["sy"],
-        sz=coarse["sz"],
-        pop=coarse["pop"],
-        norm=coarse["norm"],
-        n_steps=coarse["n_steps"],
-        converged=converged,
-        params=params,
-        sta=sta,
-        initial=label,
-        refine_history=history,
-        final_state=system.lift(coarse["final_state"]),
-        snapshots={t: system.lift(s) for t, s in coarse["snapshots"].items()},
-        basis_dim=system.basis_dim,
-        leakage_bound=system.leakage_bound,
-    )
+    return coarse
 
 
 def run(params: ModelParams, initial="ket0", sta: bool = False, **kw) -> Trajectory:

@@ -3,9 +3,13 @@
 Two routes to the same invariant:
 
 * linear response: the lag of <sy_bar> behind the ramp gives the Berry
-  curvature B_theta = -Omega0 sin(th) <sy_bar> / (2 v_theta); its integral
-  over th in [0, pi] is C1 (the azimuthal integral collapses by cylindrical
-  symmetry).
+  curvature B_theta = -Omega0 sin(th) <sy_bar> / (2 v_theta) at azimuth
+  phi = 0; its integral over th in [0, pi] is C1. That takes the azimuthal
+  integral as 2 pi times the phi = 0 value, which holds for the 2x2
+  reduction, whose response is the same at every phi. On the oscillator the
+  stabilizer dresses Hx and Hy differently at O(r), r = e^{2 alpha0^2}
+  Omega0 / P, so the phi = 0 readout falls short by about 0.48 r: 0.952 on
+  fig1 (r = 0.1), where the 2x2 reads 0.99998.
 * accelerated (counterdiabatic) ramps: the measured polar angle
   theta_q = arccos(sz / |s|) gives C1 = (1/2) int sin(theta_q) d theta_q.
 """

@@ -63,7 +63,7 @@ class TestResolveConfig:
         {"n_steps": "many"}, {"n_samples": "x"}, {"jobs": "two"}, {"half_width": "wide"},
         {"n_points": "many"}, {"chi_values": ["x"]}, {"chi_values": "0.5"}, {"n_steps": 400.5},
         {"phi": "x"}, {"kerr": "abc"}, {"tau": None}, {"dim": "many"}, {"dim": 30.5},
-        {"sta": "false"}, {"sta": 1}, {"phi": True}, {"jobs": True},
+        {"sta": "false"}, {"sta": 1}, {"phi": True}, {"jobs": True}, {"preset": []},
     ])
     def test_non_numeric_rejected(self, tmp_path, capsys, setting):
         assert cli.main(["validate", write_config(tmp_path, **setting)]) == 2
@@ -179,6 +179,11 @@ class TestDeterminism:
         one = outputs("blas1", ["simulate", cfg_path], OPENBLAS_NUM_THREADS="1")
         two = outputs("blas2", ["simulate", cfg_path], OPENBLAS_NUM_THREADS="2")
         assert "trajectory.csv" in one and one == two
+        # the snapshots are samples of the state stack, lifted off the basis
+        movie = ["wigner", write_config(tmp_path, "movie.json", half_width=3.0, n_points=41)]
+        one = outputs("movie1", movie, OPENBLAS_NUM_THREADS="1")
+        two = outputs("movie2", movie, OPENBLAS_NUM_THREADS="2")
+        assert "wigner_t4.csv" in one and one == two
         sweep = ["sweep", cfg_path, "--chis=0.3,1.5", "--jobs"]
         assert outputs("jobs1", [*sweep, "1"]) == outputs("jobs2", [*sweep, "2"])
 
@@ -361,3 +366,13 @@ class TestValidate:
     def test_linear_response_with_sta_fails(self, capsys):
         assert cli.main(["validate", "fig1", "--sta", "on"]) == 1
         assert "FAIL linear response needs the bare ramp" in capsys.readouterr().out
+
+    def test_movie_snapshots_off_the_sample_grid_fail(self, tmp_path, capsys):
+        # 0.375 tau is not a multiple of tau / 42: validate fails it as simulate does
+        cfg_path = write_config(tmp_path, protocol="wigner_movie", n_samples=43, n_steps=420)
+        assert cli.main(["validate", cfg_path]) == 1
+        assert "FAIL snapshot time 0.375 is not on the sample grid" in capsys.readouterr().out
+        assert cli.main(["simulate", cfg_path, "--out", str(tmp_path / "movie")]) == 2
+        assert "sample grid" in capsys.readouterr().err
+        assert not (tmp_path / "movie").exists()
+        assert cli.main(["validate", write_config(tmp_path, protocol="wigner_movie")]) == 0

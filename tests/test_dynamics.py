@@ -67,10 +67,24 @@ class TestRun:
             snapshot_times=(0.0, p.tau / 2, p.tau),
         )
         assert set(traj.snapshots) == {0.0, p.tau / 2, p.tau}
+        # each snapshot is its sample's state, lifted off the basis
+        assert traj.snapshot_index == {0.0: 0, p.tau / 2: 25, p.tau: 50}
+        for ts, k in traj.snapshot_index.items():
+            np.testing.assert_array_equal(traj.snapshots[ts].amplitudes,
+                                          traj.system.basis @ traj.states[k])
         frame = logical.build_frame(p.alpha0, p.dim)
         assert traj.snapshots[0.0].fidelity(frame.ket0) >= 1 - 1e-9
         assert traj.snapshots[p.tau].fidelity(frame.ket1) >= 0.98
 
+    @pytest.fixture
+    def no_pass(self, monkeypatch):
+        """Fails any propagation pass: the snapshot times are checked first."""
+        def fail(*args):
+            raise AssertionError("a pass ran before the snapshot times were checked")
+
+        monkeypatch.setattr(dynamics, "_propagate", fail)
+
+    @pytest.mark.usefixtures("no_pass")
     @pytest.mark.parametrize("times, n_samples", [((0.0, 1e-6, 1.5), 51), ((0.33,), 11)])
     def test_off_grid_snapshot_rejected(self, times, n_samples):
         # neither 1e-6 nor 0.33 is a multiple of tau / (n_samples - 1)
@@ -79,6 +93,7 @@ class TestRun:
                 sta_params(), sta=True, n_steps=500, n_samples=n_samples, snapshot_times=times
             )
 
+    @pytest.mark.usefixtures("no_pass")
     @pytest.mark.parametrize("ts", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_snapshot_rejected(self, ts):
         with pytest.raises(ConfigError, match="finite"):
@@ -168,22 +183,52 @@ class TestBatchedPass:
     def test_matches_the_step_loop(self, system, n_steps, n_samples):
         p = sta_params(chi=0.6, phi=0.4)
         ds = model.drive_set(p) if system == "drive_set" else twolevel.system(p)
-        psi0 = ds.frame.ket0
-        spc = n_steps // (n_samples - 1)
-        times = [p.tau / (n_samples - 1) * k for k in (0, n_samples // 2, n_samples - 1)]
-        got = dynamics._propagate(ds, psi0, True, n_steps, n_samples, times)
-        want = _reference_pass(ds, psi0, True, n_steps, n_samples)
-        k0, k1 = ds.frame.ket0.amplitudes, ds.frame.ket1.amplitudes
-        d00, d01, d10, d11 = (np.outer(a, b.conj()) for a in (k0, k1) for b in (k0, k1))
-        for key, op in (("sx", d01 + d10), ("sy", -1j * d01 + 1j * d10), ("sz", d00 - d11),
-                        ("pop", d00 + d11)):
-            ref = np.einsum("ki,ij,kj->k", want.conj(), op, want).real
-            assert np.abs(got[key] - ref).max() <= 1e-12, key
-        assert np.abs(got["norm"] - np.linalg.norm(want, axis=1)).max() <= 1e-12
-        np.testing.assert_array_equal(got["t"], np.arange(n_samples) * spc * (p.tau / n_steps))
-        assert np.abs(got["final_state"].amplitudes - want[-1]).max() <= 1e-12
-        for ts, k in zip(times, (0, n_samples // 2, n_samples - 1)):
-            assert np.abs(got["snapshots"][ts].amplitudes - want[k]).max() <= 1e-12
+        got = dynamics._propagate(ds, ds.frame.ket0, True, n_steps, n_samples)
+        want = _reference_pass(ds, ds.frame.ket0, True, n_steps, n_samples)
+        assert got["n_steps"] == n_steps
+        assert got["psi"].shape == want.shape
+        assert np.abs(got["psi"] - want).max() <= 1e-12
+
+
+class TestTrajectoryIsItsStates:
+    """A Trajectory stores the states of its pass; every observable, the
+    final state and the snapshots are read off them."""
+
+    def test_observables_are_read_off_the_states(self, sta_run):
+        traj = sta_run
+        sx, sy, sz, pop = logical.bloch(traj.system.frame, traj.states)
+        for got, want in ((traj.sx, sx), (traj.sy, sy), (traj.sz, sz), (traj.pop, pop),
+                          (traj.norm, np.linalg.norm(traj.states, axis=1))):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(traj.bloch(), np.stack([sx, sy, sz], axis=1))
+        assert traj.states.shape == (101, traj.system.basis_dim)
+        assert traj.params is traj.system.params
+        assert (traj.basis_dim, traj.leakage_bound) == (8, traj.system.leakage_bound)
+        lifted = traj.system.basis @ traj.states[-1]
+        np.testing.assert_array_equal(traj.final_state.amplitudes, lifted)
+        spc = traj.n_steps // 100
+        np.testing.assert_array_equal(traj.t, np.arange(101) * spc * (traj.params.tau / traj.n_steps))
+
+    def test_refine_diff_is_the_last_bloch_change(self, monkeypatch):
+        passes = []
+        propagate = dynamics._propagate
+
+        def recording(*args):
+            r = propagate(*args)
+            passes.append(r["psi"])
+            return r
+
+        monkeypatch.setattr(dynamics, "_propagate", recording)
+        traj = dynamics.evolve(
+            twolevel.system(sta_params(chi=0.5)), sta=True, n_steps=400, n_samples=41,
+            refine_tol=1e-14,
+        )
+        assert len(passes) == 3 and traj.states is passes[-1]
+        frame = traj.system.frame
+        blochs = [np.stack(logical.bloch(frame, psi)[:3], axis=1) for psi in passes]
+        diffs = [float(np.abs(fine - coarse).max()) for coarse, fine in zip(blochs, blochs[1:])]
+        assert traj.refine_history == [(800, diffs[0]), (1600, diffs[1])]
+        assert traj.refine_history[-1][1] == diffs[-1] == traj.refine_diff
 
 
 def _exact_step(chi):

@@ -4,20 +4,30 @@ import pytest
 from conftest import linear_response_params, sta_params
 from knosim import dynamics, topology, twolevel
 from knosim.errors import ConfigError, DegenerateReadoutError, InsufficientSamplingError
+from knosim.fock import StateVector
+from knosim.logical import LogicalFrame
+from knosim.model import DriveSet
 
 
 def make_traj(theta, sx, sy, sz, params, sta=False, initial="ket0", **kw):
-    """Hand-built trajectory for post-processing tests."""
+    """Hand-built trajectory for post-processing tests: at each theta, a state
+    on a 3-level DriveSet (frame kets = levels 0 and 1) whose Bloch vector is
+    (sx, sy, sz), of length L <= 1, with weight 1 - L on level 2."""
     theta = np.asarray(theta, float)
     # invert the linear schedule for t
     t = theta / np.pi * params.tau if params.schedule == "linear" else np.linspace(0, params.tau, theta.size)
-    ones = np.ones_like(theta)
+    sx, sy, sz = (np.asarray(v, float) * np.ones_like(theta) for v in (sx, sy, sz))
+    length = np.sqrt(sx**2 + sy**2 + sz**2)
+    states = np.stack([
+        np.sqrt((length + sz) / 2),
+        np.sqrt((length - sz) / 2) * np.exp(1j * np.arctan2(sy, sx)),
+        np.sqrt(np.maximum(1 - length, 0.0)),  # a unit vector may round to 1 + 1 ulp
+    ], axis=1)
+    e = np.eye(3, dtype=complex)
+    system = DriveSet(params, 0, 0, 0, 0, LogicalFrame(StateVector(e[0]), StateVector(e[1])), e)
     return dynamics.Trajectory(
-        t=t, theta=theta,
-        sx=np.asarray(sx, float) * ones, sy=np.asarray(sy, float) * ones,
-        sz=np.asarray(sz, float) * ones,
-        pop=ones.copy(), norm=ones.copy(), n_steps=theta.size - 1,
-        params=params, sta=sta, initial=initial, **{"converged": True, **kw},
+        system, t, theta, states, n_steps=theta.size - 1, sta=sta, initial=initial,
+        **{"converged": True, **kw},
     )
 
 
