@@ -216,6 +216,14 @@ def _traj_rows(traj: dynamics.Trajectory):
 
 
 TRAJ_HEADER = ["t_us", "theta_rad", "sx", "sy", "sz", "pop", "norm"]
+READOUT_TABLES = {  # ChernResult.method -> the file and header of its series
+    "linear_response": ("curvature", ["theta_rad", "b_theta"]),
+    "sta_polar": ("theta_q", ["theta_rad", "theta_q_rad"]),
+}
+CHERN_FIELDS = (  # the ChernResult fields chern.json records
+    "c1", "method", "chi", "initial", "converged", "refine_diff", "n_steps_used",
+    "refine_history", "c1_quadrature", "warning",
+)
 SWEEP_HEADER = [
     "chi", "c1", "method", "initial", "converged", "status", "n_steps_used", "refine_diff",
 ]
@@ -231,14 +239,15 @@ def _snapshot_times(cfg: ExperimentConfig) -> list[float]:
 
 
 def _run_error(cfg: ExperimentConfig) -> str | None:
-    """Why the configured run cannot be taken, or None: a linear-response
-    readout it cannot read, or snapshot times off its sample grid."""
-    if cfg.protocol == "linear_response" or (cfg.protocol == "sweep" and not cfg.sta):
-        if cfg.sta:
-            return "linear response needs the bare ramp: set sta off"
-        if cfg.params.phi != 0.0:
-            return f"linear response assumes phi = 0, got {cfg.params.phi}"
+    """Why the configured run cannot be taken, or None: a readout its ramp
+    does not give (see topology.chern), or snapshot times off its sample grid."""
+    if cfg.protocol == "linear_response" and cfg.sta:
+        return "linear response needs the bare ramp: set sta off"
+    if cfg.protocol == "sta" and not cfg.sta:
+        return "the polar-angle readout needs the counterdiabatic ramp: set sta on"
     try:
+        if cfg.protocol != "wigner_movie":
+            topology.check_readout(cfg.params, cfg.sta)
         dynamics.snapshot_indices(cfg.params.tau, cfg.n_samples, _snapshot_times(cfg))
     except ConfigError as exc:
         return str(exc)
@@ -277,7 +286,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 for r in results
             ],
         }
-    else:  # one trajectory, then the protocol's readout of it
+    else:  # one trajectory, then its Wigner snapshots or topology.chern's readout
         snap_times = _snapshot_times(cfg)
         traj = dynamics.run(
             cfg.params, initial=cfg.initial, sta=cfg.sta,
@@ -303,28 +312,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 ]
                 writes.append((f"wigner_t{k}", ["re_alpha", "im_alpha", "w", "low_confidence"], rows))
         else:
-            if cfg.protocol == "linear_response":
-                series = topology.berry_curvature(traj)
-                chern = topology.chern_linear_response(series, traj)
-                writes.append(("curvature", ["theta_rad", "b_theta"],
-                               list(zip(series.theta, series.b_theta))))
-            else:
-                tq = topology.theta_q_series(traj)
-                chern = topology.chern_sta(tq, traj)
-                writes.append(("theta_q", ["theta_rad", "theta_q_rad"], [tuple(r) for r in tq]))
-            writes.append(("json", "chern", {
-                "c1": chern.c1,
-                "method": chern.method,
-                "chi": chern.chi,
-                "initial": chern.initial,
-                "converged": traj.converged,
-                "refine_diff": traj.refine_diff,
-                "n_steps_used": traj.n_steps,
-                "refine_history": traj.refine_history,
-                "c1_quadrature": chern.c1_quadrature,
-                "warning": chern.warning,
-                "stabilizer_ratio": cfg.params.stabilizer_ratio,
-            }))
+            chern = topology.chern(traj)
+            writes.append((*READOUT_TABLES[chern.method], [tuple(r) for r in chern.series]))
+            record = {k: getattr(chern, k) for k in CHERN_FIELDS}
+            record["stabilizer_ratio"] = cfg.params.stabilizer_ratio
+            writes.append(("json", "chern", record))
 
     manifest = _manifest(cfg, extra)
 

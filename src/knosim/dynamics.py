@@ -273,7 +273,8 @@ def instantaneous_eigenstate_fidelity(traj: Trajectory, rtol: float = 1e-9) -> F
     angle is Theta = atan2(sin th, cos th + chi). The eigenstate branch is the
     one the trajectory starts in. Uses only the sampled Bloch data: the
     projected pure state has fidelity (1 + s_hat . n_hat)/2 with the
-    eigenstate whose Bloch axis is n_hat.
+    eigenstate whose Bloch axis is n_hat = (sin Theta cos phi, sin Theta sin phi,
+    cos Theta), phi the drive's azimuth.
     """
     p = traj.params
     if abs(p.delta_z - p.omega0) > rtol * max(abs(p.omega0), 1e-300):
@@ -282,7 +283,8 @@ def instantaneous_eigenstate_fidelity(traj: Trajectory, rtol: float = 1e-9) -> F
         )
     chi = p.chi
     big_theta = np.array([model.mixing_angle(th, chi) for th in traj.theta])
-    nhat = np.stack([np.sin(big_theta), np.zeros_like(big_theta), np.cos(big_theta)], axis=1)
+    nhat = np.stack([np.sin(big_theta) * np.cos(p.phi), np.sin(big_theta) * np.sin(p.phi),
+                     np.cos(big_theta)], axis=1)
     shat = traj.bloch() / traj.pop[:, None]
     proj = np.einsum("ij,ij->i", shat, nhat)
     f_upper = (1 + proj) / 2

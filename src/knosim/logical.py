@@ -40,9 +40,10 @@ def bloch(frame: LogicalFrame, states: np.ndarray) -> np.ndarray:
     return np.stack([2 * z.real, 2 * z.imag, p0 - p1, p0 + p1])
 
 
-def sigma_y(frame: LogicalFrame) -> np.ndarray:
-    """sy_bar = -i|0><1| + i|1><0| as a matrix on the kets' space."""
-    m = 1j * np.outer(frame.ket1.amplitudes, frame.ket0.amplitudes.conj())
+def sigma_y(frame: LogicalFrame, phi: float) -> np.ndarray:
+    """sy_bar turned to azimuth phi, -sin phi sx_bar + cos phi sy_bar =
+    -i e^{-i phi}|0><1| + i e^{i phi}|1><0|, as a matrix on the kets' space."""
+    m = 1j * np.exp(1j * phi) * np.outer(frame.ket1.amplitudes, frame.ket0.amplitudes.conj())
     return m + m.conj().T
 
 

@@ -184,15 +184,15 @@ def mixing_angle(theta: float, chi: float) -> float:
 class DriveSet:
     """One system for dynamics.evolve: the model's H(t) on a basis,
 
-        H(t) = H0 + (Dz/2) Hz + (Om/2)(cos phi Hx + sin phi Hy) [+ (Theta_dot/2) sy_bar],
+        H(t) = H0 + (Dz/2) Hz + (Om/2)(cos phi Hx + sin phi Hy) [+ (Theta_dot/2) sy_phi],
 
-    with Dz, Om ramped as params says and sy_bar = logical.sigma_y(frame). H0
-    and the drives are matrices on the basis (0 for none), and the frame's
-    kets (the initial states and the readout) are vectors on it. basis holds
-    the basis vectors as columns, and lift maps a state on it back to the
-    columns' space. leakage_bound is the first-order amplitude the basis
-    leaves out. drive_set builds the oscillator, twolevel.system the 2x2
-    reduction.
+    with Dz, Om ramped as params says and sy_phi = logical.sigma_y(frame, phi),
+    sy_bar turned to the drive's azimuth. H0 and the drives are matrices on
+    the basis (0 for none), and the frame's kets (the initial states and the
+    readout) are vectors on it. basis holds the basis vectors as columns, and
+    lift maps a state on it back to the columns' space. leakage_bound is the
+    first-order amplitude the basis leaves out. drive_set builds the
+    oscillator, twolevel.system the 2x2 reduction.
     """
 
     def __init__(self, params: ModelParams, h0, hz, hx, hy, frame: LogicalFrame,
@@ -206,7 +206,7 @@ class DriveSet:
         # halved and mixed at phi once, as total_matrix runs every step
         self.hz_half = hz / 2
         self.hphi_half = (np.cos(params.phi) * hx + np.sin(params.phi) * hy) / 2
-        self.sy_half = logical.sigma_y(frame) / 2
+        self.sy_half = logical.sigma_y(frame, params.phi) / 2
 
     @property
     def basis_dim(self) -> int:

@@ -1,6 +1,6 @@
 """Berry curvature, polar-angle readout and first Chern numbers.
 
-Two routes to the same invariant:
+Two routes to the same invariant, and chern picks one from the run's sta:
 
 * linear response: the lag of <sy_bar> behind the ramp gives the Berry
   curvature B_theta = -Omega0 sin(th) <sy_bar> / (2 v_theta) at azimuth
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,16 +30,6 @@ from .model import ModelParams
 MIN_CURVATURE_POINTS = 10
 MIN_BLOCH_LENGTH = 1e-6
 CLOSED_FORM_QUADRATURE_ATOL = 0.01
-
-
-@dataclass(frozen=True)
-class CurvatureSeries:
-    theta: np.ndarray
-    b_theta: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.diff(self.theta) < 0):
-            raise ValueError("theta samples must be ascending")
 
 
 @dataclass(frozen=True)
@@ -56,6 +46,8 @@ class ChernResult:
     c1_quadrature: float | None = None  # sta only: discretized integral
     warning: str | None = None
     error: str | None = None
+    # (theta, B_theta) or (theta, theta_q) rows read; None for a failed point
+    series: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def refine_diff(self) -> float:
@@ -76,13 +68,19 @@ def _run_fields(traj: Trajectory) -> dict:
     }
 
 
-def berry_curvature(traj: Trajectory) -> CurvatureSeries:
-    """Extract B_theta from a (non-STA, phi=0) trajectory."""
+def check_readout(params: ModelParams, sta: bool) -> None:
+    """Raise ConfigError when chern cannot read a run of params with this sta:
+    the Berry-curvature integral of a bare ramp is read at phi = 0 only."""
+    if not sta and params.phi != 0.0:
+        raise ConfigError(f"linear response assumes phi = 0, got {params.phi}")
+
+
+def berry_curvature(traj: Trajectory) -> np.ndarray:
+    """(theta, B_theta) pairs from a bare (non-STA, phi = 0) trajectory."""
     p = traj.params
     if traj.sta:
         raise ConfigError("linear response needs the bare ramp: run with sta=False")
-    if p.phi != 0.0:
-        raise ConfigError("linear-response extraction assumes phi = 0")
+    check_readout(p, False)
     sched = p.ramp()
     v_theta = np.broadcast_to(np.asarray(sched.theta_dot(traj.t), dtype=float), traj.t.shape)
     sin_th = np.sin(traj.theta)
@@ -92,17 +90,20 @@ def berry_curvature(traj: Trajectory) -> CurvatureSeries:
         raise ZeroDivisionError("ramp velocity vanishes at an interior sample")
     ok = ~still
     b[ok] = -p.omega0 * sin_th[ok] * traj.sy[ok] / (2 * v_theta[ok])
-    return CurvatureSeries(theta=traj.theta.copy(), b_theta=b)
+    return np.stack([traj.theta, b], axis=1)
 
 
-def chern_linear_response(series: CurvatureSeries, traj: Trajectory) -> ChernResult:
-    """C1 = int_0^pi B_theta d theta by trapezoidal quadrature."""
-    if series.theta.size < MIN_CURVATURE_POINTS:
+def chern_linear_response(series: np.ndarray, traj: Trajectory) -> ChernResult:
+    """C1 = int_0^pi B_theta d theta by trapezoidal quadrature over the
+    (theta, B_theta) series, whose theta must ascend."""
+    if np.any(np.diff(series[:, 0]) < 0):
+        raise ValueError("theta samples must be ascending")
+    if len(series) < MIN_CURVATURE_POINTS:
         raise InsufficientSamplingError(
-            f"need >= {MIN_CURVATURE_POINTS} curvature samples, got {series.theta.size}"
+            f"need >= {MIN_CURVATURE_POINTS} curvature samples, got {len(series)}"
         )
-    c1 = float(np.trapezoid(series.b_theta, series.theta))
-    return ChernResult(c1=c1, method="linear_response", **_run_fields(traj))
+    c1 = float(np.trapezoid(series[:, 1], series[:, 0]))
+    return ChernResult(c1=c1, method="linear_response", series=series, **_run_fields(traj))
 
 
 def theta_q_series(traj: Trajectory) -> np.ndarray:
@@ -139,31 +140,27 @@ def chern_sta(series: np.ndarray, traj: Trajectory) -> ChernResult:
         )
     return ChernResult(
         c1=float(closed), method="sta_polar", c1_quadrature=quad, warning=warning,
-        **_run_fields(traj),
+        series=series, **_run_fields(traj),
     )
 
 
-def chern_from_run(
-    params: ModelParams, protocol: str, initial: str = "ket0", **run_kwargs
-) -> ChernResult:
-    """One full simulation + post-processing for a single chi point."""
-    if protocol == "linear_response":
-        traj = dynamics.run(params, initial=initial, sta=False, **run_kwargs)
-        return chern_linear_response(berry_curvature(traj), traj)
-    if protocol == "sta":
-        traj = dynamics.run(params, initial=initial, sta=True, **run_kwargs)
+def chern(traj: Trajectory) -> ChernResult:
+    """C1 of a run: the polar-angle step of a counterdiabatic (sta) ramp, the
+    Berry-curvature integral of a bare one."""
+    if traj.sta:
         return chern_sta(theta_q_series(traj), traj)
-    raise ValueError(f"unknown protocol {protocol!r}")
+    return chern_linear_response(berry_curvature(traj), traj)
 
 
 def _sweep_point(args):
-    params, protocol, initial, run_kwargs = args
+    params, sta, initial, run_kwargs = args
     try:
-        return chern_from_run(params, protocol, initial, **run_kwargs)
+        check_readout(params, sta)
+        return chern(dynamics.run(params, initial=initial, sta=sta, **run_kwargs))
     except KnosimError as exc:
         return ChernResult(
             c1=float("nan"),
-            method="sta_polar" if protocol == "sta" else protocol,
+            method="sta_polar" if sta else "linear_response",
             chi=params.chi,
             initial=initial,
             converged=False,
@@ -179,16 +176,19 @@ def sweep_chi(
     jobs: int = 1,
     **run_kwargs,
 ) -> list[ChernResult]:
-    """Independent simulation per chi (delta_0 = chi * delta_z), in chi order.
+    """Independent simulation per chi (delta_0 = chi * delta_z), in chi order,
+    each read by chern: protocol "sta" or "linear_response" picks the ramp.
 
     A point that fails with a KnosimError (a singular counterdiabatic term, a
     truncation leak, ...) is recorded as a failed entry and the sweep
     continues. jobs > 1 starts at most one worker per core and per point.
     """
+    if protocol not in ("sta", "linear_response"):
+        raise ValueError(f"unknown protocol {protocol!r}")
     tasks = []
     for chi in chi_values:
         p = replace(params, delta_0=float(chi) * params.delta_z)
-        tasks.append((p, protocol, initial, run_kwargs))
+        tasks.append((p, protocol == "sta", initial, run_kwargs))
     if not tasks:
         raise ValueError("empty chi sweep")
     workers = min(jobs, os.cpu_count() or 1, len(tasks))

@@ -26,13 +26,13 @@ from .model import DEGENERACY_ATOL, DriveSet, ModelParams
 _ID = np.eye(2, dtype=complex)
 _FRAME = LogicalFrame(StateVector(_ID[0]), StateVector(_ID[1]))  # ket0 = (1, 0), ket1 = (0, 1)
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = logical.sigma_y(_FRAME)
+_SY = logical.sigma_y(_FRAME, 0.0)
 _SZ = np.diag([1, -1]).astype(complex)
 
 
 def system(params: ModelParams) -> DriveSet:
     """The 2x2 reduction as a DriveSet: H0 = 0 and the drives on the Pauli
-    matrices, so H(t) is H2 above, plus (Theta_dot/2) sigma_y with sta."""
+    matrices, so H(t) is H2 above, plus the counterdiabatic term with sta."""
     return DriveSet(params, 0, _SZ, _SX, _SY, _FRAME, _ID)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from knosim import dynamics
 from knosim.fock import StateVector
 from knosim.logical import LogicalFrame
 from knosim.model import DriveSet, ModelParams
@@ -53,3 +54,17 @@ def constant_system(h: np.ndarray, tau: float = 1.0) -> DriveSet:
 @pytest.fixture(scope="session")
 def fig1_params():
     return linear_response_params()
+
+
+@pytest.fixture
+def steps_computed(monkeypatch):
+    """The step count of each propagation pass run while the test runs."""
+    passes = []
+    propagate = dynamics._propagate
+
+    def counting(system, psi0, sta, n_steps, *args):
+        passes.append(n_steps)
+        return propagate(system, psi0, sta, n_steps, *args)
+
+    monkeypatch.setattr(dynamics, "_propagate", counting)
+    return passes

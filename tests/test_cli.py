@@ -154,6 +154,19 @@ class TestSimulate:
         assert "linear response" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_polar_readout_needs_sta(self, tmp_path, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("propagation started for an unreadable polar angle")
+
+        monkeypatch.setattr(cli.dynamics, "run", no_run)
+        cfg_path = write_config(tmp_path, sta=False)
+        out = tmp_path / "sta_off"
+        assert cli.main(["simulate", cfg_path, "--out", str(out)]) == 2
+        assert "polar-angle readout" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli.main(["validate", cfg_path]) == 1
+        assert "FAIL the polar-angle readout needs the counterdiabatic ramp" in capsys.readouterr().out
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"preset": "fig2-4", "bogus": 1}))
@@ -210,10 +223,10 @@ class TestSweep:
             assert float(row[7]) == history[-1][1]
 
     def test_failed_point_has_empty_history(self, tmp_path, monkeypatch):
-        def singular(params, protocol, initial, **kw):
+        def singular(params, initial, sta, **kw):
             raise SingularDriveError("vanishing gap")
 
-        monkeypatch.setattr(cli.topology, "chern_from_run", singular)
+        monkeypatch.setattr(cli.dynamics, "run", singular)
         out = tmp_path / "sweep"
         assert cli.main(["sweep", write_config(tmp_path), "--chis=-1", "--out", str(out)]) == 0
         row = (out / "sweep.csv").read_text().splitlines()[1].split(",")
@@ -247,6 +260,22 @@ class TestSweep:
         man = json.loads((out / "run-manifest.json").read_text())
         assert man["sweep_protocol"] == "sta"
         assert (out / "sweep.csv").read_text().splitlines()[1].split(",")[2] == "sta_polar"
+
+    @pytest.mark.parametrize("preset", ["fig2-4", "fig1"])
+    def test_sweep_point_is_the_simulate_readout(self, tmp_path, preset):
+        # simulate and sweep read C1 off the same run by the same topology.chern
+        cfg_path = write_config(tmp_path, preset=preset)
+        sim, sweep = tmp_path / "sim", tmp_path / "sweep"
+        assert cli.main(["simulate", cfg_path, "--chi", "0.3", "--out", str(sim)]) == 0
+        assert cli.main(["sweep", cfg_path, "--chis=0.3", "--out", str(sweep)]) == 0
+        chern = json.loads((sim / "chern.json").read_text())
+        row = (sweep / "sweep.csv").read_text().splitlines()[1].split(",")
+        assert row[5] == "ok"
+        assert float(row[1]) == chern["c1"]
+        assert row[2] == chern["method"] == {"fig2-4": "sta_polar", "fig1": "linear_response"}[preset]
+        assert row[4] == ("true" if chern["converged"] else "false")
+        assert int(row[6]) == chern["n_steps_used"]
+        assert float(row[7]) == chern["refine_diff"]
 
     def test_sweep_without_chis(self, tmp_path):
         assert cli.main(["sweep", write_config(tmp_path), "--out", str(tmp_path / "x")]) == 2

@@ -239,18 +239,6 @@ def _exact_step(chi):
 class TestStepCount:
     """The step count comes from refine_tol, within a cap on the steps computed."""
 
-    @pytest.fixture
-    def steps_computed(self, monkeypatch):
-        passes = []
-        propagate = dynamics._propagate
-
-        def counting(system, psi0, sta, n_steps, *args):
-            passes.append(n_steps)
-            return propagate(system, psi0, sta, n_steps, *args)
-
-        monkeypatch.setattr(dynamics, "_propagate", counting)
-        return passes
-
     @pytest.mark.parametrize("chi", [0.3, -0.6, 1.35])
     def test_fig24_default_converges_at_800(self, chi, steps_computed):
         traj = dynamics.run(sta_params(chi=chi), sta=True)
@@ -340,6 +328,14 @@ class TestEigenstateFidelity:
         traj = dynamics.run(p, sta=False, n_steps=500, n_samples=21)
         with pytest.raises(ConfigError):
             dynamics.instantaneous_eigenstate_fidelity(traj)
+
+    @pytest.mark.parametrize("phi", [np.pi / 2, np.pi])
+    @pytest.mark.parametrize("propagate", [dynamics.run, twolevel.reference_dynamics])
+    def test_follows_eigenstate_at_any_azimuth(self, propagate, phi):
+        # the counterdiabatic term turns with the drive's azimuth, and the
+        # eigenstate axis with it
+        traj = propagate(sta_params(chi=0.3, phi=phi), sta=True)
+        assert dynamics.instantaneous_eigenstate_fidelity(traj).min_fidelity >= 1 - 1e-8
 
     def test_lower_branch(self):
         traj = dynamics.run(sta_params(), initial="ket1", sta=True, n_steps=800, n_samples=41)

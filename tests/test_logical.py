@@ -37,7 +37,7 @@ def frame_operators(frame):
 def ops(frame):
     """sx, sy, sz, projector; sy is logical.sigma_y, the others inline dyads."""
     sx, _, sz, proj = frame_operators(frame)
-    return sx, logical.sigma_y(frame), sz, proj
+    return sx, logical.sigma_y(frame, 0.0), sz, proj
 
 
 class TestBuildFrame:
@@ -178,5 +178,9 @@ class TestReadout:
 
     @pytest.mark.parametrize("system", ["drive_set", "twolevel"])
     def test_sigma_y_is_the_dyads(self, reduced_frames, system):
+        # sy_bar turned to azimuth phi: -sin phi sx_bar + cos phi sy_bar
         frame = reduced_frames[system]
-        assert np.abs(logical.sigma_y(frame) - frame_operators(frame)[1]).max() <= 1e-15
+        sx, sy = frame_operators(frame)[:2]
+        for phi in (0.0, 0.5, np.pi / 2, np.pi, -2.0):
+            want = -np.sin(phi) * sx + np.cos(phi) * sy
+            assert np.abs(logical.sigma_y(frame, phi) - want).max() <= 1e-15

@@ -31,6 +31,13 @@ def make_traj(theta, sx, sy, sz, params, sta=False, initial="ket0", **kw):
     )
 
 
+def rotation_traj(params, initial="ket0", sta=True):
+    """A stand-in run whose Bloch vector turns from the north to the south
+    pole: chern reads C1 = 1 from it."""
+    theta = np.linspace(0, np.pi, 41)
+    return make_traj(theta, np.sin(theta), 0.0, np.cos(theta), params, sta=sta, initial=initial)
+
+
 def sta_series_traj():
     """A placeholder run for chern_sta tests that only check the series."""
     return make_traj(np.linspace(0, np.pi, 11), 0.0, 0.0, 1.0, sta_params(), sta=True)
@@ -44,8 +51,8 @@ class TestBerryCurvature:
         series = topology.berry_curvature(traj)
         # pointwise B_theta oscillates around sin(theta)/2 (ramp turn-on
         # transient) but the oscillation integrates away
-        assert abs(float(np.trapezoid(series.b_theta - np.sin(series.theta) / 2,
-                                      series.theta))) < 0.01
+        theta, b_theta = series.T
+        assert abs(float(np.trapezoid(b_theta - np.sin(theta) / 2, theta))) < 0.01
         res = topology.chern_linear_response(series, traj)
         assert abs(res.c1 - 1) < 0.01
         assert res.method == "linear_response"
@@ -79,20 +86,22 @@ class TestBerryCurvature:
         v = np.pi / p.tau
         traj = make_traj(theta, 0.0, -2 * v / p.omega0, 0.0, p)
         series = topology.berry_curvature(traj)
-        assert np.abs(series.b_theta - np.sin(theta)).max() < 1e-12
+        assert np.abs(series[:, 0] - theta).max() == 0
+        assert np.abs(series[:, 1] - np.sin(theta)).max() < 1e-12
         res = topology.chern_linear_response(series, traj)
         assert abs(res.c1 - 2) < 1e-4
 
     def test_too_few_samples(self):
         theta = np.linspace(0, np.pi, 5)
-        series = topology.CurvatureSeries(theta, np.zeros(5))
+        series = np.stack([theta, np.zeros(5)], axis=1)
         traj = make_traj(theta, 0.0, 0.0, 1.0, linear_response_params())
         with pytest.raises(InsufficientSamplingError):
             topology.chern_linear_response(series, traj)
 
     def test_descending_theta_rejected(self):
+        traj = make_traj(np.linspace(0, np.pi, 3), 0.0, 0.0, 1.0, linear_response_params())
         with pytest.raises(ValueError):
-            topology.CurvatureSeries(np.array([0.0, 1.0, 0.5]), np.zeros(3))
+            topology.chern_linear_response(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]]), traj)
 
 
 class TestThetaQ:
@@ -190,24 +199,25 @@ class TestSweep:
     def test_sweep_records_singular_points(self, monkeypatch):
         from knosim.errors import SingularDriveError, TruncationError
 
-        def boom(params, protocol, initial, **kw):
+        def boom(params, initial, sta, **kw):
             if abs(params.chi - 1.0) < 1e-9:
                 raise SingularDriveError("vanishing gap")
             if abs(params.chi - 2.0) < 1e-9:
                 raise TruncationError("state leaks out of the truncation")
-            return topology.ChernResult(1.0, "sta_polar", params.chi, initial, True)
+            return rotation_traj(params, initial, sta)
 
-        monkeypatch.setattr(topology, "chern_from_run", boom)
+        monkeypatch.setattr(topology.dynamics, "run", boom)
         results = topology.sweep_chi(sta_params(), [0.5, 1.0, 2.0])
         assert results[0].error is None
+        assert abs(results[0].c1 - 1) < 1e-12 and results[0].method == "sta_polar"
         for failed in results[1:]:
             assert failed.error is not None
             assert np.isnan(failed.c1) and not failed.converged
             assert failed.n_steps_used == 0 and failed.refine_history == ()
         assert "leaks" in results[2].error
 
-    def test_linear_response_sweep_with_phase_records_failed_points(self):
-        # every point propagates, then its readout is refused: recorded, not raised
+    def test_linear_response_sweep_with_phase_records_failed_points(self, steps_computed):
+        # each point's readout is refused before it propagates: recorded, not raised
         results = topology.sweep_chi(
             linear_response_params(phi=0.3), [0.5, 1.5], protocol="linear_response",
             n_steps=400, n_samples=41,
@@ -216,6 +226,7 @@ class TestSweep:
         for r in results:
             assert "phi" in r.error
             assert np.isnan(r.c1) and not r.converged
+        assert steps_computed == []
 
     def test_empty_sweep(self):
         with pytest.raises(ValueError):
@@ -242,15 +253,12 @@ class TestSweep:
 
         monkeypatch.setattr(topology, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(topology.os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(
-            topology, "chern_from_run",
-            lambda params, protocol, initial, **kw: topology.ChernResult(
-                1.0, "sta_polar", params.chi, initial, True),
-        )
+        monkeypatch.setattr(topology.dynamics, "run", lambda params, initial, sta, **kw:
+                            rotation_traj(params, initial, sta))
         results = topology.sweep_chi(sta_params(), [0.1 * i for i in range(n_chis)], jobs=jobs)
         assert len(results) == n_chis
         assert started == ([workers] if workers else [])
 
-    def test_chern_from_run_unknown_protocol(self):
+    def test_unknown_protocol(self):
         with pytest.raises(ValueError):
-            topology.chern_from_run(sta_params(), "adiabatic")
+            topology.sweep_chi(sta_params(), [0.5], protocol="adiabatic")
