@@ -253,8 +253,7 @@ class TestSweep:
 
         monkeypatch.setattr(topology, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(topology.os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(topology.dynamics, "run", lambda params, initial, sta, **kw:
-                            rotation_traj(params, initial, sta))
+        monkeypatch.setattr(topology.dynamics, "run", rotation_traj)
         results = topology.sweep_chi(sta_params(), [0.1 * i for i in range(n_chis)], jobs=jobs)
         assert len(results) == n_chis
         assert started == ([workers] if workers else [])
