@@ -154,32 +154,32 @@ def resolve_config(spec: str, overrides: dict | None = None,
 
 # ---------------------------------------------------------------- output ---
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (float, np.floating)):
-        return FLOAT_FMT.format(float(x))
-    return str(x)
-
-
-def _write_table(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+def _column_text(col: np.ndarray) -> list[str]:
+    """One column's CSV cells: FLOAT_FMT for floats, each distinct bit
+    pattern formatted once (so -0.0 and 0.0 stay apart), true/false for
+    bools and str otherwise."""
+    if col.dtype.kind == "f":
+        bits, where = np.unique(col.astype(np.float64).view(np.int64), return_inverse=True)
+        text = [FLOAT_FMT.format(v) for v in bits.view(np.float64).tolist()]
+        return [text[i] for i in where.tolist()]
+    if col.dtype.kind == "b":
+        return ["true" if v else "false" for v in col.tolist()]
+    return [str(v) for v in col.tolist()]
 
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _table(path_base: Path, fmt: str, header: list[str], rows) -> None:
+def _table(path_base: Path, fmt: str, columns: dict[str, np.ndarray]) -> None:
+    """Write columns, name -> 1-D array in column order, as a CSV table or
+    as a JSON object of lists."""
     if fmt == "csv":
-        _write_table(path_base.with_suffix(".csv"), header, rows)
+        cells = zip(*(_column_text(col) for col in columns.values()))
+        lines = [",".join(columns), *map(",".join, cells)]
+        path_base.with_suffix(".csv").write_text("\n".join(lines) + "\n")
     else:
-        cols = list(zip(*rows)) if rows else [[] for _ in header]
-        obj = {h: [v if not isinstance(v, (float, np.floating)) else float(v) for v in col]
-               for h, col in zip(header, cols)}
-        _write_json(path_base.with_suffix(".json"), obj)
+        _write_json(path_base.with_suffix(".json"), {h: col.tolist() for h, col in columns.items()})
 
 
 def _edge_population(state: fock.StateVector) -> float:
@@ -211,10 +211,6 @@ def _manifest(cfg: ExperimentConfig, extra: dict) -> dict:
     return man
 
 
-def _traj_rows(traj: dynamics.Trajectory):
-    return zip(traj.t, traj.theta, traj.sx, traj.sy, traj.sz, traj.pop, traj.norm)
-
-
 TRAJ_HEADER = ["t_us", "theta_rad", "sx", "sy", "sz", "pop", "norm"]
 READOUT_TABLES = {  # ChernResult.method -> the file and header of its series
     "linear_response": ("curvature", ["theta_rad", "b_theta"]),
@@ -224,9 +220,10 @@ CHERN_FIELDS = (  # the ChernResult fields chern.json records
     "c1", "method", "chi", "initial", "converged", "refine_diff", "n_steps_used",
     "refine_history", "c1_quadrature", "warning",
 )
-SWEEP_HEADER = [
-    "chi", "c1", "method", "initial", "converged", "status", "n_steps_used", "refine_diff",
-]
+SWEEP_COLUMNS = {  # sweep.csv's columns and their types; strings as objects, kept exact
+    "chi": float, "c1": float, "method": object, "initial": object, "converged": bool,
+    "status": object, "n_steps_used": int, "refine_diff": float,
+}
 
 
 # ------------------------------------------------------------- protocols ---
@@ -261,7 +258,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if error:
         raise ConfigError(error)
     outdir = Path(cfg.out)
-    writes = []  # (basename, header, rows) or ("json", name, obj)
+    tables = {}  # basename -> columns (see _table)
+    records = {}  # basename -> a JSON object
 
     if cfg.protocol == "sweep":
         if not cfg.chi_values:
@@ -271,12 +269,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             cfg.params, cfg.chi_values, protocol=sub, initial=cfg.initial,
             jobs=cfg.jobs, n_steps=cfg.n_steps, n_samples=cfg.n_samples,
         )
-        rows = [
-            (r.chi, r.c1, r.method, r.initial, r.converged, r.error or "ok",
-             r.n_steps_used, r.refine_diff)
-            for r in results
-        ]
-        writes.append(("sweep", SWEEP_HEADER, rows))
+        tables["sweep"] = {
+            h: np.array([(r.error or "ok") if h == "status" else getattr(r, h) for r in results],
+                        dtype=kind)
+            for h, kind in SWEEP_COLUMNS.items()
+        }
         extra = {
             "sweep_protocol": sub,
             "n_points": len(results),
@@ -292,7 +289,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             cfg.params, initial=cfg.initial, sta=cfg.sta,
             n_steps=cfg.n_steps, n_samples=cfg.n_samples, snapshot_times=snap_times,
         )
-        writes.append(("trajectory", TRAJ_HEADER, list(_traj_rows(traj))))
+        tables["trajectory"] = dict(zip(TRAJ_HEADER, (
+            traj.t, traj.theta, traj.sx, traj.sy, traj.sz, traj.pop, traj.norm)))
         extra = {
             "converged": traj.converged,
             "n_steps_used": traj.n_steps,
@@ -303,41 +301,42 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         }
         if cfg.protocol == "wigner_movie":
             extra["snapshot_times_us"] = snap_times
-            for k, state in enumerate(traj.snapshots.values()):
-                grid = wigner_mod.wigner(state, cfg.half_width, cfg.n_points)
-                rows = [
-                    (re, im, grid.values[i, j], bool(grid.low_confidence[i, j]))
-                    for i, im in enumerate(grid.im_axis)
-                    for j, re in enumerate(grid.re_axis)
-                ]
-                writes.append((f"wigner_t{k}", ["re_alpha", "im_alpha", "w", "low_confidence"], rows))
+            grids = wigner_mod.wigner(list(traj.snapshots.values()), cfg.half_width, cfg.n_points)
+            for k, grid in enumerate(grids):  # row i, column j is W(re_axis[j] + 1i*im_axis[i])
+                tables[f"wigner_t{k}"] = {
+                    "re_alpha": np.tile(grid.re_axis, grid.im_axis.size),
+                    "im_alpha": np.repeat(grid.im_axis, grid.re_axis.size),
+                    "w": grid.values.ravel(),
+                    "low_confidence": grid.low_confidence.ravel(),
+                }
         else:
             chern = topology.chern(traj)
-            writes.append((*READOUT_TABLES[chern.method], [tuple(r) for r in chern.series]))
-            record = {k: getattr(chern, k) for k in CHERN_FIELDS}
-            record["stabilizer_ratio"] = cfg.params.stabilizer_ratio
-            writes.append(("json", "chern", record))
+            name, header = READOUT_TABLES[chern.method]
+            tables[name] = dict(zip(header, chern.series.T))
+            records["chern"] = {k: getattr(chern, k) for k in CHERN_FIELDS}
+            records["chern"]["stabilizer_ratio"] = cfg.params.stabilizer_ratio
 
     manifest = _manifest(cfg, extra)
 
     outdir.mkdir(parents=True, exist_ok=True)
-    for item in writes:
-        if item[0] == "json":
-            _write_json(outdir / f"{item[1]}.json", item[2])
-        else:
-            name, header, rows = item
-            _table(outdir / name, cfg.format, header, rows)
-    _write_json(outdir / "run-manifest.json", manifest)
+    for name, columns in tables.items():
+        _table(outdir / name, cfg.format, columns)
+    for name, record in {**records, "run-manifest": manifest}.items():
+        _write_json(outdir / f"{name}.json", record)
     return manifest
 
 
 def estimated_runtime_s(cfg: ExperimentConfig, worst: bool = False) -> float:
     """Steps (matrices diagonalized) of the configured runs, one after
     another, times the step cost: as if each run converges at its first doubling, or with worst, as if
-    each computes its whole step budget."""
+    each computes its whole step budget. A Wigner movie adds its grids, one
+    stacked wigner call timed once per process (wigner.grid_seconds)."""
     n_runs = max(1, len(cfg.chi_values)) if cfg.protocol == "sweep" else 1
     per_run = dynamics.step_budget if worst else dynamics.expected_steps
-    return n_runs * per_run(cfg.n_steps, cfg.n_samples) * dynamics.step_seconds(cfg.params, cfg.sta)
+    steps_s = n_runs * per_run(cfg.n_steps, cfg.n_samples) * dynamics.step_seconds(cfg.params, cfg.sta)
+    if cfg.protocol != "wigner_movie":
+        return steps_s
+    return steps_s + wigner_mod.grid_seconds(cfg.params.dim, len(SNAPSHOT_FRACTIONS), cfg.n_points)
 
 
 def validate_config(cfg: ExperimentConfig) -> tuple[bool, list[str]]:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import logical, model
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, SingularDriveError
 from .fock import StateVector
 from .model import ModelParams
 
@@ -266,23 +266,21 @@ class FidelityResult(NamedTuple):
     branch: str  # "upper" or "lower" instantaneous eigenstate
 
 
-def instantaneous_eigenstate_fidelity(traj: Trajectory, rtol: float = 1e-9) -> FidelityResult:
+def instantaneous_eigenstate_fidelity(traj: Trajectory) -> FidelityResult:
     """Fidelity of the projected qubit state with the analytic eigenstate.
 
-    Valid in the counterdiabatic setting delta_z = omega0, where the mixing
-    angle is Theta = atan2(sin th, cos th + chi). The eigenstate branch is the
-    one the trajectory starts in. Uses only the sampled Bloch data: the
-    projected pure state has fidelity (1 + s_hat . n_hat)/2 with the
-    eigenstate whose Bloch axis is n_hat = (sin Theta cos phi, sin Theta sin phi,
-    cos Theta), phi the drive's azimuth.
+    The eigenstate's polar angle is the drive's mixing angle Theta
+    (model.mixing_angle), the one the counterdiabatic term follows; the
+    branch is the one the trajectory starts in. Uses only the sampled Bloch
+    data: the projected pure state has fidelity (1 + s_hat . n_hat)/2 with
+    the eigenstate whose Bloch axis is n_hat = (sin Theta cos phi,
+    sin Theta sin phi, cos Theta), phi the drive's azimuth. With delta_z = 0
+    the drive vanishes at theta = 0, so there is no eigenstate to follow.
     """
     p = traj.params
-    if abs(p.delta_z - p.omega0) > rtol * max(abs(p.omega0), 1e-300):
-        raise ConfigError(
-            "eigenstate fidelity defined for the STA setting delta_z = omega0"
-        )
-    chi = p.chi
-    big_theta = np.array([model.mixing_angle(th, chi) for th in traj.theta])
+    if p.delta_z == 0.0:
+        raise SingularDriveError("no eigenstate at theta=0 with delta_z=0: the drive vanishes")
+    big_theta = model.mixing_angle(traj.theta, p.chi, p.rho)
     nhat = np.stack([np.sin(big_theta) * np.cos(p.phi), np.sin(big_theta) * np.sin(p.phi),
                      np.cos(big_theta)], axis=1)
     shat = traj.bloch() / traj.pop[:, None]

@@ -117,6 +117,11 @@ class ModelParams:
         return self.delta_0 / self.delta_z if self.delta_z != 0.0 else 0.0
 
     @property
+    def rho(self) -> float:
+        """omega0 / delta_z, the ramp manifold's aspect ratio; inf with delta_z = 0."""
+        return self.omega0 / self.delta_z if self.delta_z != 0.0 else np.inf
+
+    @property
     def stabilizer_ratio(self) -> float:
         """exp(2 alpha0^2) * Omega0 / P; the drives must keep this small."""
         return float(np.exp(2 * self.alpha0**2) * abs(self.omega0) / self.pump)
@@ -161,24 +166,31 @@ def hy(params: ModelParams) -> np.ndarray:
     return -1j / (2 * a0) * np.exp(2 * a0**2) * (a.conj().T - a)
 
 
-def cd_coefficient(theta, theta_dot, chi: float):
-    """Closed-form Theta_dot for Theta = arctan(sin th / (cos th + chi)),
-    elementwise over theta and theta_dot.
+def cd_coefficient(theta, theta_dot, chi: float, rho: float = 1.0):
+    """Closed-form Theta_dot for the mixing angle Theta (see mixing_angle),
 
-    Valid in the counterdiabatic setting delta_z = omega0 (caller asserts).
-    |chi| within DEGENERACY_ATOL of 1 puts the degeneracy on the ramp, a
-    SingularDriveError whatever the theta grid; at any other chi the
-    denominator sin^2 th + (cos th + chi)^2 is positive.
+        Theta_dot = theta_dot rho (1 + chi cos th) / (rho^2 sin^2 th + (cos th + chi)^2),
+
+    elementwise over theta and theta_dot, rho = omega0 / delta_z. |chi|
+    within DEGENERACY_ATOL of 1 puts the degeneracy on the ramp, and
+    delta_z = 0 (rho infinite) starts it at zero drive: a SingularDriveError
+    whatever the theta grid. At any other chi and nonzero rho the denominator
+    is positive.
     """
     if abs(abs(chi) - 1.0) < DEGENERACY_ATOL:
         raise SingularDriveError(f"counterdiabatic coefficient singular at chi={chi}")
+    if not np.isfinite(rho):
+        raise SingularDriveError("counterdiabatic coefficient singular at delta_z=0")
     cos = np.cos(theta)
-    return theta_dot * (1 + chi * cos) / (np.sin(theta) ** 2 + (cos + chi) ** 2)
+    return theta_dot * rho * (1 + chi * cos) / (rho**2 * np.sin(theta) ** 2 + (cos + chi) ** 2)
 
 
-def mixing_angle(theta: float, chi: float) -> float:
-    """Theta = atan2(sin theta, cos theta + chi), continuous on [0, pi]."""
-    return float(np.arctan2(np.sin(theta), np.cos(theta) + chi)) % (2 * np.pi)
+def mixing_angle(theta, chi: float, rho: float = 1.0):
+    """Theta = atan2(rho sin theta, cos theta + chi) mod 2 pi, elementwise,
+    rho = omega0 / delta_z: the polar angle of the drive (Om, Dz), that is
+    atan2(omega0 sin th, delta_z cos th + delta_0), for delta_z > 0 (and pi
+    off it, the other eigenstate, for delta_z < 0)."""
+    return np.arctan2(rho * np.sin(theta), np.cos(theta) + chi) % (2 * np.pi)
 
 
 class DriveSet:
@@ -228,7 +240,7 @@ class DriveSet:
         m = self.h0 + p.delta_z_of(th) * self.hz_half
         m += p.omega_of(th) * self.hphi_half
         if sta:
-            m += cd_coefficient(th, self.schedule.theta_dot(t), p.chi) * self.sy_half
+            m += cd_coefficient(th, self.schedule.theta_dot(t), p.chi, p.rho) * self.sy_half
         return m
 
 

@@ -9,15 +9,22 @@ With x = 4|a|^2 and rho = |psi><psi| (Cahill & Glauber, Phys. Rev. 177, 1857
 |M| <= 1, so its three-term recurrence in n cannot overflow. It runs over the
 whole grid at once, per diagonal k and index n (memory O(grid)), in the state's
 own truncation: W is exact to rounding while e^{-2|a|^2} is a normal float.
+M depends on the grid alone, so a sequence of states (a Wigner movie's
+snapshots) shares one recurrence, each state adding its own rho_{n+k,n} M_n^(k)
+in the order a single state's call would.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import timeit
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatchError
 from .fock import StateVector
 
 MIN_GRID_POINTS = 41
@@ -39,16 +46,27 @@ class WignerGrid:
         return float(self.values[i, j])
 
 
-def wigner(psi: StateVector, half_width: float = 4.5, n_points: int = 81) -> WignerGrid:
-    """Evaluate W on the square grid |Re a|, |Im a| <= half_width."""
+def wigner(psi: StateVector | Sequence[StateVector], half_width: float = 4.5,
+           n_points: int = 81) -> WignerGrid | list[WignerGrid]:
+    """Evaluate W on the square grid |Re a|, |Im a| <= half_width: one grid for
+    one state, or a list of them for a sequence of states of one dimension.
+    The recurrence runs once for the whole sequence, and each state's grid is
+    bitwise the grid of its own call."""
     if n_points < MIN_GRID_POINTS:
         raise ValueError(f"n_points must be >= {MIN_GRID_POINTS}, got {n_points}")
+    states = [psi] if isinstance(psi, StateVector) else list(psi)
+    dims = {s.dim for s in states}
+    if len(dims) != 1:
+        raise DimensionMismatchError(f"states of one dimension needed, got {sorted(dims)}")
+    dim = dims.pop()
     axis = np.linspace(-half_width, half_width, n_points)
     alpha = axis[None, :] + 1j * axis[:, None]
     x = 4 * np.abs(alpha) ** 2
-    amp, dim = psi.amplitudes, psi.dim
-    signed_rho = np.outer(amp, amp.conj()) * (-1.0) ** np.arange(dim)  # (-1)^n rho_{m,n}
-    total = np.zeros(alpha.shape, dtype=complex)
+    amp = np.stack([s.amplitudes for s in states])
+    # (-1)^n rho_{m,n}, indexed [m, n, state]: each entry scales a stack of grids
+    signed_rho = np.moveaxis(amp[:, :, None] * amp.conj()[:, None, :] * (-1.0) ** np.arange(dim),
+                             0, -1)[..., None, None]
+    total = np.zeros((len(states),) + alpha.shape, dtype=complex)
     m_first = np.exp(-x / 2).astype(complex)  # M_0^(k), advanced in k
     for k in range(dim):
         m_prev, m = 0, m_first
@@ -60,4 +78,16 @@ def wigner(psi: StateVector, half_width: float = 4.5, n_points: int = 81) -> Wig
         total += diag if k == 0 else 2 * diag
         m_first = m_first * (2 * np.conj(alpha) / math.sqrt(k + 1))
     values = 2 / np.pi * total.real
-    return WignerGrid(axis, axis.copy(), values, np.zeros(values.shape, dtype=bool))
+    grids = [WignerGrid(axis, axis.copy(), v, np.zeros(v.shape, dtype=bool)) for v in values]
+    return grids[0] if isinstance(psi, StateVector) else grids
+
+
+@functools.cache
+def grid_seconds(dim: int, n_states: int, n_points: int) -> float:
+    """Cost of one wigner call on n_states states of dim levels over an
+    n_points grid, measured once per process as dynamics.step_seconds measures
+    a step: the median of a few calls after a warm-up call. The cost does not
+    depend on the states' amplitudes."""
+    states = [StateVector(np.full(dim, dim**-0.5, dtype=complex))] * n_states
+    runs = timeit.repeat(lambda: wigner(states, n_points=n_points), number=1, repeat=4)
+    return float(np.median(runs[1:]))

@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knosim import cli
 from knosim.errors import ConfigError, SingularDriveError
@@ -201,6 +204,67 @@ class TestDeterminism:
         assert outputs("jobs1", [*sweep, "1"]) == outputs("jobs2", [*sweep, "2"])
 
 
+def old_row_table(path_base: Path, fmt: str, header: list[str], rows) -> None:
+    """The row-at-a-time writer the column writer replaced, kept as its oracle."""
+    def cell(x) -> str:
+        if isinstance(x, (bool, np.bool_)):
+            return "true" if x else "false"
+        if isinstance(x, (float, np.floating)):
+            return "{:.17g}".format(float(x))
+        return str(x)
+
+    if fmt == "csv":
+        lines = [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
+        path_base.with_suffix(".csv").write_text("\n".join(lines) + "\n")
+    else:
+        cols = list(zip(*rows)) if rows else [[] for _ in header]
+        obj = {h: [v if not isinstance(v, (float, np.floating)) else float(v) for v in col]
+               for h, col in zip(header, cols)}
+        path_base.with_suffix(".json").write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 2.2250738585072014e-308]
+CELLS = {
+    "float": st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_subnormal=True)),
+    "bool": st.booleans(),
+    "int": st.integers(-(2**62), 2**62),
+    "str": st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+}
+
+
+@st.composite
+def tables(draw):
+    """(kind, Python values) columns of one kind each."""
+    n_rows = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=5))
+    return [(kind, draw(st.lists(CELLS[kind], min_size=n_rows, max_size=n_rows)))
+            for kind in kinds]
+
+
+class TestColumnWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(tables(), st.sampled_from(["csv", "json"]))
+    def test_bytes_equal_the_row_writer(self, columns, fmt):
+        header = [f"c{k}" for k in range(len(columns))]
+        # as the CLI builds them: strings as objects, which numpy keeps exact
+        arrays = {h: np.array(col, dtype=object if kind == "str" else None)
+                  for h, (kind, col) in zip(header, columns)}
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp) / "new", Path(tmp) / "old"
+            cli._table(new, fmt, arrays)
+            old_row_table(old, fmt, header, list(zip(*(col for _, col in columns))))
+            suffix = "." + fmt
+            assert new.with_suffix(suffix).read_bytes() == old.with_suffix(suffix).read_bytes()
+
+    def test_zero_signs_and_nan_payloads(self, tmp_path):
+        # distinct bit patterns are formatted apart, equal ones once
+        payload_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+        col = np.array([0.0, -0.0, 0.0, np.nan, payload_nan, -np.inf, 1e-320, -0.0])
+        cli._table(tmp_path / "t", "csv", {"x": col})
+        assert (tmp_path / "t.csv").read_text().split() == [
+            "x", "0", "-0", "0", "nan", "nan", "-inf", "9.9998886718268301e-321", "-0"]
+
+
 class TestSweep:
     def test_sweep_csv(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -312,6 +376,25 @@ class TestWigner:
         assert man["n_steps_used"] == 800
         assert [n for n, _ in man["refine_history"]] == [800]
 
+    def test_json_format(self, tmp_path):
+        cfg_path = write_config(tmp_path, half_width=3.0, n_points=41)
+        csv, js = tmp_path / "csv", tmp_path / "json"
+        assert cli.main(["wigner", cfg_path, "--out", str(csv)]) == 0
+        assert cli.main(["wigner", cfg_path, "--format", "json", "--out", str(js)]) == 0
+        for k in range(5):
+            obj = json.loads((js / f"wigner_t{k}.json").read_text())
+            assert list(obj) == ["im_alpha", "low_confidence", "re_alpha", "w"]
+            assert all(len(col) == 41 * 41 for col in obj.values())
+            assert obj["low_confidence"] == [False] * (41 * 41)
+            # row by row the CSV's cells, im_alpha outer and re_alpha inner
+            rows = [line.split(",") for line in
+                    (csv / f"wigner_t{k}.csv").read_text().splitlines()[1:]]
+            for h, col in enumerate(("re_alpha", "im_alpha", "w")):
+                assert [float(r[h]) for r in rows] == obj[col]
+        axis = np.linspace(-3.0, 3.0, 41).tolist()
+        assert obj["re_alpha"] == axis * 41
+        assert obj["im_alpha"] == [v for v in axis for _ in range(41)]
+
     def test_sta_off_is_honoured(self, tmp_path):
         cfg_path = write_config(tmp_path, half_width=3.0, n_points=41)
         runs = {}
@@ -391,6 +474,26 @@ class TestValidate:
         # printed to 3 significant digits, so a 0.0 printout fails
         assert float(report["estimated_runtime_s"]) == pytest.approx(1200 * step_s, rel=6e-3)
         assert float(report["max_runtime_s"]) == pytest.approx(28000 * step_s, rel=6e-3)
+
+    def test_movie_estimate_adds_its_grids(self, tmp_path, monkeypatch):
+        # the step and grid timers patched: 1200 steps of 2e-5 s plus one
+        # stacked call for the five snapshots at the config's dim and grid
+        calls = []
+
+        def grid_seconds(dim, n_states, n_points):
+            calls.append((dim, n_states, n_points))
+            return 0.25
+
+        monkeypatch.setattr(cli.dynamics, "step_seconds", lambda params, sta: 2e-5)
+        monkeypatch.setattr(cli.wigner_mod, "grid_seconds", grid_seconds)
+        movie = cli.resolve_config(write_config(tmp_path, protocol="wigner_movie", n_steps=None,
+                                                n_samples=401, n_points=61))
+        assert cli.estimated_runtime_s(movie) == pytest.approx(1200 * 2e-5 + 0.25)
+        assert cli.estimated_runtime_s(movie, worst=True) == pytest.approx(28000 * 2e-5 + 0.25)
+        assert calls == [(30, 5, 61)] * 2
+        movie.protocol = "sta"
+        assert cli.estimated_runtime_s(movie) == pytest.approx(1200 * 2e-5)
+        assert len(calls) == 2
 
     def test_linear_response_with_sta_fails(self, capsys):
         assert cli.main(["validate", "fig1", "--sta", "on"]) == 1

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import linear_response_params, sta_params
 from knosim import cli, dynamics, logical, model, topology, twolevel
-from knosim.errors import ConfigError, DimensionMismatchError
+from knosim.errors import ConfigError, DimensionMismatchError, SingularDriveError
 from knosim.fock import StateVector
 
 
@@ -323,10 +323,22 @@ class TestEigenstateFidelity:
         res = dynamics.instantaneous_eigenstate_fidelity(traj)
         assert res.min_fidelity < 0.9
 
-    def test_requires_matched_drives(self):
-        p = sta_params(delta_z=2 * sta_params().omega0)
-        traj = dynamics.run(p, sta=False, n_steps=500, n_samples=21)
-        with pytest.raises(ConfigError):
+    def test_follows_eigenstate_off_the_matched_drives(self):
+        # delta_z = 2 omega0: the counterdiabatic term is the exact Theta_dot of
+        # Theta = atan2(omega0 sin th, delta_z cos th + delta_0), not its
+        # delta_z = omega0 form (which let the fidelity fall to 0.9705 here).
+        # 1600 -> 3200 steps, since the 2x2's midpoint error is 3e-12 at 400 -> 800.
+        omega0 = sta_params().omega0
+        p = sta_params(delta_z=2 * omega0, delta_0=0.5 * 2 * omega0)
+        assert p.chi == 0.5 and p.rho == 0.5
+        osc = dynamics.run(p, sta=True, n_steps=1600)
+        assert dynamics.instantaneous_eigenstate_fidelity(osc).min_fidelity >= 1 - 1e-8
+        two = twolevel.reference_dynamics(p, sta=True, n_steps=1600)
+        assert dynamics.instantaneous_eigenstate_fidelity(two).min_fidelity >= 1 - 1e-12
+
+    def test_no_eigenstate_without_delta_z(self):
+        traj = dynamics.run(sta_params(delta_z=0.0), sta=False, n_steps=500, n_samples=21)
+        with pytest.raises(SingularDriveError, match="delta_z=0"):
             dynamics.instantaneous_eigenstate_fidelity(traj)
 
     @pytest.mark.parametrize("phi", [np.pi / 2, np.pi])

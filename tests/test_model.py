@@ -312,6 +312,35 @@ class TestCdCoefficient:
         exact = (1 + chi * cos) / ((cos + chi) ** 2)
         assert abs(model.cd_coefficient(th, 1.0, chi) / exact - 1) <= 1e-6
 
+    @pytest.mark.parametrize("omega0, delta_z", [(1.0, 2.0), (0.7, -1.3), (-2.0, 0.5)])
+    def test_matches_derivative_of_the_drive_angle(self, omega0, delta_z):
+        # off delta_z = omega0: Theta = atan2(omega0 sin th, delta_z cos th + delta_0)
+        chi, thd, h = 0.5, 1.7, 1e-6
+        p = sta_params(omega0=omega0, delta_z=delta_z, delta_0=chi * delta_z)
+        for th in np.linspace(0.2, 3.0, 8):
+            num = np.diff(np.unwrap(np.arctan2(p.omega_of(th + np.array([-h, h])),
+                                               p.delta_z_of(th + np.array([-h, h])))))[0]
+            ana = model.cd_coefficient(th, thd, p.chi, p.rho)
+            assert abs(num / (2 * h) * thd - ana) <= 1e-7 * max(abs(ana), 1.0)
+
+    def test_matched_drives_are_bitwise_the_rho_free_form(self):
+        th = np.linspace(0, np.pi, 101)
+        for chi in (-1.7, -0.4, 0.3, 1.2):
+            cos = np.cos(th)
+            rho_free = 1.3 * (1 + chi * cos) / (np.sin(th) ** 2 + (cos + chi) ** 2)
+            assert np.array_equal(model.cd_coefficient(th, np.full_like(th, 1.3), chi, 1.0), rho_free)
+
+    def test_mixing_angle_is_the_drive_angle(self):
+        p = sta_params(omega0=1.0, delta_z=2.0, delta_0=1.0)
+        th = np.linspace(0, np.pi, 9)
+        expected = np.arctan2(p.omega_of(th), p.delta_z_of(th))
+        assert np.abs(model.mixing_angle(th, p.chi, p.rho) - expected).max() <= 1e-15
+
+    def test_sta_without_delta_z_is_singular(self):
+        p = sta_params(delta_z=0.0)
+        with pytest.raises(SingularDriveError, match="delta_z=0"):
+            model.drive_set(p).total_matrix(0.7, sta=True)
+
     def test_sta_chi_zero_cd_equals_ramp_rate(self):
         sched = model.RampSchedule(shape="cosine", tau=1.5)
         for t in np.linspace(0, 1.5, 7):

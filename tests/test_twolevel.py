@@ -71,7 +71,8 @@ class TestEigensystem:
     )
     def test_total_matrix_is_the_closed_form(self, dz0, chi, om0, phi, frac, shape, sta):
         # system(p).total_matrix(t) = (1/2)[[Dz, Om e^{-i phi}], [Om e^{i phi}, -Dz]]
-        # at theta(t), plus (Theta_dot/2)(-sin phi sigma_x + cos phi sigma_y) with sta
+        # at theta(t), plus (Theta_dot/2)(-sin phi sigma_x + cos phi sigma_y) with sta,
+        # Theta_dot the exact rate of the drive angle at any omega0 / delta_z
         p = ModelParams(kerr=KERR, pump=PUMP, omega0=om0, delta_z=dz0, delta_0=chi * dz0,
                         tau=1.3, schedule=shape, phi=phi)
         t = frac * p.tau
@@ -81,7 +82,7 @@ class TestEigensystem:
         off = om / 2 * np.exp(-1j * phi)
         expected = np.array([[dz / 2, off], [np.conj(off), -dz / 2]])
         if sta:
-            cd = model.cd_coefficient(th, float(ramp.theta_dot(t)), p.chi)
+            cd = model.cd_coefficient(th, float(ramp.theta_dot(t)), p.chi, p.rho)
             cd_off = -1j * np.exp(-1j * phi) * cd / 2
             expected = expected + np.array([[0, cd_off], [np.conj(cd_off), 0]])
         h = twolevel.system(p).total_matrix(t, sta)

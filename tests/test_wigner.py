@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import laguerre
 
 from knosim import fock, wigner
+from knosim.errors import DimensionMismatchError
 
 
 def reference_wigner(amplitudes, alphas):
@@ -122,6 +123,26 @@ class TestGridMechanics:
         # values[i, j] = W(re_axis[j] + 1i * im_axis[i])
         g = vacuum_grid
         assert g.values.shape == (g.im_axis.size, g.re_axis.size)
+
+
+class TestStack:
+    """A sequence of states shares one recurrence; each grid is its own call's."""
+
+    @pytest.mark.parametrize("n_states", range(1, 6))
+    @pytest.mark.parametrize("dim", [8, 30])
+    def test_each_grid_is_bitwise_its_own_call(self, dim, n_states):
+        states = [random_state(dim, 100 * dim + k) for k in range(n_states)]
+        grids = wigner.wigner(states, half_width=3.5, n_points=41)
+        assert isinstance(grids, list) and len(grids) == n_states
+        for psi, grid in zip(states, grids):
+            one = wigner.wigner(psi, half_width=3.5, n_points=41)
+            assert isinstance(one, wigner.WignerGrid)
+            for field in ("re_axis", "im_axis", "values", "low_confidence"):
+                assert np.array_equal(getattr(grid, field), getattr(one, field))
+
+    def test_mixed_dimensions_raise(self):
+        with pytest.raises(DimensionMismatchError, match=r"\[8, 9\]"):
+            wigner.wigner([random_state(8, 1), random_state(9, 2)], n_points=41)
 
 
 class TestClosedForm:
