@@ -13,9 +13,11 @@ also be set through the KNOSIM_OUT environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+import timeit
 from dataclasses import asdict, dataclass, field, replace
 from importlib import metadata
 from pathlib import Path
@@ -212,9 +214,9 @@ def _manifest(cfg: ExperimentConfig, extra: dict) -> dict:
 
 
 TRAJ_HEADER = ["t_us", "theta_rad", "sx", "sy", "sz", "pop", "norm"]
-READOUT_TABLES = {  # ChernResult.method -> the file and header of its series
-    "linear_response": ("curvature", ["theta_rad", "b_theta"]),
-    "sta_polar": ("theta_q", ["theta_rad", "theta_q_rad"]),
+READOUT_TABLES = {  # a run's sta -> the file and header of the series chern reads
+    False: ("curvature", ["theta_rad", "b_theta"]),
+    True: ("theta_q", ["theta_rad", "theta_q_rad"]),
 }
 CHERN_FIELDS = (  # the ChernResult fields chern.json records
     "c1", "method", "chi", "initial", "converged", "refine_diff", "n_steps_used",
@@ -228,6 +230,16 @@ SWEEP_COLUMNS = {  # sweep.csv's columns and their types; strings as objects, ke
 
 # ------------------------------------------------------------- protocols ---
 
+def _grid_columns(grid: wigner_mod.WignerGrid) -> dict[str, np.ndarray]:
+    """A Wigner grid's table: row i, column j is W(re_axis[j] + 1i*im_axis[i])."""
+    return {
+        "re_alpha": np.tile(grid.re_axis, grid.im_axis.size),
+        "im_alpha": np.repeat(grid.im_axis, grid.re_axis.size),
+        "w": grid.values.ravel(),
+        "low_confidence": grid.low_confidence.ravel(),
+    }
+
+
 def _snapshot_times(cfg: ExperimentConfig) -> list[float]:
     """The Wigner movie's snapshot times; none for another protocol."""
     if cfg.protocol != "wigner_movie":
@@ -236,8 +248,11 @@ def _snapshot_times(cfg: ExperimentConfig) -> list[float]:
 
 
 def _run_error(cfg: ExperimentConfig) -> str | None:
-    """Why the configured run cannot be taken, or None: a readout its ramp
-    does not give (see topology.chern), or snapshot times off its sample grid."""
+    """Why the configured run cannot be taken, or None: a sweep without chi
+    values, a readout its ramp does not give (see topology.chern), or snapshot
+    times off its sample grid."""
+    if cfg.protocol == "sweep" and not cfg.chi_values:
+        return "sweep requires a non-empty chi_values list"
     if cfg.protocol == "linear_response" and cfg.sta:
         return "linear response needs the bare ramp: set sta off"
     if cfg.protocol == "sta" and not cfg.sta:
@@ -262,11 +277,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     records = {}  # basename -> a JSON object
 
     if cfg.protocol == "sweep":
-        if not cfg.chi_values:
-            raise ConfigError("sweep requires a non-empty chi_values list")
-        sub = "sta" if cfg.sta else "linear_response"
         results = topology.sweep_chi(
-            cfg.params, cfg.chi_values, protocol=sub, initial=cfg.initial,
+            cfg.params, cfg.chi_values, sta=cfg.sta, initial=cfg.initial,
             jobs=cfg.jobs, n_steps=cfg.n_steps, n_samples=cfg.n_samples,
         )
         tables["sweep"] = {
@@ -275,7 +287,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             for h, kind in SWEEP_COLUMNS.items()
         }
         extra = {
-            "sweep_protocol": sub,
+            "sweep_protocol": "sta" if cfg.sta else "linear_response",
             "n_points": len(results),
             "points": [
                 {"chi": r.chi, "refine_history": r.refine_history,
@@ -302,16 +314,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         if cfg.protocol == "wigner_movie":
             extra["snapshot_times_us"] = snap_times
             grids = wigner_mod.wigner(list(traj.snapshots.values()), cfg.half_width, cfg.n_points)
-            for k, grid in enumerate(grids):  # row i, column j is W(re_axis[j] + 1i*im_axis[i])
-                tables[f"wigner_t{k}"] = {
-                    "re_alpha": np.tile(grid.re_axis, grid.im_axis.size),
-                    "im_alpha": np.repeat(grid.im_axis, grid.re_axis.size),
-                    "w": grid.values.ravel(),
-                    "low_confidence": grid.low_confidence.ravel(),
-                }
+            for k, grid in enumerate(grids):
+                tables[f"wigner_t{k}"] = _grid_columns(grid)
         else:
             chern = topology.chern(traj)
-            name, header = READOUT_TABLES[chern.method]
+            name, header = READOUT_TABLES[cfg.sta]
             tables[name] = dict(zip(header, chern.series.T))
             records["chern"] = {k: getattr(chern, k) for k in CHERN_FIELDS}
             records["chern"]["stabilizer_ratio"] = cfg.params.stabilizer_ratio
@@ -326,17 +333,33 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     return manifest
 
 
+@functools.cache
+def movie_seconds(dim: int, n_points: int) -> float:
+    """Cost of a Wigner movie's grids past its run: the stacked wigner call on
+    its snapshots of dim levels over an n_points grid, and the CSV text of
+    each grid's columns. Measured once per process as dynamics.step_seconds
+    measures a step: the median of a few calls after a warm-up call."""
+    states = [fock.StateVector(np.full(dim, dim**-0.5, dtype=complex))] * len(SNAPSHOT_FRACTIONS)
+
+    def movie():
+        for grid in wigner_mod.wigner(states, n_points=n_points):
+            for col in _grid_columns(grid).values():
+                _column_text(col)
+
+    return float(np.median(timeit.repeat(movie, number=1, repeat=4)[1:]))
+
+
 def estimated_runtime_s(cfg: ExperimentConfig, worst: bool = False) -> float:
     """Steps (matrices diagonalized) of the configured runs, one after
     another, times the step cost: as if each run converges at its first doubling, or with worst, as if
-    each computes its whole step budget. A Wigner movie adds its grids, one
-    stacked wigner call timed once per process (wigner.grid_seconds)."""
+    each computes its whole step budget. A Wigner movie adds its grids and
+    their tables (movie_seconds)."""
     n_runs = max(1, len(cfg.chi_values)) if cfg.protocol == "sweep" else 1
     per_run = dynamics.step_budget if worst else dynamics.expected_steps
     steps_s = n_runs * per_run(cfg.n_steps, cfg.n_samples) * dynamics.step_seconds(cfg.params, cfg.sta)
     if cfg.protocol != "wigner_movie":
         return steps_s
-    return steps_s + wigner_mod.grid_seconds(cfg.params.dim, len(SNAPSHOT_FRACTIONS), cfg.n_points)
+    return steps_s + movie_seconds(cfg.params.dim, cfg.n_points)
 
 
 def validate_config(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
@@ -360,9 +383,6 @@ def validate_config(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
             f"FAIL truncation: need dim >= {p.alpha0**2 + 6 * p.alpha0 + 9:.0f} "
             f"for alpha0={p.alpha0:.3f}, got {p.dim}"
         )
-    if cfg.protocol == "sweep" and not cfg.chi_values:
-        ok = False
-        lines.append("FAIL sweep requires chi_values")
     error = _run_error(cfg)
     if error:
         ok = False
@@ -406,6 +426,8 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 def _apply_chi(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "chi", None) is not None:
+        if cfg.protocol == "sweep":
+            raise ConfigError("--chi sets one run's chi: give a sweep its chi values with --chis")
         cfg.params = replace(cfg.params, delta_0=args.chi * cfg.params.delta_z)
     return cfg
 
@@ -435,11 +457,11 @@ def main(argv=None) -> int:
         # the movie runs the STA ramp unless --sta or the file itself says otherwise
         defaults = {"sta": True} if args.command == "wigner" else None
         cfg = resolve_config(args.config, _overrides(args), defaults)
-        cfg = _apply_chi(cfg, args)
         if args.command == "sweep":
             cfg.protocol = "sweep"
         elif args.command == "wigner":
             cfg.protocol = "wigner_movie"
+        cfg = _apply_chi(cfg, args)
 
         if args.command == "validate":
             ok, lines = validate_config(cfg)

@@ -30,12 +30,13 @@ from .model import ModelParams
 MIN_CURVATURE_POINTS = 10
 MIN_BLOCH_LENGTH = 1e-6
 CLOSED_FORM_QUADRATURE_ATOL = 0.01
+METHOD = {True: "sta_polar", False: "linear_response"}  # a run's sta -> its readout
 
 
 @dataclass(frozen=True)
 class ChernResult:
     c1: float
-    method: str  # "linear_response" or "sta_polar"
+    method: str  # METHOD[sta]
     chi: float
     initial: str
     converged: bool
@@ -76,34 +77,16 @@ def check_readout(params: ModelParams, sta: bool) -> None:
 
 
 def berry_curvature(traj: Trajectory) -> np.ndarray:
-    """(theta, B_theta) pairs from a bare (non-STA, phi = 0) trajectory."""
+    """(theta, B_theta) pairs from a bare (non-STA, phi = 0) trajectory; 0
+    where the ramp stands still (the cosine ramp's t = 0)."""
     p = traj.params
     if traj.sta:
         raise ConfigError("linear response needs the bare ramp: run with sta=False")
     check_readout(p, False)
-    sched = p.ramp()
-    v_theta = np.broadcast_to(np.asarray(sched.theta_dot(traj.t), dtype=float), traj.t.shape)
-    sin_th = np.sin(traj.theta)
-    b = np.zeros_like(sin_th)
-    still = np.abs(v_theta) < 1e-300
-    if np.any(still & (np.abs(sin_th) > 1e-12)):
-        raise ZeroDivisionError("ramp velocity vanishes at an interior sample")
-    ok = ~still
-    b[ok] = -p.omega0 * sin_th[ok] * traj.sy[ok] / (2 * v_theta[ok])
+    v_theta = np.broadcast_to(np.asarray(p.ramp().theta_dot(traj.t), dtype=float), traj.t.shape)
+    b = np.divide(-p.omega0 * np.sin(traj.theta) * traj.sy, 2 * v_theta,
+                  out=np.zeros(traj.t.shape), where=v_theta != 0)
     return np.stack([traj.theta, b], axis=1)
-
-
-def chern_linear_response(series: np.ndarray, traj: Trajectory) -> ChernResult:
-    """C1 = int_0^pi B_theta d theta by trapezoidal quadrature over the
-    (theta, B_theta) series, whose theta must ascend."""
-    if np.any(np.diff(series[:, 0]) < 0):
-        raise ValueError("theta samples must be ascending")
-    if len(series) < MIN_CURVATURE_POINTS:
-        raise InsufficientSamplingError(
-            f"need >= {MIN_CURVATURE_POINTS} curvature samples, got {len(series)}"
-        )
-    c1 = float(np.trapezoid(series[:, 1], series[:, 0]))
-    return ChernResult(c1=c1, method="linear_response", series=series, **_run_fields(traj))
 
 
 def theta_q_series(traj: Trajectory) -> np.ndarray:
@@ -119,37 +102,37 @@ def theta_q_series(traj: Trajectory) -> np.ndarray:
     return np.stack([traj.theta, theta_q], axis=1)
 
 
-def chern_sta(series: np.ndarray, traj: Trajectory) -> ChernResult:
-    """C1q from the polar-angle series.
-
-    Closed form (1/2)[cos theta_q(0) - cos theta_q(pi)] is the exact
-    antiderivative of (1/2) sin(theta_q) d theta_q; the discretized quadrature
-    is reported alongside and must agree within 0.01.
-    """
-    series = np.asarray(series)
-    if series.ndim != 2 or series.shape[1] != 2 or series.shape[0] < 2:
-        raise InsufficientSamplingError("theta_q series must be an (n, 2) array with n >= 2")
-    theta_q = series[:, 1]
-    closed = 0.5 * (np.cos(theta_q[0]) - np.cos(theta_q[-1]))
-    quad = float(np.trapezoid(0.5 * np.sin(theta_q), theta_q))
-    warning = None
-    if abs(closed - quad) > CLOSED_FORM_QUADRATURE_ATOL:
-        warning = (
-            f"closed-form C1q={closed:.4f} and quadrature {quad:.4f} disagree by "
-            f"{abs(closed - quad):.4f}: non-monotone sampling of theta_q"
-        )
-    return ChernResult(
-        c1=float(closed), method="sta_polar", c1_quadrature=quad, warning=warning,
-        series=series, **_run_fields(traj),
-    )
-
-
 def chern(traj: Trajectory) -> ChernResult:
     """C1 of a run: the polar-angle step of a counterdiabatic (sta) ramp, the
-    Berry-curvature integral of a bare one."""
+    Berry-curvature integral of a bare one.
+
+    With sta, C1q = (1/2)[cos theta_q(0) - cos theta_q(pi)], the exact
+    antiderivative of (1/2) sin(theta_q) d theta_q; the discretized
+    quadrature is reported alongside, with a warning when the two differ by
+    more than 0.01. Without, C1 = int_0^pi B_theta d theta by trapezoidal
+    quadrature over the Berry-curvature series.
+    """
+    extra = {}
     if traj.sta:
-        return chern_sta(theta_q_series(traj), traj)
-    return chern_linear_response(berry_curvature(traj), traj)
+        series = theta_q_series(traj)
+        theta_q = series[:, 1]
+        c1 = 0.5 * (np.cos(theta_q[0]) - np.cos(theta_q[-1]))
+        quad = float(np.trapezoid(0.5 * np.sin(theta_q), theta_q))
+        extra["c1_quadrature"] = quad
+        if abs(c1 - quad) > CLOSED_FORM_QUADRATURE_ATOL:
+            extra["warning"] = (
+                f"closed-form C1q={c1:.4f} and quadrature {quad:.4f} disagree by "
+                f"{abs(c1 - quad):.4f}: non-monotone sampling of theta_q"
+            )
+    else:
+        series = berry_curvature(traj)
+        if len(series) < MIN_CURVATURE_POINTS:
+            raise InsufficientSamplingError(
+                f"need >= {MIN_CURVATURE_POINTS} curvature samples, got {len(series)}"
+            )
+        c1 = np.trapezoid(series[:, 1], series[:, 0])
+    return ChernResult(c1=float(c1), method=METHOD[traj.sta], series=series, **extra,
+                       **_run_fields(traj))
 
 
 def _sweep_point(args):
@@ -160,7 +143,7 @@ def _sweep_point(args):
     except KnosimError as exc:
         return ChernResult(
             c1=float("nan"),
-            method="sta_polar" if sta else "linear_response",
+            method=METHOD[sta],
             chi=params.chi,
             initial=initial,
             converged=False,
@@ -171,24 +154,20 @@ def _sweep_point(args):
 def sweep_chi(
     params: ModelParams,
     chi_values,
-    protocol: str = "sta",
+    sta: bool = True,
     initial: str = "ket0",
     jobs: int = 1,
     **run_kwargs,
 ) -> list[ChernResult]:
     """Independent simulation per chi (delta_0 = chi * delta_z), in chi order,
-    each read by chern: protocol "sta" or "linear_response" picks the ramp.
+    each run with sta or without and read by chern.
 
     A point that fails with a KnosimError (a singular counterdiabatic term, a
     truncation leak, ...) is recorded as a failed entry and the sweep
     continues. jobs > 1 starts at most one worker per core and per point.
     """
-    if protocol not in ("sta", "linear_response"):
-        raise ValueError(f"unknown protocol {protocol!r}")
-    tasks = []
-    for chi in chi_values:
-        p = replace(params, delta_0=float(chi) * params.delta_z)
-        tasks.append((p, protocol == "sta", initial, run_kwargs))
+    tasks = [(replace(params, delta_0=float(chi) * params.delta_z), sta, initial, run_kwargs)
+             for chi in chi_values]
     if not tasks:
         raise ValueError("empty chi sweep")
     workers = min(jobs, os.cpu_count() or 1, len(tasks))

@@ -14,6 +14,8 @@ number.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import dynamics, logical
@@ -45,36 +47,21 @@ def reference_dynamics(params: ModelParams, initial="ket0", sta: bool = False, *
     return dynamics.evolve(system(params), initial, sta, **kw)
 
 
-def monopole_chern(
-    chi: float,
-    n_theta: int = 200,
-    tol: float = 1e-6,
-    max_doublings: int = 6,
-) -> float:
+def monopole_chern(chi: float) -> float:
     """Gauss-law Chern number: flux of R/(2 R^3) through the ramp manifold.
 
     The manifold is R(th, ph) = (sin th cos ph, sin th sin ph, cos th + chi)
     (omega0 = delta_z scaled to 1). The azimuthal integral is exactly 2 pi,
-    leaving the flux int_0^pi sin th (1 + chi cos th) / (2 |R|^3) d th with
-    |R|^2 = 1 + 2 chi cos th + chi^2, by midpoint quadrature doubled until
-    the value is stable; 1 when the degeneracy R = 0 is enclosed
-    (|chi| < 1), 0 when it is not.
+    leaving the flux int_0^pi sin th (1 + chi cos th) / (2 |R|^3) d th. In
+    u = cos th, |R|^2 = (1 - u^2) + (u + chi)^2 and the integrand has the
+    antiderivative g(u) = (u + chi) / (2 |R|), so the flux is g(1) - g(-1):
+    1 when the degeneracy R = 0 is enclosed (|chi| < 1), 0 when it is not.
+    At u = +-1, |R| = |u + chi| exactly, so the flux is exact in floating point.
     """
     if abs(abs(chi) - 1.0) < DEGENERACY_ATOL:
         raise OnManifoldDegeneracyError(f"degeneracy lies on the manifold at chi={chi}")
 
-    def flux(nt: int) -> float:
-        th = (np.arange(nt) + 0.5) * (np.pi / nt)
-        ct = np.cos(th)
-        f = np.sin(th) * (1 + chi * ct) / (2 * (1 + 2 * chi * ct + chi**2) ** 1.5)
-        return float(np.sum(f)) * np.pi / nt
+    def g(u: float) -> float:
+        return (u + chi) / (2 * math.hypot(u + chi, math.sqrt(1 - u * u)))
 
-    val = flux(n_theta)
-    for _ in range(max_doublings):
-        n_theta *= 2
-        new = flux(n_theta)
-        done = abs(new - val) < tol
-        val = new
-        if done:
-            break
-    return val
+    return float(g(1.0) - g(-1.0))

@@ -16,9 +16,7 @@ in the order a single state's call would.
 
 from __future__ import annotations
 
-import functools
 import math
-import timeit
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -81,13 +79,3 @@ def wigner(psi: StateVector | Sequence[StateVector], half_width: float = 4.5,
     grids = [WignerGrid(axis, axis.copy(), v, np.zeros(v.shape, dtype=bool)) for v in values]
     return grids[0] if isinstance(psi, StateVector) else grids
 
-
-@functools.cache
-def grid_seconds(dim: int, n_states: int, n_points: int) -> float:
-    """Cost of one wigner call on n_states states of dim levels over an
-    n_points grid, measured once per process as dynamics.step_seconds measures
-    a step: the median of a few calls after a warm-up call. The cost does not
-    depend on the states' amplitudes."""
-    states = [StateVector(np.full(dim, dim**-0.5, dtype=complex))] * n_states
-    runs = timeit.repeat(lambda: wigner(states, n_points=n_points), number=1, repeat=4)
-    return float(np.median(runs[1:]))

@@ -29,7 +29,7 @@ def linear_sweep():
     results = topology.sweep_chi(
         linear_response_params(),
         LINEAR_CHIS,
-        protocol="linear_response",
+        sta=False,
         jobs=4,
         n_steps=20000,
         n_samples=401,
@@ -59,14 +59,13 @@ def sta_trajs():
 @pytest.fixture(scope="session")
 def sta_chern(sta_trajs):
     return {
-        key: topology.chern_sta(topology.theta_q_series(traj), traj)
+        key: topology.chern(traj)
         for key, traj in sta_trajs.items()
     }
 
 
 def test_1_linear_response_chern(fig1_traj):
-    series = topology.berry_curvature(fig1_traj)
-    res = topology.chern_linear_response(series, fig1_traj)
+    res = topology.chern(fig1_traj)
     ok = abs(res.c1 - 0.975) <= 0.05
     report(1, f"linear-response C1 = {res.c1:.4f}, target 0.975 +- 0.05", ok)
     assert ok
@@ -152,7 +151,7 @@ def test_7_quantization_identities(sta_chern):
     worst = max(abs(r.c1 - r.c1_quadrature) for r in sta_chern.values())
     mono_ok = True
     for chi in (0.0, -0.5, 0.5, 0.9, -1.1, 1.1, 1.5, 2.0):
-        val = twolevel.monopole_chern(chi, tol=1e-4, max_doublings=5)
+        val = twolevel.monopole_chern(chi)
         mono_ok &= abs(val - round(val)) <= 1e-3 and round(val) in (0, 1)
     ok = worst <= 0.01 and mono_ok
     report(

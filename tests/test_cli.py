@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -341,8 +342,28 @@ class TestSweep:
         assert int(row[6]) == chern["n_steps_used"]
         assert float(row[7]) == chern["refine_diff"]
 
-    def test_sweep_without_chis(self, tmp_path):
+    def test_sweep_without_chis(self, tmp_path, capsys):
         assert cli.main(["sweep", write_config(tmp_path), "--out", str(tmp_path / "x")]) == 2
+        assert "error: sweep requires a non-empty chi_values list" in capsys.readouterr().err
+        # validate names the same fault
+        assert cli.main(["validate", write_config(tmp_path, protocol="sweep")]) == 1
+        assert "FAIL sweep requires a non-empty chi_values list" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, config", [
+        ("sweep", {}),
+        ("simulate", {"protocol": "sweep", "chi_values": [0.5]}),
+    ])
+    def test_chi_refused(self, tmp_path, capsys, command, config):
+        # --chi sets one run's chi; a sweep's come from --chis or chi_values
+        out = tmp_path / "sweep"
+        argv = [command, write_config(tmp_path, **config), "--chis=0.5", "--chi", "3",
+                "--out", str(out)]
+        if command != "sweep":
+            argv.remove("--chis=0.5")
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--chis" in err
+        assert not out.exists()
 
 
 class TestBasisRecord:
@@ -476,24 +497,49 @@ class TestValidate:
         assert float(report["max_runtime_s"]) == pytest.approx(28000 * step_s, rel=6e-3)
 
     def test_movie_estimate_adds_its_grids(self, tmp_path, monkeypatch):
-        # the step and grid timers patched: 1200 steps of 2e-5 s plus one
-        # stacked call for the five snapshots at the config's dim and grid
+        # the step and movie timers patched: 1200 steps of 2e-5 s plus the
+        # five snapshots' grids and tables at the config's dim and grid
         calls = []
 
-        def grid_seconds(dim, n_states, n_points):
-            calls.append((dim, n_states, n_points))
+        def movie_seconds(dim, n_points):
+            calls.append((dim, n_points))
             return 0.25
 
         monkeypatch.setattr(cli.dynamics, "step_seconds", lambda params, sta: 2e-5)
-        monkeypatch.setattr(cli.wigner_mod, "grid_seconds", grid_seconds)
+        monkeypatch.setattr(cli, "movie_seconds", movie_seconds)
         movie = cli.resolve_config(write_config(tmp_path, protocol="wigner_movie", n_steps=None,
                                                 n_samples=401, n_points=61))
         assert cli.estimated_runtime_s(movie) == pytest.approx(1200 * 2e-5 + 0.25)
         assert cli.estimated_runtime_s(movie, worst=True) == pytest.approx(28000 * 2e-5 + 0.25)
-        assert calls == [(30, 5, 61)] * 2
+        assert calls == [(30, 61)] * 2
         movie.protocol = "sta"
         assert cli.estimated_runtime_s(movie) == pytest.approx(1200 * 2e-5)
         assert len(calls) == 2
+
+    def test_movie_estimate_counts_its_tables(self, monkeypatch):
+        # each column formatted made SLEEP slower: the timed movie (a warm-up
+        # call, then the median of three) grows by that much per column, 4
+        # columns for each of the 5 grids
+        SLEEP = 0.01
+        column_text = cli._column_text
+        formatted = []
+
+        def slow_column_text(col):
+            formatted.append(col.size)
+            time.sleep(SLEEP)
+            return column_text(col)
+
+        cli.movie_seconds.cache_clear()
+        fast = cli.movie_seconds(30, 41)
+        monkeypatch.setattr(cli, "_column_text", slow_column_text)
+        cli.movie_seconds.cache_clear()
+        try:
+            slow = cli.movie_seconds(30, 41)
+        finally:
+            cli.movie_seconds.cache_clear()
+        assert formatted == [41 * 41] * (4 * 20)
+        # 10 % slack for the host's noise in the unpatched part
+        assert slow - fast >= 0.9 * 20 * SLEEP
 
     def test_linear_response_with_sta_fails(self, capsys):
         assert cli.main(["validate", "fig1", "--sta", "on"]) == 1

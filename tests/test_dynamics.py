@@ -247,7 +247,7 @@ class TestStepCount:
         assert traj.n_steps == 800
         assert [n for n, _ in traj.refine_history] == [800]
         assert traj.refine_diff <= dynamics.REFINE_TOL
-        c1 = topology.chern_sta(topology.theta_q_series(traj), traj).c1
+        c1 = topology.chern(traj).c1
         assert abs(c1 - _exact_step(chi)) <= 1e-6
 
     def test_fig1_default_converges(self, steps_computed):
@@ -276,12 +276,6 @@ class TestStepCount:
         assert len(traj.refine_history) == 5
 
 
-def _c1(traj):
-    if traj.sta:
-        return topology.chern_sta(topology.theta_q_series(traj), traj).c1
-    return topology.chern_linear_response(topology.berry_curvature(traj), traj).c1
-
-
 class TestReducedBasisEquivalence:
     """run steps in the reduced H0 eigenbasis; evolve on the same model with
     basis_dim = dim is the whole space."""
@@ -294,7 +288,7 @@ class TestReducedBasisEquivalence:
         assert reduced.n_steps == full.n_steps
         ds = max(np.abs(getattr(reduced, k) - getattr(full, k)).max() for k in ("sx", "sy", "sz"))
         assert ds <= 1e-8
-        assert abs(_c1(reduced) - _c1(full)) <= 1e-8
+        assert abs(topology.chern(reduced).c1 - topology.chern(full).c1) <= 1e-8
         for ts in times:
             state = reduced.snapshots[ts]
             assert state.dim == params.dim

@@ -38,11 +38,6 @@ def rotation_traj(params, initial="ket0", sta=True):
     return make_traj(theta, np.sin(theta), 0.0, np.cos(theta), params, sta=sta, initial=initial)
 
 
-def sta_series_traj():
-    """A placeholder run for chern_sta tests that only check the series."""
-    return make_traj(np.linspace(0, np.pi, 11), 0.0, 0.0, 1.0, sta_params(), sta=True)
-
-
 class TestBerryCurvature:
     def test_ideal_two_level_curvature(self):
         # oracle: adiabatic 2x2 dynamics realizes B_theta = sin(theta)/2
@@ -53,7 +48,7 @@ class TestBerryCurvature:
         # transient) but the oscillation integrates away
         theta, b_theta = series.T
         assert abs(float(np.trapezoid(b_theta - np.sin(theta) / 2, theta))) < 0.01
-        res = topology.chern_linear_response(series, traj)
+        res = topology.chern(traj)
         assert abs(res.c1 - 1) < 0.01
         assert res.method == "linear_response"
         assert res.converged
@@ -62,7 +57,7 @@ class TestBerryCurvature:
         for chi, target in ((0.5, 1.0), (1.5, 0.0)):
             p = linear_response_params(chi=chi)
             traj = twolevel.reference_dynamics(p, n_steps=20000, n_samples=401)
-            res = topology.chern_linear_response(topology.berry_curvature(traj), traj)
+            res = topology.chern(traj)
             assert abs(res.c1 - target) < 0.05
             assert abs(res.c1 - twolevel.monopole_chern(chi)) < 0.05
 
@@ -88,20 +83,24 @@ class TestBerryCurvature:
         series = topology.berry_curvature(traj)
         assert np.abs(series[:, 0] - theta).max() == 0
         assert np.abs(series[:, 1] - np.sin(theta)).max() < 1e-12
-        res = topology.chern_linear_response(series, traj)
+        res = topology.chern(traj)
         assert abs(res.c1 - 2) < 1e-4
 
-    def test_too_few_samples(self):
-        theta = np.linspace(0, np.pi, 5)
-        series = np.stack([theta, np.zeros(5)], axis=1)
-        traj = make_traj(theta, 0.0, 0.0, 1.0, linear_response_params())
-        with pytest.raises(InsufficientSamplingError):
-            topology.chern_linear_response(series, traj)
+    def test_zero_where_the_ramp_stands_still(self):
+        # the cosine ramp's theta_dot is 0 at t = 0 only: B_theta is 0 there,
+        # and elsewhere the same -Omega0 sin(theta) sy / (2 v) as on a linear ramp
+        p = linear_response_params(schedule="cosine")
+        traj = make_traj(np.linspace(0, np.pi, 21), 0.0, 0.3, 0.0, p)
+        v = p.ramp().theta_dot(traj.t)
+        assert v[0] == 0 and np.all(v[1:] != 0)
+        theta, b = topology.berry_curvature(traj).T
+        assert b[0] == 0
+        assert np.array_equal(b[1:], -p.omega0 * np.sin(theta[1:]) * traj.sy[1:] / (2 * v[1:]))
 
-    def test_descending_theta_rejected(self):
-        traj = make_traj(np.linspace(0, np.pi, 3), 0.0, 0.0, 1.0, linear_response_params())
-        with pytest.raises(ValueError):
-            topology.chern_linear_response(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]]), traj)
+    def test_too_few_samples(self):
+        traj = make_traj(np.linspace(0, np.pi, 5), 0.0, 0.0, 1.0, linear_response_params())
+        with pytest.raises(InsufficientSamplingError):
+            topology.chern(traj)
 
 
 class TestThetaQ:
@@ -126,11 +125,15 @@ class TestThetaQ:
             topology.theta_q_series(traj)
 
 
+def polar_traj(theta, theta_q):
+    """An STA run whose Bloch vector has polar angle theta_q at theta."""
+    return make_traj(theta, np.sin(theta_q), 0.0, np.cos(theta_q), sta_params(), sta=True)
+
+
 class TestChernSta:
     def test_full_sweep_closed_form(self):
-        theta_q = np.linspace(0, np.pi, 101)
-        series = np.stack([theta_q, theta_q], axis=1)
-        res = topology.chern_sta(series, sta_series_traj())
+        theta = np.linspace(0, np.pi, 101)
+        res = topology.chern(polar_traj(theta, theta))
         assert abs(res.c1 - 1) < 1e-12
         assert abs(res.c1_quadrature - 1) < 1e-3
         assert res.warning is None
@@ -139,20 +142,14 @@ class TestChernSta:
     def test_partial_sweep(self):
         # theta_q goes out to pi/3 and returns: both routes give zero
         theta_q = np.concatenate([np.linspace(0, np.pi / 3, 40), np.linspace(np.pi / 3, 0, 40)])
-        theta = np.linspace(0, np.pi, 80)
-        res = topology.chern_sta(np.stack([theta, theta_q], axis=1), sta_series_traj())
+        res = topology.chern(polar_traj(np.linspace(0, np.pi, 80), theta_q))
         assert abs(res.c1) < 1e-12
 
     def test_quadrature_disagreement_warns(self):
         # non-monotone path whose net quadrature differs from the endpoints
         theta_q = np.array([0.0, np.pi, 0.0, np.pi / 2])
-        theta = np.linspace(0, np.pi, 4)
-        res = topology.chern_sta(np.stack([theta, theta_q], axis=1), sta_series_traj())
+        res = topology.chern(polar_traj(np.linspace(0, np.pi, 4), theta_q))
         assert res.warning is not None
-
-    def test_too_short(self):
-        with pytest.raises(InsufficientSamplingError):
-            topology.chern_sta(np.zeros((1, 2)), sta_series_traj())
 
 
 class TestRunLabels:
@@ -166,11 +163,7 @@ class TestRunLabels:
         lr_traj = make_traj(theta, 0.0, 0.1, 0.0, linear_response_params(chi=0.5), **kw)
         sta_traj = make_traj(theta, np.sin(theta), 0.0, np.cos(theta), sta_params(chi=0.5),
                              sta=True, **kw)
-        results = (
-            topology.chern_linear_response(topology.berry_curvature(lr_traj), lr_traj),
-            topology.chern_sta(topology.theta_q_series(sta_traj), sta_traj),
-        )
-        for res in results:
+        for res in (topology.chern(lr_traj), topology.chern(sta_traj)):
             assert res.initial == "ket1"
             assert res.chi == 0.5
             assert res.converged is converged
@@ -183,7 +176,7 @@ class TestSweep:
     def test_sta_sweep(self):
         p = sta_params()
         results = topology.sweep_chi(
-            p, [0.0, 1.0, 1.5], protocol="sta",
+            p, [0.0, 1.0, 1.5], sta=True,
             n_steps=400, n_samples=41, refine_tol=1e-2,
         )
         assert [r.chi for r in results] == [0.0, 1.0, 1.5]
@@ -219,7 +212,7 @@ class TestSweep:
     def test_linear_response_sweep_with_phase_records_failed_points(self, steps_computed):
         # each point's readout is refused before it propagates: recorded, not raised
         results = topology.sweep_chi(
-            linear_response_params(phi=0.3), [0.5, 1.5], protocol="linear_response",
+            linear_response_params(phi=0.3), [0.5, 1.5], sta=False,
             n_steps=400, n_samples=41,
         )
         assert [r.chi for r in results] == pytest.approx([0.5, 1.5])
@@ -257,7 +250,3 @@ class TestSweep:
         results = topology.sweep_chi(sta_params(), [0.1 * i for i in range(n_chis)], jobs=jobs)
         assert len(results) == n_chis
         assert started == ([workers] if workers else [])
-
-    def test_unknown_protocol(self):
-        with pytest.raises(ValueError):
-            topology.sweep_chi(sta_params(), [0.5], protocol="adiabatic")

@@ -21,6 +21,12 @@ def midpoint_h(p: ModelParams) -> np.ndarray:
 
 # |chi| away from the transition at 1, where the counterdiabatic term is singular
 CHIS = st.one_of(st.floats(-0.9, 0.9), st.floats(1.1, 2.0), st.floats(-2.0, -1.1))
+# chi = +-(1 + d) with 1e-6 <= |d| <= 0.1: the monopole flux right up to the transition
+NEAR_TRANSITION = st.builds(
+    lambda sign, d: sign * (1 + d),
+    st.sampled_from((-1.0, 1.0)),
+    st.floats(-0.1, 0.1).filter(lambda d: abs(d) >= 1e-6),
+)
 
 
 class TestEigensystem:
@@ -136,7 +142,7 @@ class TestReferenceDynamics:
 def sta_c1(chi: float, initial: str) -> tuple[float, dynamics.Trajectory]:
     """C1q of the 2x2 counterdiabatic run from the default start."""
     traj = dynamics.evolve(twolevel.system(sta_params(chi=chi)), initial, sta=True)
-    return topology.chern_sta(topology.theta_q_series(traj), traj).c1, traj
+    return topology.chern(traj).c1, traj
 
 
 class TestProperties:
@@ -162,6 +168,11 @@ class TestProperties:
     def test_monopole_flux_quantized(self, chi):
         assert abs(twolevel.monopole_chern(chi) - (1.0 if abs(chi) < 1 else 0.0)) <= 1e-4
 
+    @settings(max_examples=200, deadline=None)
+    @given(NEAR_TRANSITION)
+    def test_monopole_flux_exact_near_the_transition(self, chi):
+        assert abs(twolevel.monopole_chern(chi) - (1.0 if abs(chi) < 1 else 0.0)) <= 1e-9
+
 
 class TestMonopoleChern:
     def test_analytic_unit_sphere(self):
@@ -176,6 +187,10 @@ class TestMonopoleChern:
     def test_not_enclosed(self, chi):
         assert abs(twolevel.monopole_chern(chi)) < 1e-5
 
+    @pytest.mark.parametrize("chi, flux", [(0.999, 1.0), (-0.999, 1.0), (1.001, 0.0), (-1.001, 0.0)])
+    def test_exact_a_thousandth_from_the_transition(self, chi, flux):
+        assert abs(twolevel.monopole_chern(chi) - flux) <= 1e-9
+
     def test_on_manifold(self):
         with pytest.raises(OnManifoldDegeneracyError):
             twolevel.monopole_chern(1.0)
@@ -187,7 +202,7 @@ class TestMonopoleChern:
         # winding of the map, computable from the solid angle of the circle
         # of tangency -- for |chi| < 1 the degeneracy is inside (flux 1),
         # outside otherwise (flux 0); check quantization holds even close to
-        # the transition (coarser quadrature tolerance: the integrand peaks
-        # sharply near the almost-degenerate pole)
-        assert twolevel.monopole_chern(0.95, tol=1e-4, max_doublings=4) > 0.999
-        assert twolevel.monopole_chern(1.05, tol=1e-4, max_doublings=4) < 0.001
+        # the transition, where the integrand peaks sharply near the
+        # almost-degenerate pole
+        assert twolevel.monopole_chern(0.95) > 0.999
+        assert twolevel.monopole_chern(1.05) < 0.001
