@@ -147,6 +147,8 @@ def resolve_config(spec: str, overrides: dict | None = None,
     dynamics.start_steps(cfg.n_steps, cfg.n_samples)  # raises on a bad step or sample count
     if cfg.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")
+    if not np.isfinite(cfg.chi_values).all():
+        raise ConfigError(f"chi_values must be finite, got {cfg.chi_values}")
     if not (np.isfinite(cfg.half_width) and cfg.half_width > 0):
         raise ConfigError(f"half_width must be finite and > 0, got {cfg.half_width}")
     if cfg.n_points < wigner_mod.MIN_GRID_POINTS:
@@ -231,26 +233,35 @@ SWEEP_COLUMNS = {  # sweep.csv's columns and their types; strings as objects, ke
 # ------------------------------------------------------------- protocols ---
 
 def _grid_columns(grid: wigner_mod.WignerGrid) -> dict[str, np.ndarray]:
-    """A Wigner grid's table: row i, column j is W(re_axis[j] + 1i*im_axis[i])."""
+    """A Wigner grid's table: row i, column j is W(axis[j] + 1i*axis[i]).
+    low_confidence is constant false: nothing is truncated."""
+    n = grid.axis.size
     return {
-        "re_alpha": np.tile(grid.re_axis, grid.im_axis.size),
-        "im_alpha": np.repeat(grid.im_axis, grid.re_axis.size),
+        "re_alpha": np.tile(grid.axis, n),
+        "im_alpha": np.repeat(grid.axis, n),
         "w": grid.values.ravel(),
-        "low_confidence": grid.low_confidence.ravel(),
+        "low_confidence": np.zeros(n * n, dtype=bool),
     }
 
 
-def _snapshot_times(cfg: ExperimentConfig) -> list[float]:
-    """The Wigner movie's snapshot times; none for another protocol."""
+def _movie_rows(cfg: ExperimentConfig) -> list[int]:
+    """The sample rows k = f * (n_samples - 1) of the Wigner movie's snapshots,
+    f in SNAPSHOT_FRACTIONS; none for another protocol. A snapshot off the
+    sample grid is a ConfigError."""
     if cfg.protocol != "wigner_movie":
         return []
-    return [f * cfg.params.tau for f in SNAPSHOT_FRACTIONS]
+    rows = [f * (cfg.n_samples - 1) for f in SNAPSHOT_FRACTIONS]
+    for f, k in zip(SNAPSHOT_FRACTIONS, rows):
+        if not k.is_integer():
+            raise ConfigError(f"snapshot time {f * cfg.params.tau} is not on the sample grid "
+                              f"k*tau/{cfg.n_samples - 1}")
+    return [int(k) for k in rows]
 
 
 def _run_error(cfg: ExperimentConfig) -> str | None:
     """Why the configured run cannot be taken, or None: a sweep without chi
-    values, a readout its ramp does not give (see topology.chern), or snapshot
-    times off its sample grid."""
+    values, a readout its ramp does not give (see topology.chern), or movie
+    snapshots off its sample grid (_movie_rows)."""
     if cfg.protocol == "sweep" and not cfg.chi_values:
         return "sweep requires a non-empty chi_values list"
     if cfg.protocol == "linear_response" and cfg.sta:
@@ -260,7 +271,7 @@ def _run_error(cfg: ExperimentConfig) -> str | None:
     try:
         if cfg.protocol != "wigner_movie":
             topology.check_readout(cfg.params, cfg.sta)
-        dynamics.snapshot_indices(cfg.params.tau, cfg.n_samples, _snapshot_times(cfg))
+        _movie_rows(cfg)
     except ConfigError as exc:
         return str(exc)
     return None
@@ -296,10 +307,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             ],
         }
     else:  # one trajectory, then its Wigner snapshots or topology.chern's readout
-        snap_times = _snapshot_times(cfg)
         traj = dynamics.run(
             cfg.params, initial=cfg.initial, sta=cfg.sta,
-            n_steps=cfg.n_steps, n_samples=cfg.n_samples, snapshot_times=snap_times,
+            n_steps=cfg.n_steps, n_samples=cfg.n_samples,
         )
         tables["trajectory"] = dict(zip(TRAJ_HEADER, (
             traj.t, traj.theta, traj.sx, traj.sy, traj.sz, traj.pop, traj.norm)))
@@ -312,8 +322,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "final_edge_population": _edge_population(traj.final_state),
         }
         if cfg.protocol == "wigner_movie":
-            extra["snapshot_times_us"] = snap_times
-            grids = wigner_mod.wigner(list(traj.snapshots.values()), cfg.half_width, cfg.n_points)
+            extra["snapshot_times_us"] = [f * cfg.params.tau for f in SNAPSHOT_FRACTIONS]
+            states = [traj.system.lift(fock.StateVector(traj.states[k])) for k in _movie_rows(cfg)]
+            grids = wigner_mod.wigner(states, cfg.half_width, cfg.n_points)
             for k, grid in enumerate(grids):
                 tables[f"wigner_t{k}"] = _grid_columns(grid)
         else:

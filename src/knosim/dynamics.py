@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import logical, model
-from .errors import ConfigError, DimensionMismatchError, SingularDriveError
+from .errors import ConfigError, DimensionMismatchError, NonFiniteStateError, SingularDriveError
 from .fock import StateVector
 from .model import ModelParams
 
@@ -91,7 +91,6 @@ class Trajectory:
     initial: str
     converged: bool = False
     refine_history: list[tuple[int, float]] = field(default_factory=list)
-    snapshot_index: dict[float, int] = field(default_factory=dict)  # time -> sample
 
     def __post_init__(self):
         self.sx, self.sy, self.sz, self.pop = logical.bloch(self.system.frame, self.states)
@@ -113,16 +112,6 @@ class Trajectory:
     def final_state(self) -> StateVector:
         return self.system.lift(StateVector(self.states[-1]))
 
-    @property
-    def snapshots(self) -> dict[float, StateVector]:
-        return {ts: self.system.lift(StateVector(self.states[k]))
-                for ts, k in self.snapshot_index.items()}
-
-    @property
-    def refine_diff(self) -> float:
-        """Bloch change at the last step doubling (nan if none ran)."""
-        return self.refine_history[-1][1] if self.refine_history else float("nan")
-
     def bloch(self) -> np.ndarray:
         """(n_samples, 3) array of (sx, sy, sz)."""
         return np.stack([self.sx, self.sy, self.sz], axis=1)
@@ -138,20 +127,6 @@ def _initial_state(system: model.DriveSet, initial) -> tuple[StateVector, str]:
     if initial in ("ket0", "ket1"):
         return getattr(system.frame, initial), initial
     raise ConfigError(f"initial must be 'ket0', 'ket1' or a StateVector, got {initial!r}")
-
-
-def snapshot_indices(tau: float, n_samples: int, snapshot_times) -> dict[float, int]:
-    """The sample index k of each snapshot time, which must be k * tau /
-    (n_samples - 1) for some sample k; any other time is a ConfigError."""
-    index = {}
-    for ts in snapshot_times:
-        if not np.isfinite(ts):
-            raise ConfigError(f"snapshot time must be finite, got {ts}")
-        k = int(round(ts / tau * (n_samples - 1)))
-        if not 0 <= k < n_samples or abs(k * tau / (n_samples - 1) - ts) > 1e-9 * tau:
-            raise ConfigError(f"snapshot time {ts} is not on the sample grid k*tau/{n_samples - 1}")
-        index[float(ts)] = k
-    return index
 
 
 def _interval_propagators(system: model.DriveSet, sta: bool, first: int, stop: int,
@@ -202,17 +177,15 @@ def evolve(
     n_steps: int | None = None,
     n_samples: int = DEFAULT_N_SAMPLES,
     refine_tol: float = REFINE_TOL,
-    snapshot_times=(),
 ) -> Trajectory:
     """Propagate a system, a model.DriveSet, over its ramp: a trajectory is
     its states at the n_samples sample times; observables are read off them.
 
     The run steps on the system's basis: initial is "ket0" or "ket1" of its
     frame, or a StateVector of basis_dim amplitudes on the basis, which is
-    normalized (any other size is a DimensionMismatchError). final_state and
-    the snapshots are states lifted back through the basis (DriveSet.lift)
-    when read; snapshot times must lie on the sample grid
-    k * tau / (n_samples - 1), checked before any pass. run passes
+    normalized (any other size is a DimensionMismatchError). final_state is
+    the last sample lifted back through the basis (DriveSet.lift) when read;
+    a sample row k of states lifts the same way. run passes
     model.drive_set(params), twolevel.reference_dynamics twolevel.system(params).
 
     The step count comes from the tolerance. The coarse pass has
@@ -227,19 +200,22 @@ def evolve(
     default start at 401 samples may double five times (400 to 12800 steps,
     25200 in all). The finest trajectory computed is returned, and
     refine_history lists (n_steps, diff) per doubling; non-convergence is
-    flagged, never silent.
+    flagged, never silent. A pass whose states are not all finite (a drive
+    that overflows) raises NonFiniteStateError at once.
     """
     tau = system.params.tau
     start = start_steps(n_steps, n_samples)
     budget = step_budget(n_steps, n_samples)
     psi0, label = _initial_state(system, initial)
-    snaps = snapshot_indices(tau, n_samples, snapshot_times)
 
     def trajectory(n: int) -> Trajectory:
         t = np.arange(n_samples) * (n // (n_samples - 1)) * (tau / n)
-        return Trajectory(system, t, np.asarray(system.schedule.theta(t), dtype=float),
-                          _propagate(system, psi0, sta, n, n_samples)["psi"], n, sta, label,
-                          snapshot_index=snaps)
+        traj = Trajectory(system, t, np.asarray(system.schedule.theta(t), dtype=float),
+                          _propagate(system, psi0, sta, n, n_samples)["psi"], n, sta, label)
+        bad = np.flatnonzero(~np.isfinite(traj.norm))
+        if bad.size:
+            raise NonFiniteStateError(f"non-finite state at t = {t[bad[0]]:.6g} ({n} steps)")
+        return traj
 
     coarse = trajectory(start)
     spent = start

@@ -25,6 +25,10 @@ class SingularDriveError(KnosimError):
     """Counterdiabatic coefficient diverges (degeneracy on the manifold)."""
 
 
+class NonFiniteStateError(KnosimError):
+    """Propagation produced a non-finite state (an overflowing drive)."""
+
+
 class DegenerateReadoutError(KnosimError):
     """Bloch vector too short to define a polar angle."""
 

@@ -30,29 +30,24 @@ MIN_GRID_POINTS = 41
 
 @dataclass(frozen=True)
 class WignerGrid:
-    """W over re_axis x im_axis; values[i, j] = W(re_axis[j] + 1i*im_axis[i]).
-    low_confidence is all false (nothing is truncated); the CLI still writes it."""
+    """W on the square grid axis x axis; values[i, j] = W(axis[j] + 1i*axis[i])."""
 
-    re_axis: np.ndarray
-    im_axis: np.ndarray
+    axis: np.ndarray
     values: np.ndarray
-    low_confidence: np.ndarray  # bool mask, same shape as values
 
     def at_origin(self) -> float:
-        i = int(np.argmin(np.abs(self.im_axis)))
-        j = int(np.argmin(np.abs(self.re_axis)))
-        return float(self.values[i, j])
+        i = int(np.argmin(np.abs(self.axis)))
+        return float(self.values[i, i])
 
 
-def wigner(psi: StateVector | Sequence[StateVector], half_width: float = 4.5,
-           n_points: int = 81) -> WignerGrid | list[WignerGrid]:
-    """Evaluate W on the square grid |Re a|, |Im a| <= half_width: one grid for
-    one state, or a list of them for a sequence of states of one dimension.
-    The recurrence runs once for the whole sequence, and each state's grid is
-    bitwise the grid of its own call."""
+def wigner(states: Sequence[StateVector], half_width: float = 4.5,
+           n_points: int = 81) -> list[WignerGrid]:
+    """Evaluate W on the square grid |Re a|, |Im a| <= half_width, one grid for
+    each of a sequence of states of one dimension. The recurrence runs once
+    for the whole sequence, and each state's grid is bitwise the grid of a
+    call on that state alone."""
     if n_points < MIN_GRID_POINTS:
         raise ValueError(f"n_points must be >= {MIN_GRID_POINTS}, got {n_points}")
-    states = [psi] if isinstance(psi, StateVector) else list(psi)
     dims = {s.dim for s in states}
     if len(dims) != 1:
         raise DimensionMismatchError(f"states of one dimension needed, got {sorted(dims)}")
@@ -76,6 +71,5 @@ def wigner(psi: StateVector | Sequence[StateVector], half_width: float = 4.5,
         total += diag if k == 0 else 2 * diag
         m_first = m_first * (2 * np.conj(alpha) / math.sqrt(k + 1))
     values = 2 / np.pi * total.real
-    grids = [WignerGrid(axis, axis.copy(), v, np.zeros(v.shape, dtype=bool)) for v in values]
-    return grids[0] if isinstance(psi, StateVector) else grids
+    return [WignerGrid(axis, v) for v in values]
 

@@ -43,15 +43,8 @@ def sta_trajs():
     out = {}
     for chi in STA_CHIS:
         for initial in ("ket0", "ket1"):
-            p = sta_params(chi=chi)
-            snaps = (
-                tuple(f * p.tau for f in (0.0, 0.25, 0.5, 0.75, 1.0))
-                if (chi, initial) == (0.0, "ket0")
-                else ()
-            )
             out[(chi, initial)] = dynamics.run(
-                p, initial=initial, sta=True, n_steps=4000, n_samples=401,
-                snapshot_times=snaps,
+                sta_params(chi=chi), initial=initial, sta=True, n_steps=4000, n_samples=401,
             )
     return out
 
@@ -166,7 +159,7 @@ def test_7_quantization_identities(sta_chern):
 def test_8_numerical_hygiene(fig1_traj, sta_trajs):
     trajs = [fig1_traj] + list(sta_trajs.values())
     norm_drift = max(float(np.abs(t.norm - 1).max()) for t in trajs)
-    refine = max(t.refine_diff for t in trajs)
+    refine = max(t.refine_history[-1][1] for t in trajs)
     leak = max(float((1 - t.pop).max()) for t in trajs)
     conv = all(t.converged for t in trajs)
     ok = norm_drift <= 1e-6 and refine <= 1e-4 and leak <= 0.05 and conv
@@ -181,27 +174,27 @@ def test_8_numerical_hygiene(fig1_traj, sta_trajs):
 
 def test_9_wigner_checks(sta_trajs):
     vac = fock.StateVector(np.eye(10, dtype=complex)[0])
-    w_vac = wigner.wigner(vac, half_width=3.0, n_points=41).at_origin()
+    w_vac = wigner.wigner([vac], half_width=3.0, n_points=41)[0].at_origin()
 
     a0 = np.sqrt(2)
     plus, _ = fock.coherent_state(a0, 30)
     minus, _ = fock.coherent_state(-a0, 30)
     even = fock.StateVector(plus.amplitudes + minus.amplitudes).normalized()
     odd = fock.StateVector(plus.amplitudes - minus.amplitudes).normalized()
-    w_even = wigner.wigner(even, half_width=3.0, n_points=41).at_origin()
-    w_odd = wigner.wigner(odd, half_width=3.0, n_points=41).at_origin()
+    w_even = wigner.wigner([even], half_width=3.0, n_points=41)[0].at_origin()
+    w_odd = wigner.wigner([odd], half_width=3.0, n_points=41)[0].at_origin()
 
     traj = sta_trajs[(0.0, "ket0")]
-    assert len(traj.snapshots) == 5
+    # the movie's five snapshots: samples 0, tau/4, ..., tau, lifted off the basis
+    snapshots = [traj.system.lift(fock.StateVector(traj.states[k])) for k in range(0, 401, 100)]
     p = traj.params
     frame = logical.build_frame(p.alpha0, p.dim)
-    fid = traj.snapshots[p.tau].fidelity(frame.ket1)
+    fid = snapshots[-1].fidelity(frame.ket1)
     # the movie frames walk the state from the +alpha0 lobe to the -alpha0 lobe
-    grids = {ts: wigner.wigner(s, half_width=3.0, n_points=41)
-             for ts, s in traj.snapshots.items()}
+    grids = wigner.wigner(snapshots, half_width=3.0, n_points=41)
     i0 = 20  # im = 0 row
-    j = {ts: g.re_axis[int(np.argmax(g.values[i0]))] for ts, g in grids.items()}
-    moved = j[0.0] > 1.0 and j[p.tau] < -1.0
+    j = [g.axis[int(np.argmax(g.values[i0]))] for g in grids]
+    moved = j[0] > 1.0 and j[-1] < -1.0
 
     two_pi = 2 / np.pi
     ok = (

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knosim import cli
+from knosim import cli, dynamics, fock, wigner
 from knosim.errors import ConfigError, SingularDriveError
 
 FAST_OVERRIDES = {"n_steps": 400, "n_samples": 41}
@@ -68,10 +69,20 @@ class TestResolveConfig:
         {"n_points": "many"}, {"chi_values": ["x"]}, {"chi_values": "0.5"}, {"n_steps": 400.5},
         {"phi": "x"}, {"kerr": "abc"}, {"tau": None}, {"dim": "many"}, {"dim": 30.5},
         {"sta": "false"}, {"sta": 1}, {"phi": True}, {"jobs": True}, {"preset": []},
+        {"chi_values": [0.5, float("nan")]}, {"chi_values": [float("inf")]},
     ])
     def test_non_numeric_rejected(self, tmp_path, capsys, setting):
         assert cli.main(["validate", write_config(tmp_path, **setting)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_chis_named_where_read(self, tmp_path, capsys):
+        # the file and the flag alike: not delta_0's error from the first run
+        path = write_config(tmp_path, protocol="sweep", chi_values=[0.5, float("nan")])
+        assert cli.main(["validate", path]) == 2
+        assert cli.main(["sweep", "fig2-4", "--chis=0.5,nan", "--out", str(tmp_path / "sw")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: chi_values must be finite, got [0.5, nan]"] * 2
+        assert not (tmp_path / "sw").exists()
 
     @pytest.mark.parametrize("setting", [{"n_steps": 0}, {"n_steps": 99}, {"jobs": 0}])
     def test_zero_steps_or_jobs_rejected(self, tmp_path, setting):
@@ -170,6 +181,14 @@ class TestSimulate:
         assert not out.exists()
         assert cli.main(["validate", cfg_path]) == 1
         assert "FAIL the polar-angle readout needs the counterdiabatic ramp" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_run_fails(self, tmp_path, capsys):
+        # chi = 1e308 overflows the counterdiabatic term: an error, not a NaN C1
+        out = tmp_path / "big"
+        assert cli.main(["simulate", write_config(tmp_path), "--chi=1e308", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: non-finite state at t = ")
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -286,6 +305,18 @@ class TestSweep:
             assert [n for n, _ in history] == [800]
             assert int(row[6]) == 800
             assert float(row[7]) == history[-1][1]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_point_fails_alone(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        both, alone = tmp_path / "both", tmp_path / "alone"
+        assert cli.main(["sweep", cfg_path, "--chis=0.5,1e308", "--out", str(both)]) == 0
+        assert cli.main(["sweep", cfg_path, "--chis=0.5", "--out", str(alone)]) == 0
+        ok, failed = (both / "sweep.csv").read_text().splitlines()[1:]
+        assert ok == (alone / "sweep.csv").read_text().splitlines()[1]
+        row = failed.split(",")
+        assert row[1:5] == ["nan", "sta_polar", "ket0", "false"]
+        assert row[5].startswith("non-finite state at t = ") and row[6:] == ["0", "nan"]
 
     def test_failed_point_has_empty_history(self, tmp_path, monkeypatch):
         def singular(params, initial, sta, **kw):
@@ -458,6 +489,32 @@ class TestWigner:
         assert cli.main(["wigner", write_config(tmp_path, **setting), "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("n_samples", [5, 41, 42, 43, 45, 401])
+    def test_validate_and_the_movie_agree_on_the_sample_grid(self, tmp_path, capsys, n_samples):
+        # the snapshots are the sample rows k = f (n_samples - 1), f = 0, 1/4, ..., 1
+        cfg_path = write_config(tmp_path, protocol="wigner_movie", n_samples=n_samples,
+                                half_width=3.0, n_points=41)
+        on_grid = (n_samples - 1) % 4 == 0
+        assert cli.main(["validate", cfg_path]) == (0 if on_grid else 1)
+        grid = rf"is not on the sample grid k\*tau/{n_samples - 1}$"
+        fail = re.compile(rf"^FAIL snapshot time \S+ {grid}", re.M)
+        assert bool(fail.search(capsys.readouterr().out)) is not on_grid
+        out = tmp_path / "movie"
+        assert cli.main(["wigner", cfg_path, "--format", "json", "--out", str(out)]) == (
+            0 if on_grid else 2)
+        assert out.exists() is on_grid
+        if not on_grid:
+            return
+        cfg = cli.resolve_config(cfg_path)
+        traj = dynamics.run(cfg.params, initial=cfg.initial, sta=cfg.sta, n_steps=cfg.n_steps,
+                            n_samples=n_samples)
+        for i, k in enumerate(range(0, n_samples, (n_samples - 1) // 4)):
+            state = traj.system.lift(fock.StateVector(traj.states[k]))
+            want = wigner.wigner([state], half_width=3.0, n_points=41)[0].values.ravel()
+            got = np.array(json.loads((out / f"wigner_t{i}.json").read_text())["w"])
+            assert got.tobytes() == want.tobytes()
 
 
 class TestValidate:

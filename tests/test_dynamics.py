@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import linear_response_params, sta_params
-from knosim import cli, dynamics, logical, model, topology, twolevel
-from knosim.errors import ConfigError, DimensionMismatchError, SingularDriveError
+from knosim import dynamics, logical, model, topology, twolevel
+from knosim.errors import (ConfigError, DimensionMismatchError, NonFiniteStateError,
+                           SingularDriveError)
 from knosim.fock import StateVector
 
 
@@ -60,65 +61,8 @@ class TestRun:
         assert traj.sz[0] < -0.999
         assert traj.sz[-1] > 0.999
 
-    def test_snapshots(self, sta_run):
-        p = sta_params()
-        traj = dynamics.run(
-            p, sta=True, n_steps=500, n_samples=51,
-            snapshot_times=(0.0, p.tau / 2, p.tau),
-        )
-        assert set(traj.snapshots) == {0.0, p.tau / 2, p.tau}
-        # each snapshot is its sample's state, lifted off the basis
-        assert traj.snapshot_index == {0.0: 0, p.tau / 2: 25, p.tau: 50}
-        for ts, k in traj.snapshot_index.items():
-            np.testing.assert_array_equal(traj.snapshots[ts].amplitudes,
-                                          traj.system.basis @ traj.states[k])
-        frame = logical.build_frame(p.alpha0, p.dim)
-        assert traj.snapshots[0.0].fidelity(frame.ket0) >= 1 - 1e-9
-        assert traj.snapshots[p.tau].fidelity(frame.ket1) >= 0.98
-
-    @pytest.fixture
-    def no_pass(self, monkeypatch):
-        """Fails any propagation pass: the snapshot times are checked first."""
-        def fail(*args):
-            raise AssertionError("a pass ran before the snapshot times were checked")
-
-        monkeypatch.setattr(dynamics, "_propagate", fail)
-
-    @pytest.mark.usefixtures("no_pass")
-    @pytest.mark.parametrize("times, n_samples", [((0.0, 1e-6, 1.5), 51), ((0.33,), 11)])
-    def test_off_grid_snapshot_rejected(self, times, n_samples):
-        # neither 1e-6 nor 0.33 is a multiple of tau / (n_samples - 1)
-        with pytest.raises(ConfigError, match="sample grid"):
-            dynamics.run(
-                sta_params(), sta=True, n_steps=500, n_samples=n_samples, snapshot_times=times
-            )
-
-    @pytest.mark.usefixtures("no_pass")
-    @pytest.mark.parametrize("ts", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_snapshot_rejected(self, ts):
-        with pytest.raises(ConfigError, match="finite"):
-            dynamics.evolve(
-                twolevel.system(sta_params()), n_steps=400, n_samples=41,
-                snapshot_times=(ts,),
-            )
-
-    @pytest.mark.parametrize("n_samples", [41, 401])
-    def test_cli_snapshot_fractions_on_grid(self, n_samples):
-        p = sta_params(chi=0.5)
-        system = twolevel.system(p)
-        times = [f * p.tau for f in cli.SNAPSHOT_FRACTIONS]
-        traj = dynamics.evolve(
-            system, sta=True, n_steps=800, n_samples=n_samples, snapshot_times=times,
-        )
-        assert list(traj.snapshots) == times
-        for ts, state in traj.snapshots.items():
-            k = int(np.argmin(np.abs(traj.t - ts)))
-            c0, c1 = (ket.overlap(state) for ket in (system.frame.ket0, system.frame.ket1))
-            sz = abs(c0) ** 2 - abs(c1) ** 2  # <psi|(|0><0| - |1><1|)|psi>
-            assert abs(sz - traj.sz[k]) < 1e-12
-
     def test_refinement_reported(self, sta_run):
-        assert sta_run.refine_diff <= dynamics.REFINE_TOL
+        assert sta_run.refine_history[-1][1] <= dynamics.REFINE_TOL
         assert sta_run.n_steps >= 2000  # at least one doubling always runs
 
     def test_nonconvergence_flagged(self):
@@ -126,7 +70,15 @@ class TestRun:
             sta_params(), sta=True, n_steps=100, n_samples=21, refine_tol=1e-14,
         )
         assert not traj.converged
-        assert traj.refine_diff > 1e-14
+        assert traj.refine_history[-1][1] > 1e-14
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_pass_raises(self, steps_computed):
+        # chi = 1e308 overflows the counterdiabatic term: the first pass's
+        # states are NaN, and no further pass runs on them
+        with pytest.raises(NonFiniteStateError, match=r"non-finite state at t = .* \(400 steps\)"):
+            dynamics.evolve(twolevel.system(sta_params(chi=1e308)), sta=True)
+        assert steps_computed == [400]
 
     def test_bad_initial(self):
         with pytest.raises(ConfigError):
@@ -191,8 +143,8 @@ class TestBatchedPass:
 
 
 class TestTrajectoryIsItsStates:
-    """A Trajectory stores the states of its pass; every observable, the
-    final state and the snapshots are read off them."""
+    """A Trajectory stores the states of its pass; every observable and the
+    final state are read off them."""
 
     def test_observables_are_read_off_the_states(self, sta_run):
         traj = sta_run
@@ -228,7 +180,7 @@ class TestTrajectoryIsItsStates:
         blochs = [np.stack(logical.bloch(frame, psi)[:3], axis=1) for psi in passes]
         diffs = [float(np.abs(fine - coarse).max()) for coarse, fine in zip(blochs, blochs[1:])]
         assert traj.refine_history == [(800, diffs[0]), (1600, diffs[1])]
-        assert traj.refine_history[-1][1] == diffs[-1] == traj.refine_diff
+        assert traj.refine_history[-1][1] == diffs[-1]
 
 
 def _exact_step(chi):
@@ -246,7 +198,7 @@ class TestStepCount:
         assert steps_computed == [400, 800]
         assert traj.n_steps == 800
         assert [n for n, _ in traj.refine_history] == [800]
-        assert traj.refine_diff <= dynamics.REFINE_TOL
+        assert traj.refine_history[-1][1] <= dynamics.REFINE_TOL
         c1 = topology.chern(traj).c1
         assert abs(c1 - _exact_step(chi)) <= 1e-6
 
@@ -281,18 +233,17 @@ class TestReducedBasisEquivalence:
     basis_dim = dim is the whole space."""
 
     def _compare(self, params, sta, **kw):
-        times = [f * params.tau for f in cli.SNAPSHOT_FRACTIONS]
-        reduced = dynamics.run(params, "ket0", sta, snapshot_times=times, **kw)
+        reduced = dynamics.run(params, "ket0", sta, **kw)
         whole = model.drive_set(params, basis_dim=params.dim)
-        full = dynamics.evolve(whole, "ket0", sta, snapshot_times=times, **kw)
+        full = dynamics.evolve(whole, "ket0", sta, **kw)
         assert reduced.n_steps == full.n_steps
         ds = max(np.abs(getattr(reduced, k) - getattr(full, k)).max() for k in ("sx", "sy", "sz"))
         assert ds <= 1e-8
         assert abs(topology.chern(reduced).c1 - topology.chern(full).c1) <= 1e-8
-        for ts in times:
-            state = reduced.snapshots[ts]
+        for k in range(0, len(reduced.t), 100):  # the Wigner movie's rows at 401 samples
+            state = reduced.system.lift(StateVector(reduced.states[k]))
             assert state.dim == params.dim
-            assert state.fidelity(full.snapshots[ts]) >= 1 - 1e-8
+            assert state.fidelity(full.system.lift(StateVector(full.states[k]))) >= 1 - 1e-8
         assert reduced.final_state.dim == params.dim
         return reduced
 

@@ -124,7 +124,7 @@ class TestPropagation:
             constant_system(h, tau=0.3), fock.StateVector(psi), n_steps=100, n_samples=2
         )
         assert abs(traj.final_state.amplitudes[1] - np.exp(-1j * omega * 0.3)) < 1e-12
-        assert traj.converged and traj.refine_diff < 1e-12
+        assert traj.converged and traj.refine_history[-1][1] < 1e-12
 
     def test_zero_hamiltonian(self):
         dim = 10

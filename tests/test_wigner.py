@@ -27,6 +27,11 @@ def reference_wigner(amplitudes, alphas):
     return np.array(out)
 
 
+def grid(psi, **kw):
+    """The Wigner grid of one state."""
+    return wigner.wigner([psi], **kw)[0]
+
+
 def random_state(dim, seed):
     rng = np.random.default_rng(seed)
     amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -45,13 +50,13 @@ def gaussian_wigner(axis, alpha):
 def vacuum_grid():
     vac = np.zeros(10, dtype=complex)
     vac[0] = 1
-    return wigner.wigner(fock.StateVector(vac), half_width=3.0, n_points=41)
+    return grid(fock.StateVector(vac), half_width=3.0, n_points=41)
 
 
 class TestVacuum:
     def test_matches_analytic_gaussian(self, vacuum_grid):
         g = vacuum_grid
-        expected = gaussian_wigner(g.re_axis, 0.0)
+        expected = gaussian_wigner(g.axis, 0.0)
         assert np.abs(g.values - expected).max() <= 1e-8
 
     def test_origin_value(self, vacuum_grid):
@@ -59,33 +64,30 @@ class TestVacuum:
 
     def test_normalization(self, vacuum_grid):
         g = vacuum_grid
-        cell = (g.re_axis[1] - g.re_axis[0]) * (g.im_axis[1] - g.im_axis[0])
+        cell = (g.axis[1] - g.axis[0]) * (g.axis[1] - g.axis[0])
         assert abs(g.values.sum() * cell - 1) <= 1e-3
-
-    def test_no_low_confidence_cells(self, vacuum_grid):
-        assert not vacuum_grid.low_confidence.any()
 
 
 class TestCoherent:
     def test_displaced_gaussian(self):
         psi, _ = fock.coherent_state(1.0 + 0.5j, 25)
-        g = wigner.wigner(psi, half_width=3.0, n_points=41)
-        expected = gaussian_wigner(g.re_axis, 1.0 + 0.5j)
+        g = grid(psi, half_width=3.0, n_points=41)
+        expected = gaussian_wigner(g.axis, 1.0 + 0.5j)
         assert np.abs(g.values - expected).max() <= 1e-6
 
     def test_peak_location(self):
         psi, _ = fock.coherent_state(np.sqrt(2), 30)
-        g = wigner.wigner(psi, half_width=3.0, n_points=41)
+        g = grid(psi, half_width=3.0, n_points=41)
         i, j = np.unravel_index(np.argmax(g.values), g.values.shape)
-        assert abs(g.re_axis[j] - np.sqrt(2)) <= 0.15
-        assert abs(g.im_axis[i]) <= 0.15
+        assert abs(g.axis[j] - np.sqrt(2)) <= 0.15
+        assert abs(g.axis[i]) <= 0.15
 
 
 class TestFockAndCat:
     def test_single_photon_negative_origin(self):
         amp = np.zeros(12, dtype=complex)
         amp[1] = 1
-        g = wigner.wigner(fock.StateVector(amp), half_width=3.0, n_points=41)
+        g = grid(fock.StateVector(amp), half_width=3.0, n_points=41)
         assert abs(g.at_origin() + 2 / np.pi) <= 1e-8
 
     def test_even_cat_origin_equals_parity(self):
@@ -95,7 +97,7 @@ class TestFockAndCat:
         minus, _ = fock.coherent_state(-a0, 30)
         amp = plus.amplitudes + minus.amplitudes
         cat = fock.StateVector(amp).normalized()
-        g = wigner.wigner(cat, half_width=3.0, n_points=41)
+        g = grid(cat, half_width=3.0, n_points=41)
         assert abs(g.at_origin() - 2 / np.pi) <= 1e-6
 
     def test_cat_has_two_lobes_and_fringes(self):
@@ -103,10 +105,10 @@ class TestFockAndCat:
         plus, _ = fock.coherent_state(a0, 30)
         minus, _ = fock.coherent_state(-a0, 30)
         cat = fock.StateVector(plus.amplitudes + minus.amplitudes).normalized()
-        g = wigner.wigner(cat, half_width=3.0, n_points=41)
-        j_plus = np.argmin(np.abs(g.re_axis - a0))
-        j_minus = np.argmin(np.abs(g.re_axis + a0))
-        i0 = np.argmin(np.abs(g.im_axis))
+        g = grid(cat, half_width=3.0, n_points=41)
+        j_plus = np.argmin(np.abs(g.axis - a0))
+        j_minus = np.argmin(np.abs(g.axis + a0))
+        i0 = np.argmin(np.abs(g.axis))
         assert g.values[i0, j_plus] > 0.2
         assert g.values[i0, j_minus] > 0.2
         assert g.values.min() < -0.1  # interference fringes go negative
@@ -117,12 +119,12 @@ class TestGridMechanics:
         vac = np.zeros(5, dtype=complex)
         vac[0] = 1
         with pytest.raises(ValueError):
-            wigner.wigner(fock.StateVector(vac), n_points=11)
+            wigner.wigner([fock.StateVector(vac)], n_points=11)
 
     def test_values_layout(self, vacuum_grid):
-        # values[i, j] = W(re_axis[j] + 1i * im_axis[i])
+        # values[i, j] = W(axis[j] + 1i * axis[i])
         g = vacuum_grid
-        assert g.values.shape == (g.im_axis.size, g.re_axis.size)
+        assert g.values.shape == (g.axis.size, g.axis.size)
 
 
 class TestStack:
@@ -134,11 +136,11 @@ class TestStack:
         states = [random_state(dim, 100 * dim + k) for k in range(n_states)]
         grids = wigner.wigner(states, half_width=3.5, n_points=41)
         assert isinstance(grids, list) and len(grids) == n_states
-        for psi, grid in zip(states, grids):
-            one = wigner.wigner(psi, half_width=3.5, n_points=41)
+        for psi, g in zip(states, grids):
+            one = grid(psi, half_width=3.5, n_points=41)
             assert isinstance(one, wigner.WignerGrid)
-            for field in ("re_axis", "im_axis", "values", "low_confidence"):
-                assert np.array_equal(getattr(grid, field), getattr(one, field))
+            for field in ("axis", "values"):
+                assert np.array_equal(getattr(g, field), getattr(one, field))
 
     def test_mixed_dimensions_raise(self):
         with pytest.raises(DimensionMismatchError, match=r"\[8, 9\]"):
@@ -151,8 +153,8 @@ class TestClosedForm:
     @pytest.mark.parametrize("n", range(30))
     def test_fock_state_is_laguerre(self, n):
         # W of |n> is (2/pi) (-1)^n e^{-2|a|^2} L_n(4|a|^2)
-        g = wigner.wigner(fock.StateVector(np.eye(30, dtype=complex)[n]), half_width=3.0, n_points=41)
-        a2 = g.re_axis[None, :] ** 2 + g.im_axis[:, None] ** 2
+        g = grid(fock.StateVector(np.eye(30, dtype=complex)[n]), half_width=3.0, n_points=41)
+        a2 = g.axis[None, :] ** 2 + g.axis[:, None] ** 2
         expected = (2 / np.pi) * (-1) ** n * np.exp(-2 * a2) * laguerre.lagval(4 * a2, np.eye(n + 1)[n])
         assert np.abs(g.values - expected).max() <= 1e-12
 
@@ -164,20 +166,20 @@ class TestClosedForm:
     )
     def test_random_states_match_padded_reference(self, dim, seed, half_width):
         psi = random_state(dim, seed)
-        g = wigner.wigner(psi, half_width=half_width, n_points=41)
+        g = grid(psi, half_width=half_width, n_points=41)
         assert np.abs(g.values).max() <= 2 / np.pi + 1e-12
         idx = [0, 10, 20, 30, 40]
         cells = [(i, j) for i in idx for j in idx]
-        alphas = [g.re_axis[j] + 1j * g.im_axis[i] for i, j in cells]
+        alphas = [g.axis[j] + 1j * g.axis[i] for i, j in cells]
         got = np.array([g.values[i, j] for i, j in cells])
         assert np.abs(got - reference_wigner(psi.amplitudes, alphas)).max() <= 1e-12
 
     def test_dim_100_wide_grid(self):
         psi = random_state(100, 7)
-        g = wigner.wigner(psi, half_width=10.0, n_points=41)
+        g = grid(psi, half_width=10.0, n_points=41)
         assert np.isfinite(g.values).all()
         assert np.abs(g.values).max() <= 2 / np.pi + 1e-12
         cells = [(0, 0), (40, 40), (20, 20), (16, 12), (0, 20), (20, 40)]
-        alphas = [g.re_axis[j] + 1j * g.im_axis[i] for i, j in cells]
+        alphas = [g.axis[j] + 1j * g.axis[i] for i, j in cells]
         got = np.array([g.values[i, j] for i, j in cells])
         assert np.abs(got - reference_wigner(psi.amplitudes, alphas)).max() <= 1e-12
