@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import linear_response_params, sta_params
-from knosim import dynamics, logical, model, topology, twolevel
+from knosim import cli, dynamics, logical, model, topology, twolevel
 from knosim.errors import (ConfigError, DimensionMismatchError, NonFiniteStateError,
                            SingularDriveError)
 from knosim.fock import StateVector
@@ -60,6 +60,36 @@ class TestRun:
         traj = dynamics.run(sta_params(), initial="ket1", sta=True, n_steps=800, n_samples=41)
         assert traj.sz[0] < -0.999
         assert traj.sz[-1] > 0.999
+
+    def test_snapshots(self, sta_run):
+        # the Wigner movie's snapshots are its sample rows' states, lifted off the basis
+        p = sta_run.params
+        cfg = cli.ExperimentConfig("wigner_movie", p, True, "ket0", 1000, len(sta_run.t))
+        rows = cli._movie_rows(cfg)
+        assert rows == [0, 25, 50, 75, 100]
+        snaps = [sta_run.system.lift(StateVector(sta_run.states[k])) for k in rows]
+        for f, k, state in zip(cli.SNAPSHOT_FRACTIONS, rows, snaps):
+            assert abs(sta_run.t[k] - f * p.tau) <= 1e-12
+            np.testing.assert_array_equal(state.amplitudes,
+                                          sta_run.system.basis @ sta_run.states[k])
+        frame = logical.build_frame(p.alpha0, p.dim)
+        assert snaps[0].fidelity(frame.ket0) >= 1 - 1e-9
+        assert snaps[-1].fidelity(frame.ket1) >= 0.98
+
+    @pytest.mark.parametrize("n_samples", [41, 401])
+    def test_cli_snapshot_fractions_on_grid(self, n_samples):
+        p = sta_params(chi=0.5)
+        system = twolevel.system(p)
+        cfg = cli.ExperimentConfig("wigner_movie", p, True, "ket0", 800, n_samples)
+        traj = dynamics.evolve(system, sta=True, n_steps=800, n_samples=n_samples)
+        rows = cli._movie_rows(cfg)
+        assert len(rows) == len(cli.SNAPSHOT_FRACTIONS)
+        for f, k in zip(cli.SNAPSHOT_FRACTIONS, rows):
+            assert abs(traj.t[k] - f * p.tau) <= 1e-12
+            state = system.lift(StateVector(traj.states[k]))
+            c0, c1 = (ket.overlap(state) for ket in (system.frame.ket0, system.frame.ket1))
+            sz = abs(c0) ** 2 - abs(c1) ** 2  # <psi|(|0><0| - |1><1|)|psi>
+            assert abs(sz - traj.sz[k]) < 1e-12
 
     def test_refinement_reported(self, sta_run):
         assert sta_run.refine_history[-1][1] <= dynamics.REFINE_TOL

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import laguerre
 
-from knosim import fock, wigner
+from knosim import cli, fock, wigner
 from knosim.errors import DimensionMismatchError
 
 
@@ -67,6 +67,11 @@ class TestVacuum:
         cell = (g.axis[1] - g.axis[0]) * (g.axis[1] - g.axis[0])
         assert abs(g.values.sum() * cell - 1) <= 1e-3
 
+    def test_no_low_confidence_cells(self, vacuum_grid):
+        # nothing is truncated: the table's low_confidence column is false in every cell
+        flags = cli._grid_columns(vacuum_grid)["low_confidence"]
+        assert flags.shape == (vacuum_grid.values.size,)
+        assert not flags.any()
 
 class TestCoherent:
     def test_displaced_gaussian(self):
