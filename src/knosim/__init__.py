@@ -6,12 +6,10 @@ polar-angle protocol, with the first Chern number from either route.
 """
 
 from . import dynamics, fock, logical, model, topology, twolevel, wigner  # noqa: F401
-from .fock import StateVector  # noqa: F401
 from .logical import LogicalFrame, build_frame  # noqa: F401
 from .model import ModelParams, RampSchedule  # noqa: F401
 
 __all__ = [
-    "StateVector",
     "LogicalFrame",
     "ModelParams",
     "RampSchedule",

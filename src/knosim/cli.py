@@ -186,10 +186,6 @@ def _table(path_base: Path, fmt: str, columns: dict[str, np.ndarray]) -> None:
         _write_json(path_base.with_suffix(".json"), {h: col.tolist() for h, col in columns.items()})
 
 
-def _edge_population(state: fock.StateVector) -> float:
-    return float(np.sum(np.abs(state.amplitudes[-3:]) ** 2))
-
-
 def _manifest(cfg: ExperimentConfig, extra: dict) -> dict:
     p = cfg.params
     try:
@@ -319,11 +315,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "refine_history": traj.refine_history,
             "basis_dim": traj.basis_dim,
             "leakage_bound": traj.leakage_bound,
-            "final_edge_population": _edge_population(traj.final_state),
+            "final_edge_population": float(np.sum(np.abs(traj.final_state[-3:]) ** 2)),
         }
         if cfg.protocol == "wigner_movie":
             extra["snapshot_times_us"] = [f * cfg.params.tau for f in SNAPSHOT_FRACTIONS]
-            states = [traj.system.lift(fock.StateVector(traj.states[k])) for k in _movie_rows(cfg)]
+            # one row at a time: a stacked lift is not bitwise the same
+            states = [traj.system.lift(traj.states[k]) for k in _movie_rows(cfg)]
             grids = wigner_mod.wigner(states, cfg.half_width, cfg.n_points)
             for k, grid in enumerate(grids):
                 tables[f"wigner_t{k}"] = _grid_columns(grid)
@@ -350,7 +347,7 @@ def movie_seconds(dim: int, n_points: int) -> float:
     its snapshots of dim levels over an n_points grid, and the CSV text of
     each grid's columns. Measured once per process as dynamics.step_seconds
     measures a step: the median of a few calls after a warm-up call."""
-    states = [fock.StateVector(np.full(dim, dim**-0.5, dtype=complex))] * len(SNAPSHOT_FRACTIONS)
+    states = np.full((len(SNAPSHOT_FRACTIONS), dim), dim**-0.5, dtype=complex)
 
     def movie():
         for grid in wigner_mod.wigner(states, n_points=n_points):

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import logical, model
 from .errors import ConfigError, DimensionMismatchError, NonFiniteStateError, SingularDriveError
-from .fock import StateVector
 from .model import ModelParams
 
 REFINE_TOL = 1e-4
@@ -109,24 +108,27 @@ class Trajectory:
         return self.system.leakage_bound
 
     @property
-    def final_state(self) -> StateVector:
-        return self.system.lift(StateVector(self.states[-1]))
+    def final_state(self) -> np.ndarray:
+        return self.system.lift(self.states[-1])
 
     def bloch(self) -> np.ndarray:
         """(n_samples, 3) array of (sx, sy, sz)."""
         return np.stack([self.sx, self.sy, self.sz], axis=1)
 
 
-def _initial_state(system: model.DriveSet, initial) -> tuple[StateVector, str]:
-    if isinstance(initial, StateVector):
-        if initial.dim != system.basis_dim:
-            raise DimensionMismatchError(
-                f"initial state has {initial.dim} amplitudes, the system's basis {system.basis_dim}"
-            )
-        return initial.normalized(), "custom"
-    if initial in ("ket0", "ket1"):
+def _initial_state(system: model.DriveSet, initial) -> tuple[np.ndarray, str]:
+    if isinstance(initial, str):
+        if initial not in ("ket0", "ket1"):
+            raise ConfigError(f"initial must be 'ket0', 'ket1' or an array, got {initial!r}")
         return getattr(system.frame, initial), initial
-    raise ConfigError(f"initial must be 'ket0', 'ket1' or a StateVector, got {initial!r}")
+    psi = np.asarray(initial, dtype=complex)
+    if psi.shape != (system.basis_dim,):
+        raise DimensionMismatchError(
+            f"initial state of shape {psi.shape}, not ({system.basis_dim},): give it on the basis")
+    norm = np.linalg.norm(psi)
+    if not 0 < norm < np.inf:
+        raise ConfigError(f"initial state must have a finite nonzero norm, got {norm}")
+    return psi / norm, "custom"
 
 
 def _interval_propagators(system: model.DriveSet, sta: bool, first: int, stop: int,
@@ -147,7 +149,7 @@ def _interval_propagators(system: model.DriveSet, sta: bool, first: int, stop: i
     return total
 
 
-def _propagate(system: model.DriveSet, psi0: StateVector, sta: bool, n_steps: int,
+def _propagate(system: model.DriveSet, psi0: np.ndarray, sta: bool, n_steps: int,
                n_samples: int) -> dict:
     """Single fixed-step propagation over n_steps, a whole number of steps per
     sample interval; returns n_steps and psi, the state at every sample.
@@ -162,7 +164,7 @@ def _propagate(system: model.DriveSet, psi0: StateVector, sta: bool, n_steps: in
     per_chunk = max(1, CHUNK_STEPS // spc)  # sample intervals per chunk
 
     psi = np.empty((n_samples, system.basis_dim), dtype=complex)
-    psi[0] = psi0.amplitudes
+    psi[0] = psi0
     for first in range(0, n_samples - 1, per_chunk):
         stop = min(first + per_chunk, n_samples - 1)
         for k, u in enumerate(_interval_propagators(system, sta, first, stop, spc, dt), first):
@@ -182,8 +184,9 @@ def evolve(
     its states at the n_samples sample times; observables are read off them.
 
     The run steps on the system's basis: initial is "ket0" or "ket1" of its
-    frame, or a StateVector of basis_dim amplitudes on the basis, which is
-    normalized (any other size is a DimensionMismatchError). final_state is
+    frame, or an array of basis_dim amplitudes on the basis, which is
+    normalized (any other shape is a DimensionMismatchError, a zero or
+    non-finite norm a ConfigError). final_state is
     the last sample lifted back through the basis (DriveSet.lift) when read;
     a sample row k of states lifts the same way. run passes
     model.drive_set(params), twolevel.reference_dynamics twolevel.system(params).

@@ -26,6 +26,7 @@ linear-response integrals.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,7 +34,6 @@ import numpy as np
 
 from . import fock, logical
 from .errors import ConfigError, SingularDriveError
-from .fock import StateVector
 from .logical import LogicalFrame
 
 STABILIZER_RATIO_WARN = 0.2
@@ -166,6 +166,17 @@ def hy(params: ModelParams) -> np.ndarray:
     return -1j / (2 * a0) * np.exp(2 * a0**2) * (a.conj().T - a)
 
 
+@contextmanager
+def _refuse_overflow(what: str):
+    """A ConfigError naming what, in place of numpy's warning, when what
+    overflows or turns nan: the drive is too large for floating point."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
 def cd_coefficient(theta, theta_dot, chi: float, rho: float = 1.0):
     """Closed-form Theta_dot for the mixing angle Theta (see mixing_angle),
 
@@ -175,14 +186,15 @@ def cd_coefficient(theta, theta_dot, chi: float, rho: float = 1.0):
     within DEGENERACY_ATOL of 1 puts the degeneracy on the ramp, and
     delta_z = 0 (rho infinite) starts it at zero drive: a SingularDriveError
     whatever the theta grid. At any other chi and nonzero rho the denominator
-    is positive.
+    is positive; a chi so large that it overflows is a ConfigError.
     """
     if abs(abs(chi) - 1.0) < DEGENERACY_ATOL:
         raise SingularDriveError(f"counterdiabatic coefficient singular at chi={chi}")
     if not np.isfinite(rho):
         raise SingularDriveError("counterdiabatic coefficient singular at delta_z=0")
     cos = np.cos(theta)
-    return theta_dot * rho * (1 + chi * cos) / (rho**2 * np.sin(theta) ** 2 + (cos + chi) ** 2)
+    with _refuse_overflow(f"counterdiabatic coefficient at chi={chi}"):
+        return theta_dot * rho * (1 + chi * cos) / (rho**2 * np.sin(theta) ** 2 + (cos + chi) ** 2)
 
 
 def mixing_angle(theta, chi: float, rho: float = 1.0):
@@ -224,9 +236,9 @@ class DriveSet:
     def basis_dim(self) -> int:
         return self.basis.shape[1]
 
-    def lift(self, state: StateVector) -> StateVector:
+    def lift(self, state: np.ndarray) -> np.ndarray:
         """B psi: a state on the basis, back in the space of its columns."""
-        return StateVector(self.basis @ state.amplitudes)
+        return self.basis @ state
 
     def total_matrix(self, t, sta: bool = False) -> np.ndarray:
         """H(t) as an M x M matrix for a scalar t; for an array of times, the
@@ -277,17 +289,19 @@ def drive_set(params: ModelParams, basis_dim: int | None = None) -> DriveSet:
     amplitude |<k|V|c>| / |E_k - E_c| of at most LEAKAGE_TOL from the cat
     doublet c, under the largest drive V (_largest_drive); leakage_bound is
     the largest such amplitude left out, and M = dim, the whole space, when
-    no smaller size meets the bound.
+    no smaller size meets the bound. A drive so large that the bound
+    overflows is a ConfigError.
     """
     full = logical.build_frame(params.alpha0, params.dim)
     h = h0(params)
     drives = (hz(params), hx(params), hy(params))
     w, u = np.linalg.eigh(h)
-    cat = full.ket0.amplitudes
+    cat = full.ket0
     order = np.argsort(np.abs(w - np.vdot(cat, h @ cat).real), kind="stable")
     w, u = w[order], u[:, order]
     # tail[m]: the largest amplitude beyond the first m eigenvectors, m = 0..dim
-    amp = _leakage_amplitudes(w, u, _largest_drive(params, *drives))
+    with _refuse_overflow(f"largest drive at delta_0={params.delta_0}"):
+        amp = _leakage_amplitudes(w, u, _largest_drive(params, *drives))
     tail = np.append(np.maximum.accumulate(amp[::-1])[::-1], 0.0)
     m = basis_dim
     if m is None:
@@ -302,6 +316,6 @@ def drive_set(params: ModelParams, basis_dim: int | None = None) -> DriveSet:
         return (x + x.conj().T) / 2
 
     # exact: B^dag |k><k'| B = (B^dag k)(B^dag k')^dag
-    frame = LogicalFrame(*(StateVector(b.conj().T @ k.amplitudes) for k in (full.ket0, full.ket1)))
+    frame = LogicalFrame(b.conj().T @ full.ket0, b.conj().T @ full.ket1)
     z, x, y = (project(op) for op in drives)
     return DriveSet(params, np.diag(w[:m]), z, x, y, frame, b, float(tail[m]))

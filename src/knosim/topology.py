@@ -136,19 +136,14 @@ def chern(traj: Trajectory) -> ChernResult:
 
 
 def _sweep_point(args):
-    params, sta, initial, run_kwargs = args
+    params, chi, sta, initial, run_kwargs = args
     try:
-        check_readout(params, sta)
-        return chern(dynamics.run(params, initial=initial, sta=sta, **run_kwargs))
+        point = replace(params, delta_0=chi * params.delta_z)
+        check_readout(point, sta)
+        return chern(dynamics.run(point, initial=initial, sta=sta, **run_kwargs))
     except KnosimError as exc:
-        return ChernResult(
-            c1=float("nan"),
-            method=METHOD[sta],
-            chi=params.chi,
-            initial=initial,
-            converged=False,
-            error=str(exc),
-        )
+        return ChernResult(c1=float("nan"), method=METHOD[sta], chi=chi, initial=initial,
+                           converged=False, error=str(exc))
 
 
 def sweep_chi(
@@ -162,12 +157,12 @@ def sweep_chi(
     """Independent simulation per chi (delta_0 = chi * delta_z), in chi order,
     each run with sta or without and read by chern.
 
-    A point that fails with a KnosimError (a singular counterdiabatic term, a
-    truncation leak, ...) is recorded as a failed entry and the sweep
-    continues. jobs > 1 starts at most one worker per core and per point.
+    A point that fails with a KnosimError (a delta_0 out of range, a
+    singular counterdiabatic term, a truncation leak, ...) is recorded as a
+    failed entry at its chi and the sweep continues. jobs > 1 starts at most
+    one worker per core and per point.
     """
-    tasks = [(replace(params, delta_0=float(chi) * params.delta_z), sta, initial, run_kwargs)
-             for chi in chi_values]
+    tasks = [(params, float(chi), sta, initial, run_kwargs) for chi in chi_values]
     if not tasks:
         raise ValueError("empty chi sweep")
     workers = min(jobs, os.cpu_count() or 1, len(tasks))

@@ -21,12 +21,11 @@ import numpy as np
 from . import dynamics, logical
 from .dynamics import Trajectory
 from .errors import OnManifoldDegeneracyError
-from .fock import StateVector
 from .logical import LogicalFrame
 from .model import DEGENERACY_ATOL, DriveSet, ModelParams
 
 _ID = np.eye(2, dtype=complex)
-_FRAME = LogicalFrame(StateVector(_ID[0]), StateVector(_ID[1]))  # ket0 = (1, 0), ket1 = (0, 1)
+_FRAME = LogicalFrame(_ID[0], _ID[1])  # ket0 = (1, 0), ket1 = (0, 1)
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = logical.sigma_y(_FRAME, 0.0)
 _SZ = np.diag([1, -1]).astype(complex)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .fock import StateVector
 
 MIN_GRID_POINTS = 41
 
@@ -40,22 +39,22 @@ class WignerGrid:
         return float(self.values[i, i])
 
 
-def wigner(states: Sequence[StateVector], half_width: float = 4.5,
+def wigner(states: np.ndarray | Sequence[np.ndarray], half_width: float = 4.5,
            n_points: int = 81) -> list[WignerGrid]:
     """Evaluate W on the square grid |Re a|, |Im a| <= half_width, one grid for
-    each of a sequence of states of one dimension. The recurrence runs once
-    for the whole sequence, and each state's grid is bitwise the grid of a
-    call on that state alone."""
+    each state: the rows of a (k, dim) array, or 1-d amplitude arrays of one
+    length. The recurrence runs once for all of them, and each state's grid
+    is bitwise the grid of a call on that state alone."""
     if n_points < MIN_GRID_POINTS:
         raise ValueError(f"n_points must be >= {MIN_GRID_POINTS}, got {n_points}")
-    dims = {s.dim for s in states}
-    if len(dims) != 1:
-        raise DimensionMismatchError(f"states of one dimension needed, got {sorted(dims)}")
-    dim = dims.pop()
+    shapes = {np.shape(s) for s in states}
+    if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+        raise DimensionMismatchError(f"1-d states of one length needed, got shapes {sorted(shapes)}")
+    amp = np.asarray(states, dtype=complex)
+    dim = amp.shape[1]
     axis = np.linspace(-half_width, half_width, n_points)
     alpha = axis[None, :] + 1j * axis[:, None]
     x = 4 * np.abs(alpha) ** 2
-    amp = np.stack([s.amplitudes for s in states])
     # (-1)^n rho_{m,n}, indexed [m, n, state]: each entry scales a stack of grids
     signed_rho = np.moveaxis(amp[:, :, None] * amp.conj()[:, None, :] * (-1.0) ** np.arange(dim),
                              0, -1)[..., None, None]

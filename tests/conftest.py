@@ -3,7 +3,6 @@ import pytest
 from dataclasses import replace
 
 from knosim import dynamics
-from knosim.fock import StateVector
 from knosim.logical import LogicalFrame
 from knosim.model import DriveSet, ModelParams
 
@@ -48,7 +47,7 @@ def constant_system(h: np.ndarray, tau: float = 1.0) -> DriveSet:
     h = np.asarray(h, dtype=complex)
     params = ModelParams(kerr=1.0, pump=4.0, omega0=0.0, delta_z=0.0, tau=tau)
     e = np.eye(h.shape[0], dtype=complex)
-    return DriveSet(params, h, 0, 0, 0, LogicalFrame(StateVector(e[0]), StateVector(e[1])), e)
+    return DriveSet(params, h, 0, 0, 0, LogicalFrame(e[0], e[1]), e)
 
 
 @pytest.fixture(scope="session")

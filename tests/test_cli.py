@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knosim import cli, dynamics, fock, wigner
+from knosim import cli, dynamics, wigner
 from knosim.errors import ConfigError, SingularDriveError
 
 FAST_OVERRIDES = {"n_steps": 400, "n_samples": 41}
@@ -182,13 +182,14 @@ class TestSimulate:
         assert cli.main(["validate", cfg_path]) == 1
         assert "FAIL the polar-angle readout needs the counterdiabatic ramp" in capsys.readouterr().out
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_run_fails(self, tmp_path, capsys):
-        # chi = 1e308 overflows the counterdiabatic term: an error, not a NaN C1
+    def test_non_finite_run_fails(self, tmp_path, capsys, steps_computed):
+        # chi = 1e308 overflows the drive: refused where the drive is built,
+        # before any propagation and with no numpy warning
         out = tmp_path / "big"
         assert cli.main(["simulate", write_config(tmp_path), "--chi=1e308", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: non-finite state at t = ")
+        assert capsys.readouterr().err.startswith("error: largest drive at delta_0=")
         assert not out.exists()
+        assert steps_computed == []
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -306,7 +307,6 @@ class TestSweep:
             assert int(row[6]) == 800
             assert float(row[7]) == history[-1][1]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_point_fails_alone(self, tmp_path):
         cfg_path = write_config(tmp_path)
         both, alone = tmp_path / "both", tmp_path / "alone"
@@ -316,7 +316,17 @@ class TestSweep:
         assert ok == (alone / "sweep.csv").read_text().splitlines()[1]
         row = failed.split(",")
         assert row[1:5] == ["nan", "sta_polar", "ket0", "false"]
-        assert row[5].startswith("non-finite state at t = ") and row[6:] == ["0", "nan"]
+        assert row[5].startswith("largest drive at delta_0=") and row[6:] == ["0", "nan"]
+
+    def test_out_of_range_delta_0_fails_alone(self, tmp_path):
+        # chi * delta_z = 2e308 is not a float: that point's params fail, not the sweep
+        cfg_path = write_config(tmp_path, delta_z=2.0, omega0=2.0)
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", cfg_path, "--chis=0.5,1e308", "--out", str(out)]) == 0
+        ok, failed = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert ok.split(",")[5] == "ok"
+        assert failed.split(",")[:5] == ["1e+308", "nan", "sta_polar", "ket0", "false"]
+        assert "delta_0 must be finite" in failed
 
     def test_failed_point_has_empty_history(self, tmp_path, monkeypatch):
         def singular(params, initial, sta, **kw):
@@ -511,7 +521,7 @@ class TestWigner:
         traj = dynamics.run(cfg.params, initial=cfg.initial, sta=cfg.sta, n_steps=cfg.n_steps,
                             n_samples=n_samples)
         for i, k in enumerate(range(0, n_samples, (n_samples - 1) // 4)):
-            state = traj.system.lift(fock.StateVector(traj.states[k]))
+            state = traj.system.lift(traj.states[k])
             want = wigner.wigner([state], half_width=3.0, n_points=41)[0].values.ravel()
             got = np.array(json.loads((out / f"wigner_t{i}.json").read_text())["w"])
             assert got.tobytes() == want.tobytes()
@@ -530,6 +540,14 @@ class TestValidate:
             rc = cli.main(["validate", cfg_path])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_overflowing_drive_is_invalid(self, capsys):
+        # the drive overflows where it is built: a FAIL line, no numpy warning
+        assert cli.main(["validate", "fig2-4", "--chi", "1e308"]) == 1
+        report = capsys.readouterr()
+        assert re.search(r"^FAIL model: largest drive at delta_0=\S+: overflow", report.out, re.M)
+        assert report.out.strip().endswith("INVALID")
+        assert report.err == ""
 
     def test_runtime_estimate_scales_with_steps(self, tmp_path, capsys):
         cfg = cli.resolve_config("fig1")

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import linear_response_params, sta_params
+from conftest import constant_system, linear_response_params, sta_params
 from knosim import cli, dynamics, logical, model, topology, twolevel
 from knosim.errors import (ConfigError, DimensionMismatchError, NonFiniteStateError,
                            SingularDriveError)
-from knosim.fock import StateVector
 
 
 @pytest.fixture(scope="module")
@@ -42,19 +41,28 @@ class TestRun:
         # a custom state is given on the drive set's basis, and normalized
         p = sta_params()
         frame = model.drive_set(p).frame
-        plus = StateVector(frame.ket0.amplitudes + frame.ket1.amplitudes)
+        plus = frame.ket0 + frame.ket1
         traj = dynamics.run(p, initial=plus, sta=True, n_steps=800, n_samples=41)
         assert traj.initial == "custom"
         assert abs(traj.sx[0] - 1) < 1e-9
         assert abs(traj.norm[0] - 1) < 1e-12
-        assert traj.final_state.dim == p.dim
+        assert traj.final_state.shape == (p.dim,)
 
     def test_state_off_the_basis_rejected(self):
         # a 30-level Fock state is not on the 8-vector basis: no silent truncation
         p = sta_params()
         ket0 = logical.build_frame(p.alpha0, p.dim).ket0
-        with pytest.raises(DimensionMismatchError, match="30 amplitudes"):
+        with pytest.raises(DimensionMismatchError, match=r"shape \(30,\), not \(8,\)"):
             dynamics.run(p, initial=ket0, sta=True, n_steps=400, n_samples=41)
+        with pytest.raises(DimensionMismatchError, match=r"shape \(1, 8\)"):
+            dynamics.run(p, initial=[np.ones(8)], sta=True, n_steps=400, n_samples=41)
+
+    @pytest.mark.parametrize("amp", [0.0, np.inf, np.nan])
+    def test_unnormalizable_state_rejected(self, amp, steps_computed):
+        with pytest.raises(ConfigError, match="finite nonzero norm"):
+            dynamics.run(sta_params(), initial=np.full(8, amp, dtype=complex), sta=True,
+                         n_steps=400, n_samples=41)
+        assert steps_computed == []
 
     def test_ket1_start(self):
         traj = dynamics.run(sta_params(), initial="ket1", sta=True, n_steps=800, n_samples=41)
@@ -67,14 +75,13 @@ class TestRun:
         cfg = cli.ExperimentConfig("wigner_movie", p, True, "ket0", 1000, len(sta_run.t))
         rows = cli._movie_rows(cfg)
         assert rows == [0, 25, 50, 75, 100]
-        snaps = [sta_run.system.lift(StateVector(sta_run.states[k])) for k in rows]
+        snaps = [sta_run.system.lift(sta_run.states[k]) for k in rows]
         for f, k, state in zip(cli.SNAPSHOT_FRACTIONS, rows, snaps):
             assert abs(sta_run.t[k] - f * p.tau) <= 1e-12
-            np.testing.assert_array_equal(state.amplitudes,
-                                          sta_run.system.basis @ sta_run.states[k])
+            np.testing.assert_array_equal(state, sta_run.system.basis @ sta_run.states[k])
         frame = logical.build_frame(p.alpha0, p.dim)
-        assert snaps[0].fidelity(frame.ket0) >= 1 - 1e-9
-        assert snaps[-1].fidelity(frame.ket1) >= 0.98
+        assert abs(np.vdot(snaps[0], frame.ket0)) ** 2 >= 1 - 1e-9
+        assert abs(np.vdot(snaps[-1], frame.ket1)) ** 2 >= 0.98
 
     @pytest.mark.parametrize("n_samples", [41, 401])
     def test_cli_snapshot_fractions_on_grid(self, n_samples):
@@ -86,8 +93,8 @@ class TestRun:
         assert len(rows) == len(cli.SNAPSHOT_FRACTIONS)
         for f, k in zip(cli.SNAPSHOT_FRACTIONS, rows):
             assert abs(traj.t[k] - f * p.tau) <= 1e-12
-            state = system.lift(StateVector(traj.states[k]))
-            c0, c1 = (ket.overlap(state) for ket in (system.frame.ket0, system.frame.ket1))
+            state = system.lift(traj.states[k])
+            c0, c1 = (np.vdot(ket, state) for ket in (system.frame.ket0, system.frame.ket1))
             sz = abs(c0) ** 2 - abs(c1) ** 2  # <psi|(|0><0| - |1><1|)|psi>
             assert abs(sz - traj.sz[k]) < 1e-12
 
@@ -102,11 +109,17 @@ class TestRun:
         assert not traj.converged
         assert traj.refine_history[-1][1] > 1e-14
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_pass_raises(self, steps_computed):
-        # chi = 1e308 overflows the counterdiabatic term: the first pass's
-        # states are NaN, and no further pass runs on them
+        # a NaN in H(t) makes the first pass's states NaN, and no further
+        # pass runs on them
         with pytest.raises(NonFiniteStateError, match=r"non-finite state at t = .* \(400 steps\)"):
+            dynamics.evolve(constant_system(np.diag([np.nan, 1.0])))
+        assert steps_computed == [400]
+
+    def test_overflowing_cd_term_refused(self, steps_computed):
+        # chi = 1e308 overflows the counterdiabatic coefficient where the
+        # first chunk samples it: a ConfigError, not a numpy warning
+        with pytest.raises(ConfigError, match="counterdiabatic coefficient at chi=1e"):
             dynamics.evolve(twolevel.system(sta_params(chi=1e308)), sta=True)
         assert steps_computed == [400]
 
@@ -141,7 +154,7 @@ def _reference_pass(system, psi0, sta, n_steps, n_samples):
     the state kept at every sample."""
     spc = n_steps // (n_samples - 1)
     dt = system.params.tau / n_steps
-    psi = psi0.amplitudes.copy()
+    psi = psi0.copy()
     states = [psi]
     for i in range(n_steps):
         w, v = np.linalg.eigh(system.total_matrix((i + 0.5) * dt, sta=sta))
@@ -187,7 +200,7 @@ class TestTrajectoryIsItsStates:
         assert traj.params is traj.system.params
         assert (traj.basis_dim, traj.leakage_bound) == (8, traj.system.leakage_bound)
         lifted = traj.system.basis @ traj.states[-1]
-        np.testing.assert_array_equal(traj.final_state.amplitudes, lifted)
+        np.testing.assert_array_equal(traj.final_state, lifted)
         spc = traj.n_steps // 100
         np.testing.assert_array_equal(traj.t, np.arange(101) * spc * (traj.params.tau / traj.n_steps))
 
@@ -271,10 +284,10 @@ class TestReducedBasisEquivalence:
         assert ds <= 1e-8
         assert abs(topology.chern(reduced).c1 - topology.chern(full).c1) <= 1e-8
         for k in range(0, len(reduced.t), 100):  # the Wigner movie's rows at 401 samples
-            state = reduced.system.lift(StateVector(reduced.states[k]))
-            assert state.dim == params.dim
-            assert state.fidelity(full.system.lift(StateVector(full.states[k]))) >= 1 - 1e-8
-        assert reduced.final_state.dim == params.dim
+            state = reduced.system.lift(reduced.states[k])
+            assert state.shape == (params.dim,)
+            assert abs(np.vdot(state, full.system.lift(full.states[k]))) ** 2 >= 1 - 1e-8
+        assert reduced.final_state.shape == (params.dim,)
         return reduced
 
     @pytest.mark.parametrize("chi", [0.353, -0.538, 1.347, -1.888])

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import linear_response_params, sta_params
-from knosim import dynamics, topology, twolevel
+from knosim import cli, dynamics, topology, twolevel
 from knosim.errors import ConfigError, DegenerateReadoutError, InsufficientSamplingError
-from knosim.fock import StateVector
 from knosim.logical import LogicalFrame
 from knosim.model import DriveSet
 
@@ -24,7 +23,7 @@ def make_traj(theta, sx, sy, sz, params, sta=False, initial="ket0", **kw):
         np.sqrt(np.maximum(1 - length, 0.0)),  # a unit vector may round to 1 + 1 ulp
     ], axis=1)
     e = np.eye(3, dtype=complex)
-    system = DriveSet(params, 0, 0, 0, 0, LogicalFrame(StateVector(e[0]), StateVector(e[1])), e)
+    system = DriveSet(params, 0, 0, 0, 0, LogicalFrame(e[0], e[1]), e)
     return dynamics.Trajectory(
         system, t, theta, states, n_steps=theta.size - 1, sta=sta, initial=initial,
         **{"converged": True, **kw},
@@ -220,6 +219,15 @@ class TestSweep:
             assert "phi" in r.error
             assert np.isnan(r.c1) and not r.converged
         assert steps_computed == []
+
+    def test_out_of_range_point_fails_alone(self):
+        # delta_0 = 1e308 * delta_z is not finite: that point's ModelParams
+        # fails inside the sweep, the other point runs
+        cfg = cli.resolve_config("fig2-4", {"delta_z": 2.0, "omega0": 2.0})
+        ok, failed = topology.sweep_chi(cfg.params, [0.5, 1e308], n_steps=400, n_samples=41)
+        assert ok.error is None and ok.converged and abs(ok.c1 - 1) < 1e-3
+        assert failed.chi == 1e308 and np.isnan(failed.c1) and not failed.converged
+        assert "delta_0" in failed.error
 
     def test_empty_sweep(self):
         with pytest.raises(ValueError):

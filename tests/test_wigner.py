@@ -35,7 +35,7 @@ def grid(psi, **kw):
 def random_state(dim, seed):
     rng = np.random.default_rng(seed)
     amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return fock.StateVector(amp).normalized()
+    return amp / np.linalg.norm(amp)
 
 
 def gaussian_wigner(axis, alpha):
@@ -50,7 +50,7 @@ def gaussian_wigner(axis, alpha):
 def vacuum_grid():
     vac = np.zeros(10, dtype=complex)
     vac[0] = 1
-    return grid(fock.StateVector(vac), half_width=3.0, n_points=41)
+    return grid(vac, half_width=3.0, n_points=41)
 
 
 class TestVacuum:
@@ -92,7 +92,7 @@ class TestFockAndCat:
     def test_single_photon_negative_origin(self):
         amp = np.zeros(12, dtype=complex)
         amp[1] = 1
-        g = grid(fock.StateVector(amp), half_width=3.0, n_points=41)
+        g = grid(amp, half_width=3.0, n_points=41)
         assert abs(g.at_origin() + 2 / np.pi) <= 1e-8
 
     def test_even_cat_origin_equals_parity(self):
@@ -100,8 +100,7 @@ class TestFockAndCat:
         a0 = np.sqrt(2)
         plus, _ = fock.coherent_state(a0, 30)
         minus, _ = fock.coherent_state(-a0, 30)
-        amp = plus.amplitudes + minus.amplitudes
-        cat = fock.StateVector(amp).normalized()
+        cat = (plus + minus) / np.linalg.norm(plus + minus)
         g = grid(cat, half_width=3.0, n_points=41)
         assert abs(g.at_origin() - 2 / np.pi) <= 1e-6
 
@@ -109,7 +108,7 @@ class TestFockAndCat:
         a0 = np.sqrt(2)
         plus, _ = fock.coherent_state(a0, 30)
         minus, _ = fock.coherent_state(-a0, 30)
-        cat = fock.StateVector(plus.amplitudes + minus.amplitudes).normalized()
+        cat = (plus + minus) / np.linalg.norm(plus + minus)
         g = grid(cat, half_width=3.0, n_points=41)
         j_plus = np.argmin(np.abs(g.axis - a0))
         j_minus = np.argmin(np.abs(g.axis + a0))
@@ -124,7 +123,7 @@ class TestGridMechanics:
         vac = np.zeros(5, dtype=complex)
         vac[0] = 1
         with pytest.raises(ValueError):
-            wigner.wigner([fock.StateVector(vac)], n_points=11)
+            wigner.wigner([vac], n_points=11)
 
     def test_values_layout(self, vacuum_grid):
         # values[i, j] = W(axis[j] + 1i * axis[i])
@@ -147,9 +146,24 @@ class TestStack:
             for field in ("axis", "values"):
                 assert np.array_equal(getattr(g, field), getattr(one, field))
 
+    def test_array_rows_are_the_states(self):
+        states = [random_state(8, k) for k in range(3)]
+        for a, b in zip(wigner.wigner(np.stack(states), n_points=41),
+                        wigner.wigner(states, n_points=41)):
+            assert np.array_equal(a.values, b.values)
+
     def test_mixed_dimensions_raise(self):
-        with pytest.raises(DimensionMismatchError, match=r"\[8, 9\]"):
+        # ragged states are refused, not padded
+        with pytest.raises(DimensionMismatchError, match=r"\[\(8,\), \(9,\)\]"):
             wigner.wigner([random_state(8, 1), random_state(9, 2)], n_points=41)
+
+    @pytest.mark.parametrize("states, shapes", [
+        ([np.ones((2, 8))], r"\[\(2, 8\)\]"),  # a 2-d entry
+        (np.ones(8), r"\[\(\)\]"),  # one state, not a sequence of them
+    ], ids=["2d_entry", "one_state"])
+    def test_non_vector_states_raise(self, states, shapes):
+        with pytest.raises(DimensionMismatchError, match=shapes):
+            wigner.wigner(states, n_points=41)
 
 
 class TestClosedForm:
@@ -158,7 +172,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("n", range(30))
     def test_fock_state_is_laguerre(self, n):
         # W of |n> is (2/pi) (-1)^n e^{-2|a|^2} L_n(4|a|^2)
-        g = grid(fock.StateVector(np.eye(30, dtype=complex)[n]), half_width=3.0, n_points=41)
+        g = grid(np.eye(30, dtype=complex)[n], half_width=3.0, n_points=41)
         a2 = g.axis[None, :] ** 2 + g.axis[:, None] ** 2
         expected = (2 / np.pi) * (-1) ** n * np.exp(-2 * a2) * laguerre.lagval(4 * a2, np.eye(n + 1)[n])
         assert np.abs(g.values - expected).max() <= 1e-12
@@ -177,7 +191,7 @@ class TestClosedForm:
         cells = [(i, j) for i in idx for j in idx]
         alphas = [g.axis[j] + 1j * g.axis[i] for i, j in cells]
         got = np.array([g.values[i, j] for i, j in cells])
-        assert np.abs(got - reference_wigner(psi.amplitudes, alphas)).max() <= 1e-12
+        assert np.abs(got - reference_wigner(psi, alphas)).max() <= 1e-12
 
     def test_dim_100_wide_grid(self):
         psi = random_state(100, 7)
@@ -187,4 +201,4 @@ class TestClosedForm:
         cells = [(0, 0), (40, 40), (20, 20), (16, 12), (0, 20), (20, 40)]
         alphas = [g.axis[j] + 1j * g.axis[i] for i, j in cells]
         got = np.array([g.values[i, j] for i, j in cells])
-        assert np.abs(got - reference_wigner(psi.amplitudes, alphas)).max() <= 1e-12
+        assert np.abs(got - reference_wigner(psi, alphas)).max() <= 1e-12
