@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import timeit
 from dataclasses import asdict, dataclass, field, replace
@@ -31,6 +32,7 @@ from .presets import PRESETS
 
 SNAPSHOT_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 FLOAT_FMT = "{:.17g}"
+_CSV_QUOTED = re.compile(r'[,"\r\n]')  # cells holding one are quoted, as by csv.writer()
 
 _MODEL_KEYS = {  # key -> the number type it is read as; None for a string
     "kerr": float, "pump": float, "omega0": float, "delta_z": float, "delta_0": float,
@@ -158,17 +160,23 @@ def resolve_config(spec: str, overrides: dict | None = None,
 
 # ---------------------------------------------------------------- output ---
 
+def _csv_cell(text: str) -> str:
+    """text as a CSV cell: in double quotes, each quote doubled, when it holds
+    a comma, a quote or a line break; as it is otherwise."""
+    return '"' + text.replace('"', '""') + '"' if _CSV_QUOTED.search(text) else text
+
+
 def _column_text(col: np.ndarray) -> list[str]:
     """One column's CSV cells: FLOAT_FMT for floats, each distinct bit
     pattern formatted once (so -0.0 and 0.0 stay apart), true/false for
-    bools and str otherwise."""
+    bools and str, quoted where it must be (_csv_cell), otherwise."""
     if col.dtype.kind == "f":
         bits, where = np.unique(col.astype(np.float64).view(np.int64), return_inverse=True)
         text = [FLOAT_FMT.format(v) for v in bits.view(np.float64).tolist()]
         return [text[i] for i in where.tolist()]
     if col.dtype.kind == "b":
         return ["true" if v else "false" for v in col.tolist()]
-    return [str(v) for v in col.tolist()]
+    return [_csv_cell(str(v)) for v in col.tolist()]
 
 
 def _write_json(path: Path, obj) -> None:
@@ -298,7 +306,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "n_points": len(results),
             "points": [
                 {"chi": r.chi, "refine_history": r.refine_history,
-                 "basis_dim": r.basis_dim, "leakage_bound": r.leakage_bound}
+                 "basis_dim": r.basis_dim, "leakage_bound": r.leakage_bound,
+                 # a failed point's run raised before it could count its passes
+                 **({} if r.error else {"steps_computed": r.steps_computed})}
                 for r in results
             ],
         }
@@ -313,6 +323,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "converged": traj.converged,
             "n_steps_used": traj.n_steps,
             "refine_history": traj.refine_history,
+            "steps_computed": traj.steps_computed,
             "basis_dim": traj.basis_dim,
             "leakage_bound": traj.leakage_bound,
             "final_edge_population": float(np.sum(np.abs(traj.final_state[-3:]) ** 2)),
@@ -379,7 +390,7 @@ def validate_config(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
     for k, v in asdict(p).items():
         lines.append(f"{k:<19} {v}")
     lines.append(f"alpha0              {p.alpha0:.6f}")
-    lines.append(f"chi                 {p.chi:.6f}")
+    lines.append(f"chi                 {p.chi:.6g}")
     ratio = p.stabilizer_ratio
     lines.append(f"stabilizer_ratio    {ratio:.6f}")
     if ratio > model.STABILIZER_RATIO_WARN:
@@ -456,6 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     va = sub.add_parser("validate", help="resolve and check a config")
     _add_common(va)
+    va.add_argument("--chis", help="comma-separated chi values: check the sweep over them")
     return ap
 
 
@@ -465,7 +477,7 @@ def main(argv=None) -> int:
         # the movie runs the STA ramp unless --sta or the file itself says otherwise
         defaults = {"sta": True} if args.command == "wigner" else None
         cfg = resolve_config(args.config, _overrides(args), defaults)
-        if args.command == "sweep":
+        if args.command == "sweep" or getattr(args, "chis", None):
             cfg.protocol = "sweep"
         elif args.command == "wigner":
             cfg.protocol = "wigner_movie"

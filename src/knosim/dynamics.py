@@ -6,8 +6,9 @@ norm-preserving, which matters because the stabilizer Hamiltonian is stiff
 (large eigenvalues at high Fock indices). A pass diagonalizes its midpoint
 H(t) in stacks of up to CHUNK_STEPS, one np.linalg.eigh call per stack, so
 the work is counted in matrices diagonalized, one per step computed. With
-no n_steps a run starts at one step per sample interval (400 steps for 401
-samples) and doubles until the samples settle.
+no n_steps a run starts at half a step per sample interval, on every other
+sample (200 steps on 201 of 401 samples), and doubles until the samples it
+shares with the pass before settle.
 """
 
 from __future__ import annotations
@@ -31,21 +32,33 @@ DEFAULT_N_SAMPLES = 401
 CHUNK_STEPS = 256  # midpoint steps diagonalized as one stack
 
 
+def _pass_intervals(n_steps: int, n_samples: int) -> int:
+    """Sample intervals a pass of n_steps runs on: all n_samples - 1, or every
+    other one when it has fewer steps than that and their count is even."""
+    intervals = n_samples - 1
+    return intervals // 2 if n_steps < intervals and intervals % 2 == 0 else intervals
+
+
 def _rounded_steps(n_steps: int, n_samples: int) -> int:
-    """n_steps rounded up to whole sample intervals."""
-    return max(1, int(np.ceil(n_steps / (n_samples - 1)))) * (n_samples - 1)
+    """n_steps rounded up to whole intervals of its pass (_pass_intervals)."""
+    intervals = _pass_intervals(n_steps, n_samples)
+    return max(1, int(np.ceil(n_steps / intervals))) * intervals
 
 
 def start_steps(n_steps: int | None, n_samples: int) -> int:
     """Steps of the coarse pass: n_steps, or with None the coarsest grid
-    accepted, max(MIN_STEPS, n_samples - 1), one step per sample interval at
-    401 samples; rounded up to whole sample intervals."""
-    if n_steps is None:
-        n_steps = max(MIN_STEPS, n_samples - 1)
+    accepted, max(MIN_STEPS, (n_samples - 1) / 2) on every other sample when
+    n_samples - 1 is even (200 steps at 401 samples), else max(MIN_STEPS,
+    n_samples - 1); rounded up to whole intervals of its pass. Fewer steps
+    than sample intervals need an even count of intervals, at most two per
+    step."""
+    if n_steps is None:  # one step per interval of the coarsest pass grid
+        n_steps = max(MIN_STEPS, _pass_intervals(0, n_samples))
     if n_steps < MIN_STEPS:
         raise ConfigError(f"n_steps must be >= {MIN_STEPS}, got {n_steps}")
-    if n_samples < 2 or n_samples - 1 > n_steps:
-        raise ConfigError("need 2 <= n_samples <= n_steps + 1")
+    if n_samples < 2 or n_steps < _pass_intervals(n_steps, n_samples):
+        raise ConfigError("need 2 <= n_samples <= n_steps + 1, or n_samples - 1 even "
+                          "and <= 2 * n_steps")
     return _rounded_steps(n_steps, n_samples)
 
 
@@ -58,7 +71,7 @@ def step_budget(n_steps: int | None, n_samples: int) -> int:
 def expected_steps(n_steps: int | None, n_samples: int) -> int:
     """Matrices diagonalized (steps computed) by one evolve that converges at
     its first step doubling, as the fig2-4 runs do: the coarse pass plus one
-    pass at twice the steps."""
+    pass at twice the steps (600 for 401 samples and no n_steps)."""
     return 3 * start_steps(n_steps, n_samples)
 
 
@@ -90,6 +103,7 @@ class Trajectory:
     initial: str
     converged: bool = False
     refine_history: list[tuple[int, float]] = field(default_factory=list)
+    steps_computed: int = 0  # matrices diagonalized by the run, all passes together
 
     def __post_init__(self):
         self.sx, self.sy, self.sz, self.pop = logical.bloch(self.system.frame, self.states)
@@ -193,18 +207,21 @@ def evolve(
 
     The step count comes from the tolerance. The coarse pass has
     start_steps(n_steps, n_samples) steps; with n_steps None that is the
-    coarsest grid accepted, one step per sample interval for 401 samples.
-    Each pass is a Trajectory, each further pass doubles the steps, and the
-    run has converged once a doubling changes bloch() by at most refine_tol
-    everywhere. The cost is capped, not the number of doublings: all passes
-    together compute at most step_budget(n_steps, n_samples) steps, and
-    doubling stops before a pass that would exceed that. An explicit n_steps
-    N thus runs its coarse pass and at most two doublings (7N steps); the
-    default start at 401 samples may double five times (400 to 12800 steps,
-    25200 in all). The finest trajectory computed is returned, and
-    refine_history lists (n_steps, diff) per doubling; non-convergence is
-    flagged, never silent. A pass whose states are not all finite (a drive
-    that overflows) raises NonFiniteStateError at once.
+    coarsest grid accepted: for 401 samples, 200 steps on every other
+    sample. A pass with fewer steps than sample intervals runs on every other
+    sample; it is only a check, since the first doubling always runs. Each
+    pass is a Trajectory, each further pass doubles the steps, and the run has
+    converged once a doubling changes bloch() by at most refine_tol on every
+    sample the two passes share. The cost is capped, not the number of
+    doublings: all passes together compute at most step_budget(n_steps,
+    n_samples) steps (steps_computed), and doubling stops before a pass that
+    would exceed that. An explicit n_steps N thus runs its coarse pass and at
+    most two doublings (7N steps); the default start at 401 samples may
+    double six times (200 to 12800 steps, 25400 in all). The finest
+    trajectory computed is returned, and refine_history lists (n_steps, diff)
+    per doubling; non-convergence is flagged, never silent. A pass whose
+    states are not all finite (a drive that overflows) raises
+    NonFiniteStateError at once.
     """
     tau = system.params.tau
     start = start_steps(n_steps, n_samples)
@@ -212,9 +229,10 @@ def evolve(
     psi0, label = _initial_state(system, initial)
 
     def trajectory(n: int) -> Trajectory:
-        t = np.arange(n_samples) * (n // (n_samples - 1)) * (tau / n)
+        intervals = _pass_intervals(n, n_samples)
+        t = np.arange(intervals + 1) * (n // intervals) * (tau / n)
         traj = Trajectory(system, t, np.asarray(system.schedule.theta(t), dtype=float),
-                          _propagate(system, psi0, sta, n, n_samples)["psi"], n, sta, label)
+                          _propagate(system, psi0, sta, n, intervals + 1)["psi"], n, sta, label)
         bad = np.flatnonzero(~np.isfinite(traj.norm))
         if bad.size:
             raise NonFiniteStateError(f"non-finite state at t = {t[bad[0]]:.6g} ({n} steps)")
@@ -225,10 +243,12 @@ def evolve(
     while not coarse.converged and spent + 2 * coarse.n_steps <= budget:
         fine = trajectory(2 * coarse.n_steps)
         spent += fine.n_steps
-        diff = float(np.abs(fine.bloch() - coarse.bloch()).max())
+        shared = fine.bloch()[::(fine.t.size - 1) // (coarse.t.size - 1)]
+        diff = float(np.abs(shared - coarse.bloch()).max())
         fine.refine_history = [*coarse.refine_history, (fine.n_steps, diff)]
         fine.converged = diff <= refine_tol
         coarse = fine
+    coarse.steps_computed = spent
     return coarse
 
 

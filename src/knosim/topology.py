@@ -42,6 +42,7 @@ class ChernResult:
     converged: bool
     n_steps_used: int = 0  # 0 for a failed point
     refine_history: tuple[tuple[int, float], ...] = ()
+    steps_computed: int = 0  # matrices diagonalized, all passes; 0 for a failed point
     basis_dim: int | None = None  # None for a failed point
     leakage_bound: float | None = None
     c1_quadrature: float | None = None  # sta only: discretized integral
@@ -64,6 +65,7 @@ def _run_fields(traj: Trajectory) -> dict:
         "converged": traj.converged,
         "n_steps_used": traj.n_steps,
         "refine_history": tuple(traj.refine_history),
+        "steps_computed": traj.steps_computed,
         "basis_dim": traj.basis_dim,
         "leakage_bound": traj.leakage_bound,
     }

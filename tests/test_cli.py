@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -133,6 +134,18 @@ class TestSimulate:
             outs.append((out / "trajectory.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_manifest_counts_matrices_diagonalized(self, tmp_path):
+        # every pass: 200 + 400 by default, 400 + 800 from --steps 400
+        manifests = {}
+        for name, flags in (("a", []), ("b", []), ("steps", ["--steps", "400"])):
+            out = tmp_path / name
+            assert cli.main(["simulate", "fig2-4", *flags, "--out", str(out)]) == 0
+            manifests[name] = (out / "run-manifest.json").read_bytes()
+        assert manifests["a"] == manifests["b"]
+        man = json.loads(manifests["a"])
+        assert (man["steps_computed"], man["n_steps_used"]) == (600, 400)
+        assert json.loads(manifests["steps"])["steps_computed"] == 1200
+
     def test_chi_override(self, tmp_path):
         cfg_path = write_config(tmp_path)
         out = tmp_path / "chi"
@@ -232,7 +245,8 @@ def old_row_table(path_base: Path, fmt: str, header: list[str], rows) -> None:
             return "true" if x else "false"
         if isinstance(x, (float, np.floating)):
             return "{:.17g}".format(float(x))
-        return str(x)
+        text = str(x)  # quoted, quotes doubled, where a comma, quote or line break would split it
+        return '"' + text.replace('"', '""') + '"' if set(text) & set(',"\r\n') else text
 
     if fmt == "csv":
         lines = [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
@@ -306,6 +320,20 @@ class TestSweep:
             assert [n for n, _ in history] == [800]
             assert int(row[6]) == 800
             assert float(row[7]) == history[-1][1]
+            assert point["steps_computed"] == 1200
+
+    def test_status_cells_are_quoted(self, tmp_path):
+        # the error holds a comma: the cell is quoted, so every row has the
+        # header's fields and the text reads back whole
+        cfg_path = write_config(tmp_path, delta_z=2.0, omega0=2.0)
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", cfg_path, "--chis=0.5,1e308", "--out", str(out)]) == 0
+        text = (out / "sweep.csv").read_text()
+        rows = list(csv.reader(text.splitlines()))
+        assert [len(r) for r in rows] == [8, 8, 8]
+        assert rows[0] == list(cli.SWEEP_COLUMNS)
+        assert rows[1][5] == "ok" and rows[2][5] == "delta_0 must be finite, got inf"
+        assert '"delta_0 must be finite, got inf"' in text
 
     def test_non_finite_point_fails_alone(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -549,6 +577,25 @@ class TestValidate:
         assert report.out.strip().endswith("INVALID")
         assert report.err == ""
 
+    def test_chi_line_is_short(self, capsys):
+        assert cli.main(["validate", "fig2-4", "--chi", "1e308"]) == 1
+        report = capsys.readouterr().out.splitlines()
+        assert "chi                 1e+308" in report
+        assert max(len(line) for line in report) < 100
+
+    def test_chis_check_the_sweep_as_typed(self, capsys, monkeypatch):
+        # one run per chi, as the sweep of the same command line takes them
+        monkeypatch.setattr(cli.dynamics, "step_seconds", lambda params, sta: 2e-5)
+
+        def estimate(*flags):
+            assert cli.main(["validate", "fig2-4", *flags]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return float(dict(line.split(maxsplit=1) for line in lines[:-1])["estimated_runtime_s"])
+
+        assert estimate("--chis=-1.5,0.5,1.5") == pytest.approx(3 * estimate())
+        assert cli.main(["validate", "fig2-4", "--chis=0.5,nan"]) == 2
+        assert capsys.readouterr().err == "error: chi_values must be finite, got [0.5, nan]\n"
+
     def test_runtime_estimate_scales_with_steps(self, tmp_path, capsys):
         cfg = cli.resolve_config("fig1")
         est = cli.estimated_runtime_s(cfg)
@@ -560,7 +607,7 @@ class TestValidate:
         cfg.n_steps *= 2
         assert cli.estimated_runtime_s(cfg) == 2 * est
         assert cli.estimated_runtime_s(cfg, worst=True) == 2 * worst
-        # from the sample grid: 1200 steps if the first doubling converges,
+        # from half the sample grid: 600 steps if the first doubling converges,
         # and the budget of 7 passes of 4000 steps at most
         path = tmp_path / "null.json"
         path.write_text(json.dumps({"preset": "fig1", "n_steps": None}))
@@ -568,11 +615,11 @@ class TestValidate:
         report = dict(line.split(maxsplit=1) for line in capsys.readouterr().out.splitlines()[:-1])
         step_s = cli.dynamics.step_seconds(cfg.params, cfg.sta)
         # printed to 3 significant digits, so a 0.0 printout fails
-        assert float(report["estimated_runtime_s"]) == pytest.approx(1200 * step_s, rel=6e-3)
+        assert float(report["estimated_runtime_s"]) == pytest.approx(600 * step_s, rel=6e-3)
         assert float(report["max_runtime_s"]) == pytest.approx(28000 * step_s, rel=6e-3)
 
     def test_movie_estimate_adds_its_grids(self, tmp_path, monkeypatch):
-        # the step and movie timers patched: 1200 steps of 2e-5 s plus the
+        # the step and movie timers patched: 600 steps of 2e-5 s plus the
         # five snapshots' grids and tables at the config's dim and grid
         calls = []
 
@@ -584,11 +631,11 @@ class TestValidate:
         monkeypatch.setattr(cli, "movie_seconds", movie_seconds)
         movie = cli.resolve_config(write_config(tmp_path, protocol="wigner_movie", n_steps=None,
                                                 n_samples=401, n_points=61))
-        assert cli.estimated_runtime_s(movie) == pytest.approx(1200 * 2e-5 + 0.25)
+        assert cli.estimated_runtime_s(movie) == pytest.approx(600 * 2e-5 + 0.25)
         assert cli.estimated_runtime_s(movie, worst=True) == pytest.approx(28000 * 2e-5 + 0.25)
         assert calls == [(30, 61)] * 2
         movie.protocol = "sta"
-        assert cli.estimated_runtime_s(movie) == pytest.approx(1200 * 2e-5)
+        assert cli.estimated_runtime_s(movie) == pytest.approx(600 * 2e-5)
         assert len(calls) == 2
 
     def test_movie_estimate_counts_its_tables(self, monkeypatch):

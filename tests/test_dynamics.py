@@ -112,16 +112,16 @@ class TestRun:
     def test_non_finite_pass_raises(self, steps_computed):
         # a NaN in H(t) makes the first pass's states NaN, and no further
         # pass runs on them
-        with pytest.raises(NonFiniteStateError, match=r"non-finite state at t = .* \(400 steps\)"):
+        with pytest.raises(NonFiniteStateError, match=r"non-finite state at t = .* \(200 steps\)"):
             dynamics.evolve(constant_system(np.diag([np.nan, 1.0])))
-        assert steps_computed == [400]
+        assert steps_computed == [200]
 
     def test_overflowing_cd_term_refused(self, steps_computed):
         # chi = 1e308 overflows the counterdiabatic coefficient where the
         # first chunk samples it: a ConfigError, not a numpy warning
         with pytest.raises(ConfigError, match="counterdiabatic coefficient at chi=1e"):
             dynamics.evolve(twolevel.system(sta_params(chi=1e308)), sta=True)
-        assert steps_computed == [400]
+        assert steps_computed == [200]
 
     def test_bad_initial(self):
         with pytest.raises(ConfigError):
@@ -134,12 +134,13 @@ class TestRun:
             dynamics.run(sta_params(), n_steps=200, n_samples=1)
 
     def test_default_start_is_the_sample_grid(self):
-        # the coarsest grid evolve accepts, rounded up to whole sample intervals
-        assert dynamics.start_steps(None, 401) == 400
+        # the coarsest grid evolve accepts, rounded up to whole intervals of its
+        # pass: every other sample when the sample intervals are even
+        assert dynamics.start_steps(None, 401) == 200
         assert dynamics.start_steps(None, 41) == 120
         assert dynamics.start_steps(4000, 401) == 4000
         assert dynamics.start_steps(4000, 400) == 4389
-        assert dynamics.expected_steps(None, 401) == 1200
+        assert dynamics.expected_steps(None, 401) == 600
 
     def test_one_step_per_sample_interval_accepted(self):
         assert dynamics.start_steps(400, 401) == 400
@@ -225,6 +226,26 @@ class TestTrajectoryIsItsStates:
         assert traj.refine_history == [(800, diffs[0]), (1600, diffs[1])]
         assert traj.refine_history[-1][1] == diffs[-1]
 
+    def test_half_grid_diff_is_read_on_the_shared_samples(self, monkeypatch):
+        # the default start: 200 steps on every other one of 401 samples, then
+        # 400 steps on all of them, compared on the even rows
+        passes = []
+        propagate = dynamics._propagate
+
+        def recording(*args):
+            r = propagate(*args)
+            passes.append(r["psi"])
+            return r
+
+        monkeypatch.setattr(dynamics, "_propagate", recording)
+        traj = dynamics.evolve(twolevel.system(sta_params(chi=0.5)), sta=True)
+        assert [psi.shape[0] for psi in passes] == [201, 401] and traj.states is passes[-1]
+        frame = traj.system.frame
+        coarse, fine = (np.stack(logical.bloch(frame, psi)[:3], axis=1) for psi in passes)
+        assert traj.refine_history == [(400, float(np.abs(fine[::2] - coarse).max()))]
+        assert traj.converged and traj.steps_computed == 600
+        np.testing.assert_array_equal(traj.t, np.arange(401) * (traj.params.tau / 400))
+
 
 def _exact_step(chi):
     """C1q from the exact counterdiabatic endpoints Theta = atan2(sin th, cos th + chi)."""
@@ -235,12 +256,12 @@ class TestStepCount:
     """The step count comes from refine_tol, within a cap on the steps computed."""
 
     @pytest.mark.parametrize("chi", [0.3, -0.6, 1.35])
-    def test_fig24_default_converges_at_800(self, chi, steps_computed):
+    def test_fig24_default_converges_at_400(self, chi, steps_computed):
         traj = dynamics.run(sta_params(chi=chi), sta=True)
         assert traj.converged
-        assert steps_computed == [400, 800]
-        assert traj.n_steps == 800
-        assert [n for n, _ in traj.refine_history] == [800]
+        assert steps_computed == [200, 400]
+        assert traj.n_steps == 400
+        assert [n for n, _ in traj.refine_history] == [400]
         assert traj.refine_history[-1][1] <= dynamics.REFINE_TOL
         c1 = topology.chern(traj).c1
         assert abs(c1 - _exact_step(chi)) <= 1e-6
@@ -248,7 +269,7 @@ class TestStepCount:
     def test_fig1_default_converges(self, steps_computed):
         traj = dynamics.run(linear_response_params())
         assert traj.converged
-        assert steps_computed == [400, 800, 1600, 3200, 6400]
+        assert steps_computed == [200, 400, 800, 1600, 3200, 6400]
         assert traj.refine_history[-1][1] <= dynamics.REFINE_TOL < traj.refine_history[-2][1]
 
     def test_explicit_steps_cost_at_most_seven_times(self, steps_computed):
@@ -266,9 +287,47 @@ class TestStepCount:
             twolevel.system(sta_params(chi=0.5)), sta=True, refine_tol=1e-14
         )
         assert not traj.converged
-        assert steps_computed == [400, 800, 1600, 3200, 6400, 12800]
+        assert steps_computed == [200, 400, 800, 1600, 3200, 6400, 12800]
         assert sum(steps_computed) <= dynamics.STEP_BUDGET * dynamics.BUDGET_STEPS
-        assert len(traj.refine_history) == 5
+        assert len(traj.refine_history) == 6
+
+    def test_explicit_steps_run_the_whole_grid_schedule(self, monkeypatch):
+        # n_steps >= n_samples - 1: passes of N, 2N, ... on every sample, the
+        # returned one bitwise a direct pass of its steps
+        calls = []
+        propagate = dynamics._propagate
+
+        def recording(system, psi0, sta, n_steps, n_samples):
+            calls.append((n_steps, n_samples))
+            return propagate(system, psi0, sta, n_steps, n_samples)
+
+        monkeypatch.setattr(dynamics, "_propagate", recording)
+        system = model.drive_set(sta_params(chi=0.3))
+        traj = dynamics.evolve(system, sta=True, n_steps=400)
+        assert calls == [(400, 401), (800, 401)]
+        assert traj.steps_computed == 1200
+        direct = propagate(system, system.frame.ket0, True, 800, 401)["psi"]
+        assert traj.states.tobytes() == direct.tobytes()
+
+    def test_half_grid_floor(self):
+        # fewer steps than sample intervals: an even count of intervals, at
+        # most two per step; 399 intervals keep the whole-interval start
+        assert dynamics.start_steps(None, 400) == 399
+        assert dynamics.start_steps(200, 401) == 200
+        assert dynamics.start_steps(300, 401) == 400
+        for n_steps, n_samples in ((199, 401), (200, 400), (398, 400)):
+            with pytest.raises(ConfigError, match="n_samples"):
+                dynamics.start_steps(n_steps, n_samples)
+        traj = dynamics.evolve(twolevel.system(sta_params()), sta=True, n_steps=200)
+        assert traj.n_steps == 400 and traj.t.size == 401 and traj.steps_computed == 600
+
+    def test_fig24_converges_across_the_transition(self):
+        # each point near |chi| = 1 doubles until its Bloch samples settle; C1
+        # is the exact step at every one
+        for chi in (0.3, 0.9, 0.97, 0.999, 1.001, 1.03, 1.35):
+            traj = dynamics.run(sta_params(chi=chi), sta=True)
+            assert traj.converged, chi
+            assert abs(topology.chern(traj).c1 - _exact_step(chi)) <= 1e-6, chi
 
 
 class TestReducedBasisEquivalence:
