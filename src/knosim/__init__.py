@@ -7,12 +7,11 @@ polar-angle protocol, with the first Chern number from either route.
 
 from . import dynamics, fock, logical, model, topology, twolevel, wigner  # noqa: F401
 from .logical import LogicalFrame, build_frame  # noqa: F401
-from .model import ModelParams, RampSchedule  # noqa: F401
+from .model import ModelParams  # noqa: F401
 
 __all__ = [
     "LogicalFrame",
     "ModelParams",
-    "RampSchedule",
     "build_frame",
     "dynamics",
     "fock",

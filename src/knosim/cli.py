@@ -406,6 +406,13 @@ def validate_config(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
     if error:
         ok = False
         lines.append(f"FAIL {error}")
+    for chi in cfg.chi_values if cfg.protocol == "sweep" else ():
+        try:  # each point built as the sweep builds it, with its H(t) at the samples
+            system = model.drive_set(topology.point_params(p, chi))
+            system.total_matrix(np.linspace(0, p.tau, cfg.n_samples), sta=cfg.sta)
+        except KnosimError as exc:
+            ok = False
+            lines.append(f"FAIL chi={chi:.6g}: {exc}")
     try:  # times steps of the configured model, so it must build
         lines.append(f"estimated_runtime_s {estimated_runtime_s(cfg):.3g}")
         lines.append(f"max_runtime_s       {estimated_runtime_s(cfg, worst=True):.3g}")

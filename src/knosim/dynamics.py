@@ -4,11 +4,11 @@ Midpoint-exponential stepping: each step applies exp(-i H(t + dt/2) dt)
 through the Hermitian eigendecomposition kernel. This is unconditionally
 norm-preserving, which matters because the stabilizer Hamiltonian is stiff
 (large eigenvalues at high Fock indices). A pass diagonalizes its midpoint
-H(t) in stacks of up to CHUNK_STEPS, one np.linalg.eigh call per stack, so
-the work is counted in matrices diagonalized, one per step computed. With
-no n_steps a run starts at half a step per sample interval, on every other
-sample (200 steps on 201 of 401 samples), and doubles until the samples it
-shares with the pass before settle.
+H(t) in stacks of up to CHUNK_STEPS, one np.linalg.eigh call per stack, and
+steps the state through them one at a time; the work is counted in matrices
+diagonalized, one per step. With no n_steps a run starts at half a step per
+sample interval, on every other sample (200 steps on 201 of 401 samples),
+and doubles until the samples it shares with the pass before settle.
 """
 
 from __future__ import annotations
@@ -145,44 +145,27 @@ def _initial_state(system: model.DriveSet, initial) -> tuple[np.ndarray, str]:
     return psi / norm, "custom"
 
 
-def _interval_propagators(system: model.DriveSet, sta: bool, first: int, stop: int,
-                          spc: int, dt: float) -> np.ndarray:
-    """Propagators of sample intervals first..stop-1, (stop - first, M, M): each
-    the product, in step order, of its spc midpoint steps V e^{-i w dt} V^dag.
-    An interval of more than CHUNK_STEPS steps is built a chunk at a time."""
-    total = None
-    piece = min(spc, CHUNK_STEPS)
-    for s0 in range(0, spc, piece):
-        steps = np.arange(first, stop)[:, None] * spc + np.arange(s0, min(s0 + piece, spc))
-        w, v = np.linalg.eigh(system.total_matrix((steps + 0.5) * dt, sta=sta))
-        u = (v * np.exp(-1j * w * dt)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-        while u.shape[1] > 1:  # multiply neighbouring steps, later on the left
-            even = u.shape[1] // 2 * 2
-            u = np.concatenate([u[:, 1:even:2] @ u[:, 0:even:2], u[:, even:]], axis=1)
-        total = u[:, 0] if total is None else u[:, 0] @ total
-    return total
-
-
 def _propagate(system: model.DriveSet, psi0: np.ndarray, sta: bool, n_steps: int,
                n_samples: int) -> dict:
     """Single fixed-step propagation over n_steps, a whole number of steps per
     sample interval; returns n_steps and psi, the state at every sample.
 
-    The pass runs in chunks of whole sample intervals, of at most CHUNK_STEPS
-    steps (an interval longer than that is built CHUNK_STEPS steps at a time):
-    every midpoint H(t) of a chunk is built and diagonalized as one stack,
-    each interval's steps are multiplied into one propagator, and the state
-    advances interval by interval."""
+    Each chunk of CHUNK_STEPS consecutive steps builds and diagonalizes its
+    midpoint H(t) as one stack; the state then takes the steps V e^{-i w dt}
+    V^dag one at a time and is kept at every sample, so a coarser sample grid
+    keeps a subset of the same states, bit for bit."""
     spc = n_steps // (n_samples - 1)
     dt = system.params.tau / n_steps
-    per_chunk = max(1, CHUNK_STEPS // spc)  # sample intervals per chunk
-
     psi = np.empty((n_samples, system.basis_dim), dtype=complex)
-    psi[0] = psi0
-    for first in range(0, n_samples - 1, per_chunk):
-        stop = min(first + per_chunk, n_samples - 1)
-        for k, u in enumerate(_interval_propagators(system, sta, first, stop, spc, dt), first):
-            psi[k + 1] = u @ psi[k]
+    psi[0] = state = psi0
+    for first in range(0, n_steps, CHUNK_STEPS):
+        t = (np.arange(first, min(first + CHUNK_STEPS, n_steps)) + 0.5) * dt
+        w, v = np.linalg.eigh(system.total_matrix(t, sta=sta))
+        u = (v * np.exp(-1j * w * dt)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        for done, u_step in enumerate(u, first + 1):  # done: steps taken so far
+            state = u_step @ state
+            if done % spc == 0:
+                psi[done // spc] = state
     return {"n_steps": n_steps, "psi": psi}
 
 
@@ -200,10 +183,10 @@ def evolve(
     The run steps on the system's basis: initial is "ket0" or "ket1" of its
     frame, or an array of basis_dim amplitudes on the basis, which is
     normalized (any other shape is a DimensionMismatchError, a zero or
-    non-finite norm a ConfigError). final_state is
-    the last sample lifted back through the basis (DriveSet.lift) when read;
-    a sample row k of states lifts the same way. run passes
-    model.drive_set(params), twolevel.reference_dynamics twolevel.system(params).
+    non-finite norm a ConfigError). final_state is the last sample lifted
+    back through the basis (DriveSet.lift) when read; a sample row k of
+    states lifts the same way. run passes model.drive_set(params),
+    twolevel.reference_dynamics twolevel.system(params).
 
     The step count comes from the tolerance. The coarse pass has
     start_steps(n_steps, n_samples) steps; with n_steps None that is the
@@ -223,15 +206,14 @@ def evolve(
     states are not all finite (a drive that overflows) raises
     NonFiniteStateError at once.
     """
-    tau = system.params.tau
     start = start_steps(n_steps, n_samples)
     budget = step_budget(n_steps, n_samples)
     psi0, label = _initial_state(system, initial)
 
     def trajectory(n: int) -> Trajectory:
         intervals = _pass_intervals(n, n_samples)
-        t = np.arange(intervals + 1) * (n // intervals) * (tau / n)
-        traj = Trajectory(system, t, np.asarray(system.schedule.theta(t), dtype=float),
+        t = np.arange(intervals + 1) * (n // intervals) * (system.params.tau / n)
+        traj = Trajectory(system, t, np.asarray(system.params.theta(t), dtype=float),
                           _propagate(system, psi0, sta, n, intervals + 1)["psi"], n, sta, label)
         bad = np.flatnonzero(~np.isfinite(traj.norm))
         if bad.size:

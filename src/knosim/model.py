@@ -1,4 +1,4 @@
-"""Hamiltonians of the driven Kerr oscillator and ramp schedules.
+"""Hamiltonians of the driven Kerr oscillator along its ramp.
 
 Units: angular frequencies in rad/us, time in us, hbar = 1. Quoted lab values
 in "MHz" are cycle frequencies, so 1000 MHz -> 2*pi*1000 rad/us.
@@ -45,30 +45,6 @@ HX_PREFACTOR_MODES = ("exact", "paper")
 
 
 @dataclass(frozen=True)
-class RampSchedule:
-    """Polar-angle ramp theta(t) over [0, tau], theta(0)=0, theta(tau)=pi."""
-
-    shape: str
-    tau: float
-
-    def __post_init__(self):
-        if self.shape not in SCHEDULE_SHAPES:
-            raise ConfigError(f"unknown schedule shape {self.shape!r}")
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
-
-    def theta(self, t):
-        if self.shape == "linear":
-            return np.pi * np.asarray(t) / self.tau
-        return np.pi / 2 * (1 - np.cos(np.pi * np.asarray(t) / self.tau))
-
-    def theta_dot(self, t):
-        if self.shape == "linear":
-            return np.full_like(np.asarray(t, dtype=float), np.pi / self.tau)[()]
-        return np.pi**2 / (2 * self.tau) * np.sin(np.pi * np.asarray(t) / self.tau)
-
-
-@dataclass(frozen=True)
 class ModelParams:
     """All physical parameters of one protocol run.
 
@@ -93,7 +69,10 @@ class ModelParams:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kerr <= 0 or self.pump <= 0:
             raise ConfigError("kerr and pump must be positive")
-        self.ramp()  # checks schedule and tau
+        if self.schedule not in SCHEDULE_SHAPES:
+            raise ConfigError(f"unknown schedule shape {self.schedule!r}")
+        if self.tau <= 0:
+            raise ConfigError(f"tau must be positive, got {self.tau}")
         if self.hx_prefactor not in HX_PREFACTOR_MODES:
             raise ConfigError(f"unknown hx_prefactor mode {self.hx_prefactor!r}")
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
@@ -126,8 +105,17 @@ class ModelParams:
         """exp(2 alpha0^2) * Omega0 / P; the drives must keep this small."""
         return float(np.exp(2 * self.alpha0**2) * abs(self.omega0) / self.pump)
 
-    def ramp(self) -> RampSchedule:
-        return RampSchedule(shape=self.schedule, tau=self.tau)
+    def theta(self, t):
+        """Polar-angle ramp theta(t) over [0, tau], theta(0) = 0, theta(tau) = pi."""
+        if self.schedule == "linear":
+            return np.pi * np.asarray(t) / self.tau
+        return np.pi / 2 * (1 - np.cos(np.pi * np.asarray(t) / self.tau))
+
+    def theta_dot(self, t):
+        """d theta / dt, elementwise over t."""
+        if self.schedule == "linear":
+            return np.full_like(np.asarray(t, dtype=float), np.pi / self.tau)[()]
+        return np.pi**2 / (2 * self.tau) * np.sin(np.pi * np.asarray(t) / self.tau)
 
     def delta_z_of(self, theta):
         return self.delta_z * np.cos(theta) + self.delta_0
@@ -222,7 +210,6 @@ class DriveSet:
     def __init__(self, params: ModelParams, h0, hz, hx, hy, frame: LogicalFrame,
                  basis: np.ndarray, leakage_bound: float = 0.0):
         self.params = params
-        self.schedule = params.ramp()
         self.h0 = h0
         self.frame = frame
         self.basis = basis
@@ -248,11 +235,11 @@ class DriveSet:
         if np.any((t < 0) | (t > p.tau + 1e-12)):
             raise ValueError(f"t={t} outside [0, {p.tau}]")
         t = t[..., None, None]  # each time's coefficients scale its own matrix
-        th = self.schedule.theta(t)
+        th = p.theta(t)
         m = self.h0 + p.delta_z_of(th) * self.hz_half
         m += p.omega_of(th) * self.hphi_half
         if sta:
-            m += cd_coefficient(th, self.schedule.theta_dot(t), p.chi, p.rho) * self.sy_half
+            m += cd_coefficient(th, p.theta_dot(t), p.chi, p.rho) * self.sy_half
         return m
 
 

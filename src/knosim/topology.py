@@ -85,7 +85,7 @@ def berry_curvature(traj: Trajectory) -> np.ndarray:
     if traj.sta:
         raise ConfigError("linear response needs the bare ramp: run with sta=False")
     check_readout(p, False)
-    v_theta = np.broadcast_to(np.asarray(p.ramp().theta_dot(traj.t), dtype=float), traj.t.shape)
+    v_theta = np.broadcast_to(np.asarray(p.theta_dot(traj.t), dtype=float), traj.t.shape)
     b = np.divide(-p.omega0 * np.sin(traj.theta) * traj.sy, 2 * v_theta,
                   out=np.zeros(traj.t.shape), where=v_theta != 0)
     return np.stack([traj.theta, b], axis=1)
@@ -137,10 +137,15 @@ def chern(traj: Trajectory) -> ChernResult:
                        **_run_fields(traj))
 
 
+def point_params(params: ModelParams, chi: float) -> ModelParams:
+    """A sweep's point at chi: params with delta_0 = chi * delta_z."""
+    return replace(params, delta_0=chi * params.delta_z)
+
+
 def _sweep_point(args):
     params, chi, sta, initial, run_kwargs = args
     try:
-        point = replace(params, delta_0=chi * params.delta_z)
+        point = point_params(params, chi)
         check_readout(point, sta)
         return chern(dynamics.run(point, initial=initial, sta=sta, **run_kwargs))
     except KnosimError as exc:

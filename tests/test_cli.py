@@ -596,6 +596,21 @@ class TestValidate:
         assert cli.main(["validate", "fig2-4", "--chis=0.5,nan"]) == 2
         assert capsys.readouterr().err == "error: chi_values must be finite, got [0.5, nan]\n"
 
+    def test_chis_build_every_point(self, capsys):
+        # a point the sweep cannot build fails validation by its chi, as the sweep fails it
+        assert cli.main(["validate", "fig2-4", "--chis=0.5,1e308"]) == 1
+        report = capsys.readouterr()
+        fails = [line for line in report.out.splitlines() if line.startswith("FAIL")]
+        assert len(fails) == 1 and fails[0].startswith("FAIL chi=1e+308: largest drive at")
+        assert report.out.strip().endswith("INVALID")
+        assert report.err == ""
+        # built, but its counterdiabatic term overflows at every sample
+        assert cli.main(["validate", "fig2-4", "--chis=0.5,1e200"]) == 1
+        assert "FAIL chi=1e+200: counterdiabatic coefficient at chi=1e+200: overflow" in (
+            capsys.readouterr().out)
+        assert cli.main(["validate", "fig2-4", "--chis=-1.5,0.5,1.5"]) == 0
+        assert capsys.readouterr().out.strip().endswith("OK")
+
     def test_runtime_estimate_scales_with_steps(self, tmp_path, capsys):
         cfg = cli.resolve_config("fig1")
         est = cli.estimated_runtime_s(cfg)

@@ -185,6 +185,16 @@ class TestBatchedPass:
         assert got["psi"].shape == want.shape
         assert np.abs(got["psi"] - want).max() <= 1e-12
 
+    @pytest.mark.parametrize("system", ["twolevel", "drive_set"])
+    def test_states_do_not_depend_on_the_sample_grid(self, system):
+        # the same steps in the same order: a coarser grid keeps a subset of the rows, bit for bit
+        p = sta_params(chi=0.6, phi=0.4)
+        ds = model.drive_set(p) if system == "drive_set" else twolevel.system(p)
+        for n_steps, n_samples, every in ((800, 401, 2), (1200, 3, 600)):
+            coarse = dynamics._propagate(ds, ds.frame.ket0, True, n_steps, n_samples)["psi"]
+            fine = dynamics._propagate(ds, ds.frame.ket0, True, n_steps, n_steps + 1)["psi"]
+            assert np.array_equal(coarse, fine[::every])
+
 
 class TestTrajectoryIsItsStates:
     """A Trajectory stores the states of its pass; every observable and the

@@ -63,13 +63,13 @@ class TestParams:
 class TestRampSchedule:
     @pytest.mark.parametrize("shape", ["linear", "cosine"])
     def test_endpoints(self, shape):
-        s = model.RampSchedule(shape=shape, tau=3.0)
+        s = sta_params(schedule=shape, tau=3.0)
         assert abs(s.theta(0.0)) < 1e-15
         assert abs(s.theta(3.0) - np.pi) < 1e-12
 
     @pytest.mark.parametrize("shape", ["linear", "cosine"])
     def test_derivative_matches_central_difference(self, shape):
-        s = model.RampSchedule(shape=shape, tau=2.5)
+        s = sta_params(schedule=shape, tau=2.5)
         h = 1e-6
         for t in np.linspace(0.1, 2.4, 17):
             num = (s.theta(t + h) - s.theta(t - h)) / (2 * h)
@@ -285,7 +285,7 @@ class TestCdCoefficient:
 
     def test_matches_derivative_along_schedule(self):
         chi = 0.6
-        sched = model.RampSchedule(shape="cosine", tau=1.5)
+        sched = sta_params(schedule="cosine", tau=1.5)
         h = 1e-7
         for t in np.linspace(0.1, 1.4, 11):
             num = (
@@ -354,7 +354,7 @@ class TestCdCoefficient:
             model.drive_set(p).total_matrix(0.7, sta=True)
 
     def test_sta_chi_zero_cd_equals_ramp_rate(self):
-        sched = model.RampSchedule(shape="cosine", tau=1.5)
+        sched = sta_params(schedule="cosine", tau=1.5)
         for t in np.linspace(0, 1.5, 7):
             thd = sched.theta_dot(t)
             assert abs(model.cd_coefficient(sched.theta(t), thd, 0.0) - thd) < 1e-12

@@ -90,7 +90,7 @@ class TestBerryCurvature:
         # and elsewhere the same -Omega0 sin(theta) sy / (2 v) as on a linear ramp
         p = linear_response_params(schedule="cosine")
         traj = make_traj(np.linspace(0, np.pi, 21), 0.0, 0.3, 0.0, p)
-        v = p.ramp().theta_dot(traj.t)
+        v = p.theta_dot(traj.t)
         assert v[0] == 0 and np.all(v[1:] != 0)
         theta, b = topology.berry_curvature(traj).T
         assert b[0] == 0

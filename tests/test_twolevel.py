@@ -82,13 +82,12 @@ class TestEigensystem:
         p = ModelParams(kerr=KERR, pump=PUMP, omega0=om0, delta_z=dz0, delta_0=chi * dz0,
                         tau=1.3, schedule=shape, phi=phi)
         t = frac * p.tau
-        ramp = p.ramp()
-        th = float(ramp.theta(t))
+        th = float(p.theta(t))
         dz, om = p.delta_z_of(th), p.omega_of(th)
         off = om / 2 * np.exp(-1j * phi)
         expected = np.array([[dz / 2, off], [np.conj(off), -dz / 2]])
         if sta:
-            cd = model.cd_coefficient(th, float(ramp.theta_dot(t)), p.chi, p.rho)
+            cd = model.cd_coefficient(th, float(p.theta_dot(t)), p.chi, p.rho)
             cd_off = -1j * np.exp(-1j * phi) * cd / 2
             expected = expected + np.array([[0, cd_off], [np.conj(cd_off), 0]])
         h = twolevel.system(p).total_matrix(t, sta)
