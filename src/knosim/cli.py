@@ -20,12 +20,11 @@ import re
 import sys
 import timeit
 from dataclasses import asdict, dataclass, field, replace
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
-from . import dynamics, fock, model, topology, wigner as wigner_mod
+from . import __version__, dynamics, fock, model, topology, wigner as wigner_mod
 from .errors import ConfigError, KnosimError
 from .model import ModelParams
 from .presets import PRESETS
@@ -196,12 +195,8 @@ def _table(path_base: Path, fmt: str, columns: dict[str, np.ndarray]) -> None:
 
 def _manifest(cfg: ExperimentConfig, extra: dict) -> dict:
     p = cfg.params
-    try:
-        version = metadata.version("knosim")
-    except metadata.PackageNotFoundError:  # pragma: no cover
-        version = "unknown"
     man = {
-        "knosim_version": version,
+        "knosim_version": __version__,
         "protocol": cfg.protocol,
         "params": asdict(p),
         "derived": {
@@ -353,15 +348,16 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 
 @functools.cache
-def movie_seconds(dim: int, n_points: int) -> float:
+def movie_seconds(dim: int, n_points: int, half_width: float) -> float:
     """Cost of a Wigner movie's grids past its run: the stacked wigner call on
-    its snapshots of dim levels over an n_points grid, and the CSV text of
-    each grid's columns. Measured once per process as dynamics.step_seconds
-    measures a step: the median of a few calls after a warm-up call."""
+    its snapshots of dim levels over its own grid (whose count of distinct
+    radii sets the recurrence's cost), and the CSV text of each grid's
+    columns. Measured once per process as dynamics.step_seconds measures a
+    step: the median of a few calls after a warm-up call."""
     states = np.full((len(SNAPSHOT_FRACTIONS), dim), dim**-0.5, dtype=complex)
 
     def movie():
-        for grid in wigner_mod.wigner(states, n_points=n_points):
+        for grid in wigner_mod.wigner(states, half_width, n_points):
             for col in _grid_columns(grid).values():
                 _column_text(col)
 
@@ -378,7 +374,7 @@ def estimated_runtime_s(cfg: ExperimentConfig, worst: bool = False) -> float:
     steps_s = n_runs * per_run(cfg.n_steps, cfg.n_samples) * dynamics.step_seconds(cfg.params, cfg.sta)
     if cfg.protocol != "wigner_movie":
         return steps_s
-    return steps_s + movie_seconds(cfg.params.dim, cfg.n_points)
+    return steps_s + movie_seconds(cfg.params.dim, cfg.n_points, cfg.half_width)
 
 
 def validate_config(cfg: ExperimentConfig) -> tuple[bool, list[str]]:

@@ -1,17 +1,21 @@
 """Wigner tomography: W(a) = (2/pi) <psi| D_a P D_a^dag |psi>, in closed form.
 
-With x = 4|a|^2 and rho = |psi><psi| (Cahill & Glauber, Phys. Rev. 177, 1857
-(1969); QuTiP's Laguerre Wigner, Comput. Phys. Commun. 184, 1234 (2013)):
+With x = 4|a|^2, phi = arg a and rho = |psi><psi| (Cahill & Glauber, Phys.
+Rev. 177, 1857 (1969); QuTiP's Laguerre Wigner, Comput. Phys. Commun. 184,
+1234 (2013)):
 
-    W(a) = (2/pi) Re sum_{k>=0} (2 - delta_k0) sum_n (-1)^n rho_{n+k,n} M_n^(k),
-    M_n^(k) = (2a*)^k e^{-x/2} sqrt(n!/(n+k)!) L_n^(k)(x) = <n+k|D_2a*|n>.
+    W(a) = (2/pi) Re sum_{k>=0} (2 - delta_k0) e^{-ik phi} sum_n (-1)^n rho_{n+k,n} R_n^(k)(x),
+    R_n^(k)(x) = |2a|^k e^{-x/2} sqrt(n!/(n+k)!) L_n^(k)(x),
 
-|M| <= 1, so its three-term recurrence in n cannot overflow. It runs over the
-whole grid at once, per diagonal k and index n (memory O(grid)), in the state's
-own truncation: W is exact to rounding while e^{-2|a|^2} is a normal float.
-M depends on the grid alone, so a sequence of states (a Wigner movie's
-snapshots) shares one recurrence, each state adding its own rho_{n+k,n} M_n^(k)
-in the order a single state's call would.
+so that e^{-ik phi} R_n^(k) = <n+k|D_2a*|n>. R is real and |R| <= 1, so its
+three-term recurrence in n cannot overflow; R_0^(k+1) = R_0^(k) sqrt(x/(k+1))
+starts each diagonal k. R depends on the radius alone, so the recurrence runs
+in real arithmetic once per distinct x of the grid, in the state's own
+truncation: W is exact to rounding while e^{-2|a|^2} is a normal float. Each
+diagonal's radial sum is then gathered onto the grid and turned by
+e^{-ik phi}, advanced one multiply per k. A sequence of states (a Wigner
+movie's snapshots) shares one recurrence, each state adding its own
+rho_{n+k,n} R_n^(k) in the order a single state's call would.
 """
 
 from __future__ import annotations
@@ -35,7 +39,11 @@ class WignerGrid:
     values: np.ndarray
 
     def at_origin(self) -> float:
+        """W(0), on an odd axis, which holds 0 to linspace's rounding; an even
+        axis holds no 0, and ValueError is raised."""
         i = int(np.argmin(np.abs(self.axis)))
+        if abs(self.axis[i]) > 1e-12 * abs(self.axis[0]):
+            raise ValueError(f"no axis point is 0; the nearest is {self.axis[i]:.6g}")
         return float(self.values[i, i])
 
 
@@ -54,21 +62,32 @@ def wigner(states: np.ndarray | Sequence[np.ndarray], half_width: float = 4.5,
     dim = amp.shape[1]
     axis = np.linspace(-half_width, half_width, n_points)
     alpha = axis[None, :] + 1j * axis[:, None]
-    x = 4 * np.abs(alpha) ** 2
-    # (-1)^n rho_{m,n}, indexed [m, n, state]: each entry scales a stack of grids
+    x, inverse = np.unique(4 * np.abs(alpha) ** 2, return_inverse=True)  # R's distinct radii
+    inverse = inverse.reshape(alpha.shape)
+    step = np.exp(-1j * np.angle(alpha))  # e^{-i phi}, 1 at the origin
+    # (-1)^n rho_{m,n}, indexed [m, n, state]: each entry scales a stack of radial rows
     signed_rho = np.moveaxis(amp[:, :, None] * amp.conj()[:, None, :] * (-1.0) ** np.arange(dim),
-                             0, -1)[..., None, None]
+                             0, -1)[..., None]
     total = np.zeros((len(states),) + alpha.shape, dtype=complex)
-    m_first = np.exp(-x / 2).astype(complex)  # M_0^(k), advanced in k
+    # one diagonal on the grid, in one buffer for every k: a fresh array this
+    # size per k is above malloc's mmap threshold, so each would map new pages
+    grids = np.empty_like(total)
+    phase = np.ones(alpha.shape, dtype=complex)  # e^{-ik phi}
+    r_first = np.exp(-x / 2)  # R_0^(k), advanced in k
     for k in range(dim):
-        m_prev, m = 0, m_first
-        diag = signed_rho[k, 0] * m
+        r_prev, r = 0, r_first
+        diag = signed_rho[k, 0] * r
         for n in range(1, dim - k):
-            m_prev, m = m, ((2 * n - 1 + k - x) * m
-                            - math.sqrt((n - 1) * (n - 1 + k)) * m_prev) / math.sqrt(n * (n + k))
-            diag += signed_rho[n + k, n] * m
-        total += diag if k == 0 else 2 * diag
-        m_first = m_first * (2 * np.conj(alpha) / math.sqrt(k + 1))
+            r_prev, r = r, ((2 * n - 1 + k - x) * r
+                            - math.sqrt((n - 1) * (n - 1 + k)) * r_prev) / math.sqrt(n * (n + k))
+            diag += signed_rho[n + k, n] * r
+        if k:
+            diag *= 2
+        np.take(diag, inverse, axis=1, out=grids, mode="clip")  # in range: unbuffered
+        grids *= phase
+        total += grids
+        phase *= step
+        r_first = r_first * (np.sqrt(x) / math.sqrt(k + 1))
     values = 2 / np.pi * total.real
     return [WignerGrid(axis, v) for v in values]
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import knosim
 from knosim import cli, dynamics, wigner
 from knosim.errors import ConfigError, SingularDriveError
 
@@ -145,6 +146,19 @@ class TestSimulate:
         man = json.loads(manifests["a"])
         assert (man["steps_computed"], man["n_steps_used"]) == (600, 400)
         assert json.loads(manifests["steps"])["steps_computed"] == 1200
+
+    def test_manifest_records_the_package_version(self, tmp_path):
+        # from a source checkout too, where no installed metadata exists
+        out = tmp_path / "out"
+        assert cli.main(["simulate", write_config(tmp_path), "--out", str(out)]) == 0
+        man = json.loads((out / "run-manifest.json").read_text())
+        assert man["knosim_version"] == knosim.__version__
+
+    def test_package_version_is_pyprojects(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as f:
+            assert tomllib.load(f)["project"]["version"] == knosim.__version__
 
     def test_chi_override(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -635,20 +649,21 @@ class TestValidate:
 
     def test_movie_estimate_adds_its_grids(self, tmp_path, monkeypatch):
         # the step and movie timers patched: 600 steps of 2e-5 s plus the
-        # five snapshots' grids and tables at the config's dim and grid
+        # five snapshots' grids and tables at the config's dim and grid, its
+        # half-width included (the grid's distinct radii set the cost)
         calls = []
 
-        def movie_seconds(dim, n_points):
-            calls.append((dim, n_points))
+        def movie_seconds(dim, n_points, half_width):
+            calls.append((dim, n_points, half_width))
             return 0.25
 
         monkeypatch.setattr(cli.dynamics, "step_seconds", lambda params, sta: 2e-5)
         monkeypatch.setattr(cli, "movie_seconds", movie_seconds)
         movie = cli.resolve_config(write_config(tmp_path, protocol="wigner_movie", n_steps=None,
-                                                n_samples=401, n_points=61))
+                                                n_samples=401, n_points=61, half_width=3.0))
         assert cli.estimated_runtime_s(movie) == pytest.approx(600 * 2e-5 + 0.25)
         assert cli.estimated_runtime_s(movie, worst=True) == pytest.approx(28000 * 2e-5 + 0.25)
-        assert calls == [(30, 61)] * 2
+        assert calls == [(30, 61, 3.0)] * 2
         movie.protocol = "sta"
         assert cli.estimated_runtime_s(movie) == pytest.approx(600 * 2e-5)
         assert len(calls) == 2
@@ -667,11 +682,11 @@ class TestValidate:
             return column_text(col)
 
         cli.movie_seconds.cache_clear()
-        fast = cli.movie_seconds(30, 41)
+        fast = cli.movie_seconds(30, 41, 3.0)
         monkeypatch.setattr(cli, "_column_text", slow_column_text)
         cli.movie_seconds.cache_clear()
         try:
-            slow = cli.movie_seconds(30, 41)
+            slow = cli.movie_seconds(30, 41, 3.0)
         finally:
             cli.movie_seconds.cache_clear()
         assert formatted == [41 * 41] * (4 * 20)

@@ -80,6 +80,15 @@ class TestCoherent:
         expected = gaussian_wigner(g.axis, 1.0 + 0.5j)
         assert np.abs(g.values - expected).max() <= 1e-6
 
+    @pytest.mark.parametrize("beta", [1.2 + 0.7j, -1.2 + 0.7j, -1.2 - 0.7j, 1.2 - 0.7j],
+                             ids=["q1", "q2", "q3", "q4"])
+    def test_every_quadrant_on_the_movie_grid(self, beta):
+        # the radial sums are turned by e^{-ik phi}: the wrong sign would
+        # mirror the Gaussian through the real axis
+        psi, _ = fock.coherent_state(beta, 40)
+        g = grid(psi)
+        assert np.abs(g.values - gaussian_wigner(g.axis, beta)).max() <= 1e-10
+
     def test_peak_location(self):
         psi, _ = fock.coherent_state(np.sqrt(2), 30)
         g = grid(psi, half_width=3.0, n_points=41)
@@ -129,6 +138,21 @@ class TestGridMechanics:
         # values[i, j] = W(axis[j] + 1i * axis[i])
         g = vacuum_grid
         assert g.values.shape == (g.axis.size, g.axis.size)
+
+    def test_origin_of_an_odd_grid_within_rounding(self):
+        # linspace puts the middle of 101 points over +-3.5 at 4.4e-16, not 0
+        vac = np.eye(10, dtype=complex)[0]
+        g = grid(vac, half_width=3.5, n_points=101)
+        assert 0 < abs(g.axis[50]) < 1e-15
+        assert abs(g.at_origin() - 2 / np.pi) <= 1e-10
+
+    @pytest.mark.parametrize("n_points", [42, 82])
+    def test_even_grid_has_no_origin(self, n_points):
+        # the points nearest 0 are half a spacing off it
+        vac = np.eye(10, dtype=complex)[0]
+        g = grid(vac, n_points=n_points)
+        with pytest.raises(ValueError, match="no axis point is 0"):
+            g.at_origin()
 
 
 class TestStack:
@@ -182,12 +206,14 @@ class TestClosedForm:
         dim=st.integers(2, 40),
         seed=st.integers(0, 2**32 - 1),
         half_width=st.floats(0.5, 4.5),
+        n_points=st.integers(41, 101),
     )
-    def test_random_states_match_padded_reference(self, dim, seed, half_width):
+    def test_random_states_match_padded_reference(self, dim, seed, half_width, n_points):
         psi = random_state(dim, seed)
-        g = grid(psi, half_width=half_width, n_points=41)
+        g = grid(psi, half_width=half_width, n_points=n_points)
         assert np.abs(g.values).max() <= 2 / np.pi + 1e-12
-        idx = [0, 10, 20, 30, 40]
+        # the corners and cells spread over every quadrant, on odd grids and even
+        idx = [0, n_points // 4, n_points // 2, (3 * n_points) // 4, n_points - 1]
         cells = [(i, j) for i in idx for j in idx]
         alphas = [g.axis[j] + 1j * g.axis[i] for i, j in cells]
         got = np.array([g.values[i, j] for i, j in cells])
