@@ -50,7 +50,7 @@ class ExperimentConfig:
     params: ModelParams
     sta: bool
     initial: str
-    n_steps: int | None  # None: start at the sample grid (dynamics.start_steps)
+    n_steps: int | None  # None: start at the sample grid (dynamics.passes)
     n_samples: int
     chi_values: list[float] = field(default_factory=list)
     out: str = "out"
@@ -145,7 +145,7 @@ def resolve_config(spec: str, overrides: dict | None = None,
         half_width=_number(float, raw.get("half_width", 4.5), "half_width"),
         n_points=_number(int, raw.get("n_points", 81), "n_points"),
     )
-    dynamics.start_steps(cfg.n_steps, cfg.n_samples)  # raises on a bad step or sample count
+    dynamics.passes(cfg.n_steps, cfg.n_samples)  # raises on a bad step or sample count
     if cfg.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")
     if not np.isfinite(cfg.chi_values).all():
@@ -314,15 +314,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         )
         tables["trajectory"] = dict(zip(TRAJ_HEADER, (
             traj.t, traj.theta, traj.sx, traj.sy, traj.sz, traj.pop, traj.norm)))
-        extra = {
-            "converged": traj.converged,
-            "n_steps_used": traj.n_steps,
-            "refine_history": traj.refine_history,
-            "steps_computed": traj.steps_computed,
-            "basis_dim": traj.basis_dim,
-            "leakage_bound": traj.leakage_bound,
-            "final_edge_population": float(np.sum(np.abs(traj.final_state[-3:]) ** 2)),
-        }
+        extra = {**traj.record(),
+                 "final_edge_population": float(np.sum(np.abs(traj.final_state[-3:]) ** 2))}
         if cfg.protocol == "wigner_movie":
             extra["snapshot_times_us"] = [f * cfg.params.tau for f in SNAPSHOT_FRACTIONS]
             # one row at a time: a stacked lift is not bitwise the same
@@ -366,12 +359,14 @@ def movie_seconds(dim: int, n_points: int, half_width: float) -> float:
 
 def estimated_runtime_s(cfg: ExperimentConfig, worst: bool = False) -> float:
     """Steps (matrices diagonalized) of the configured runs, one after
-    another, times the step cost: as if each run converges at its first doubling, or with worst, as if
-    each computes its whole step budget. A Wigner movie adds its grids and
-    their tables (movie_seconds)."""
+    another, times the step cost: as if each run converges at its first
+    doubling, or with worst, as if each runs every pass of its ladder
+    (dynamics.passes). A Wigner movie adds its grids and their tables
+    (movie_seconds)."""
     n_runs = max(1, len(cfg.chi_values)) if cfg.protocol == "sweep" else 1
-    per_run = dynamics.step_budget if worst else dynamics.expected_steps
-    steps_s = n_runs * per_run(cfg.n_steps, cfg.n_samples) * dynamics.step_seconds(cfg.params, cfg.sta)
+    ladder = dynamics.passes(cfg.n_steps, cfg.n_samples)
+    per_run = sum(ladder if worst else ladder[:2])
+    steps_s = n_runs * per_run * dynamics.step_seconds(cfg.params, cfg.sta)
     if cfg.protocol != "wigner_movie":
         return steps_s
     return steps_s + movie_seconds(cfg.params.dim, cfg.n_points, cfg.half_width)

@@ -8,7 +8,8 @@ H(t) in stacks of up to CHUNK_STEPS, one np.linalg.eigh call per stack, and
 steps the state through them one at a time; the work is counted in matrices
 diagonalized, one per step. With no n_steps a run starts at half a step per
 sample interval, on every other sample (200 steps on 201 of 401 samples),
-and doubles until the samples it shares with the pass before settle.
+and doubles along the ladder passes() lists until the samples it shares with
+the pass before settle.
 """
 
 from __future__ import annotations
@@ -45,34 +46,29 @@ def _rounded_steps(n_steps: int, n_samples: int) -> int:
     return max(1, int(np.ceil(n_steps / intervals))) * intervals
 
 
-def start_steps(n_steps: int | None, n_samples: int) -> int:
-    """Steps of the coarse pass: n_steps, or with None the coarsest grid
-    accepted, max(MIN_STEPS, (n_samples - 1) / 2) on every other sample when
-    n_samples - 1 is even (200 steps at 401 samples), else max(MIN_STEPS,
-    n_samples - 1); rounded up to whole intervals of its pass. Fewer steps
-    than sample intervals need an even count of intervals, at most two per
-    step."""
-    if n_steps is None:  # one step per interval of the coarsest pass grid
-        n_steps = max(MIN_STEPS, _pass_intervals(0, n_samples))
-    if n_steps < MIN_STEPS:
-        raise ConfigError(f"n_steps must be >= {MIN_STEPS}, got {n_steps}")
-    if n_samples < 2 or n_steps < _pass_intervals(n_steps, n_samples):
+def passes(n_steps: int | None, n_samples: int) -> list[int]:
+    """Steps of each pass one evolve may run: the coarse pass, then doublings
+    while all passes together stay within STEP_BUDGET coarse passes of
+    n_steps, or of BUDGET_STEPS with n_steps None.
+
+    The coarse pass has n_steps, or with None the coarsest grid accepted:
+    max(MIN_STEPS, (n_samples - 1) / 2) on every other sample when
+    n_samples - 1 is even, else max(MIN_STEPS, n_samples - 1); rounded up to
+    whole intervals of its pass (_pass_intervals). Fewer steps than sample
+    intervals need an even count of intervals, at most two per step. So an
+    explicit N gives [N, 2N, 4N], and None at 401 samples [200, 400, ...,
+    12800], 25400 steps in all."""
+    start = max(MIN_STEPS, _pass_intervals(0, n_samples)) if n_steps is None else n_steps
+    if start < MIN_STEPS:
+        raise ConfigError(f"n_steps must be >= {MIN_STEPS}, got {start}")
+    if n_samples < 2 or start < _pass_intervals(start, n_samples):
         raise ConfigError("need 2 <= n_samples <= n_steps + 1, or n_samples - 1 even "
                           "and <= 2 * n_steps")
-    return _rounded_steps(n_steps, n_samples)
-
-
-def step_budget(n_steps: int | None, n_samples: int) -> int:
-    """Most steps one evolve computes, all passes together: STEP_BUDGET coarse
-    passes of n_steps, or of BUDGET_STEPS with n_steps None."""
-    return STEP_BUDGET * _rounded_steps(BUDGET_STEPS if n_steps is None else n_steps, n_samples)
-
-
-def expected_steps(n_steps: int | None, n_samples: int) -> int:
-    """Matrices diagonalized (steps computed) by one evolve that converges at
-    its first step doubling, as the fig2-4 runs do: the coarse pass plus one
-    pass at twice the steps (600 for 401 samples and no n_steps)."""
-    return 3 * start_steps(n_steps, n_samples)
+    budget = STEP_BUDGET * _rounded_steps(BUDGET_STEPS if n_steps is None else n_steps, n_samples)
+    ladder = [_rounded_steps(start, n_samples)]
+    while sum(ladder) + 2 * ladder[-1] <= budget:
+        ladder.append(2 * ladder[-1])
+    return ladder
 
 
 @functools.cache
@@ -114,20 +110,25 @@ class Trajectory:
         return self.system.params
 
     @property
-    def basis_dim(self) -> int:
-        return self.system.basis_dim
-
-    @property
-    def leakage_bound(self) -> float:
-        return self.system.leakage_bound
-
-    @property
     def final_state(self) -> np.ndarray:
         return self.system.lift(self.states[-1])
 
     def bloch(self) -> np.ndarray:
         """(n_samples, 3) array of (sx, sy, sz)."""
         return np.stack([self.sx, self.sy, self.sz], axis=1)
+
+    def record(self) -> dict:
+        """The run's facts, as run-manifest.json records them: whether it
+        converged, its steps and refinement history, the matrices it
+        diagonalized and its propagation basis."""
+        return {
+            "converged": self.converged,
+            "n_steps_used": self.n_steps,
+            "refine_history": tuple(self.refine_history),
+            "steps_computed": self.steps_computed,
+            "basis_dim": self.system.basis_dim,
+            "leakage_bound": self.system.leakage_bound,
+        }
 
 
 def _initial_state(system: model.DriveSet, initial) -> tuple[np.ndarray, str]:
@@ -188,26 +189,19 @@ def evolve(
     states lifts the same way. run passes model.drive_set(params),
     twolevel.reference_dynamics twolevel.system(params).
 
-    The step count comes from the tolerance. The coarse pass has
-    start_steps(n_steps, n_samples) steps; with n_steps None that is the
-    coarsest grid accepted: for 401 samples, 200 steps on every other
-    sample. A pass with fewer steps than sample intervals runs on every other
-    sample; it is only a check, since the first doubling always runs. Each
-    pass is a Trajectory, each further pass doubles the steps, and the run has
-    converged once a doubling changes bloch() by at most refine_tol on every
-    sample the two passes share. The cost is capped, not the number of
-    doublings: all passes together compute at most step_budget(n_steps,
-    n_samples) steps (steps_computed), and doubling stops before a pass that
-    would exceed that. An explicit n_steps N thus runs its coarse pass and at
-    most two doublings (7N steps); the default start at 401 samples may
-    double six times (200 to 12800 steps, 25400 in all). The finest
-    trajectory computed is returned, and refine_history lists (n_steps, diff)
-    per doubling; non-convergence is flagged, never silent. A pass whose
-    states are not all finite (a drive that overflows) raises
-    NonFiniteStateError at once.
+    The step count comes from the tolerance. The passes are
+    passes(n_steps, n_samples): the coarse pass, then doublings within a
+    budget of steps. A pass with fewer steps than sample intervals runs on
+    every other sample; it is only a check, since the first doubling always
+    runs. Each pass is a Trajectory, and the run has converged once a
+    doubling changes bloch() by at most refine_tol on every sample the two
+    passes share, or stops unconverged at the ladder's end. The finest
+    trajectory computed is returned; refine_history lists (n_steps, diff) per
+    doubling and steps_computed counts the steps of all passes run.
+    Non-convergence is flagged, never silent. A pass whose states are not all
+    finite (a drive that overflows) raises NonFiniteStateError at once.
     """
-    start = start_steps(n_steps, n_samples)
-    budget = step_budget(n_steps, n_samples)
+    ladder = passes(n_steps, n_samples)
     psi0, label = _initial_state(system, initial)
 
     def trajectory(n: int) -> Trajectory:
@@ -220,17 +214,17 @@ def evolve(
             raise NonFiniteStateError(f"non-finite state at t = {t[bad[0]]:.6g} ({n} steps)")
         return traj
 
-    coarse = trajectory(start)
-    spent = start
-    while not coarse.converged and spent + 2 * coarse.n_steps <= budget:
-        fine = trajectory(2 * coarse.n_steps)
-        spent += fine.n_steps
+    coarse = trajectory(ladder[0])
+    for n in ladder[1:]:
+        fine = trajectory(n)
         shared = fine.bloch()[::(fine.t.size - 1) // (coarse.t.size - 1)]
         diff = float(np.abs(shared - coarse.bloch()).max())
-        fine.refine_history = [*coarse.refine_history, (fine.n_steps, diff)]
+        fine.refine_history = [*coarse.refine_history, (n, diff)]
         fine.converged = diff <= refine_tol
         coarse = fine
-    coarse.steps_computed = spent
+        if coarse.converged:
+            break
+    coarse.steps_computed = sum(ladder[:len(coarse.refine_history) + 1])
     return coarse
 
 

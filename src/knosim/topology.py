@@ -57,20 +57,6 @@ class ChernResult:
         return self.refine_history[-1][1] if self.refine_history else float("nan")
 
 
-def _run_fields(traj: Trajectory) -> dict:
-    """The ChernResult fields that describe the run behind it."""
-    return {
-        "chi": traj.params.chi,
-        "initial": traj.initial,
-        "converged": traj.converged,
-        "n_steps_used": traj.n_steps,
-        "refine_history": tuple(traj.refine_history),
-        "steps_computed": traj.steps_computed,
-        "basis_dim": traj.basis_dim,
-        "leakage_bound": traj.leakage_bound,
-    }
-
-
 def check_readout(params: ModelParams, sta: bool) -> None:
     """Raise ConfigError when chern cannot read a run of params with this sta:
     the Berry-curvature integral of a bare ramp is read at phi = 0 only."""
@@ -133,8 +119,8 @@ def chern(traj: Trajectory) -> ChernResult:
                 f"need >= {MIN_CURVATURE_POINTS} curvature samples, got {len(series)}"
             )
         c1 = np.trapezoid(series[:, 1], series[:, 0])
-    return ChernResult(c1=float(c1), method=METHOD[traj.sta], series=series, **extra,
-                       **_run_fields(traj))
+    return ChernResult(c1=float(c1), method=METHOD[traj.sta], chi=traj.params.chi,
+                       initial=traj.initial, series=series, **extra, **traj.record())
 
 
 def point_params(params: ModelParams, chi: float) -> ModelParams:

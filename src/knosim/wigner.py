@@ -39,10 +39,10 @@ class WignerGrid:
     values: np.ndarray
 
     def at_origin(self) -> float:
-        """W(0), on an odd axis, which holds 0 to linspace's rounding; an even
+        """W(0), on an odd axis, whose middle point is exactly 0; an even
         axis holds no 0, and ValueError is raised."""
         i = int(np.argmin(np.abs(self.axis)))
-        if abs(self.axis[i]) > 1e-12 * abs(self.axis[0]):
+        if self.axis[i] != 0:
             raise ValueError(f"no axis point is 0; the nearest is {self.axis[i]:.6g}")
         return float(self.values[i, i])
 
@@ -60,7 +60,8 @@ def wigner(states: np.ndarray | Sequence[np.ndarray], half_width: float = 4.5,
         raise DimensionMismatchError(f"1-d states of one length needed, got shapes {sorted(shapes)}")
     amp = np.asarray(states, dtype=complex)
     dim = amp.shape[1]
-    axis = np.linspace(-half_width, half_width, n_points)
+    line = np.linspace(-half_width, half_width, n_points)
+    axis = (line - line[::-1]) / 2  # exactly mirror-symmetric, 0 in the middle of an odd axis
     alpha = axis[None, :] + 1j * axis[:, None]
     x, inverse = np.unique(4 * np.abs(alpha) ** 2, return_inverse=True)  # R's distinct radii
     inverse = inverse.reshape(alpha.shape)

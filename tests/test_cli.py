@@ -463,6 +463,26 @@ class TestBasisRecord:
             assert record["basis_dim"] == m
             assert 0 < record["leakage_bound"] <= cli.model.LEAKAGE_TOL
 
+    def test_outputs_carry_the_run_record(self, tmp_path):
+        # one run's facts as Trajectory.record gives them, in every output that reports the run
+        cfg = cli.resolve_config("fig2-4")
+        traj = dynamics.run(cli.topology.point_params(cfg.params, 0.97), sta=True)
+        record = json.loads(json.dumps(traj.record()))
+        assert set(record) == {"converged", "n_steps_used", "refine_history", "steps_computed",
+                               "basis_dim", "leakage_bound"}
+        assert len(record["refine_history"]) == 3  # 200 -> 1600 steps near the transition
+        sim, sweep = tmp_path / "sim", tmp_path / "sweep"
+        assert cli.main(["simulate", "fig2-4", "--chi", "0.97", "--out", str(sim)]) == 0
+        assert cli.main(["sweep", "fig2-4", "--chis=0.97", "--out", str(sweep)]) == 0
+        manifest = json.loads((sim / "run-manifest.json").read_text())
+        assert {k: manifest[k] for k in record} == record
+        chern = json.loads((sim / "chern.json").read_text())
+        point, = json.loads((sweep / "run-manifest.json").read_text())["points"]
+        for entry, keys in ((chern, ("converged", "n_steps_used", "refine_history")),
+                            (point, ("refine_history", "steps_computed", "basis_dim",
+                                     "leakage_bound"))):
+            assert {k: entry[k] for k in keys} == {k: record[k] for k in keys}
+
 
 class TestWigner:
     def test_snapshot_files(self, tmp_path):
@@ -495,7 +515,11 @@ class TestWigner:
                     (csv / f"wigner_t{k}.csv").read_text().splitlines()[1:]]
             for h, col in enumerate(("re_alpha", "im_alpha", "w")):
                 assert [float(r[h]) for r in rows] == obj[col]
-        axis = np.linspace(-3.0, 3.0, 41).tolist()
+        # the axis is exactly mirror-symmetric, with exact endpoints and 0 in the middle
+        axis = obj["re_alpha"][:41]
+        assert axis == [-v for v in reversed(axis)]
+        assert (axis[0], axis[20], axis[-1]) == (-3.0, 0.0, 3.0)
+        assert np.abs(np.array(axis) - np.linspace(-3.0, 3.0, 41)).max() <= 1e-15
         assert obj["re_alpha"] == axis * 41
         assert obj["im_alpha"] == [v for v in axis for _ in range(41)]
 
@@ -637,7 +661,7 @@ class TestValidate:
         assert cli.estimated_runtime_s(cfg) == 2 * est
         assert cli.estimated_runtime_s(cfg, worst=True) == 2 * worst
         # from half the sample grid: 600 steps if the first doubling converges,
-        # and the budget of 7 passes of 4000 steps at most
+        # and at most every pass of its ladder, 200 to 12800 steps
         path = tmp_path / "null.json"
         path.write_text(json.dumps({"preset": "fig1", "n_steps": None}))
         assert cli.main(["validate", str(path)]) == 0
@@ -645,7 +669,7 @@ class TestValidate:
         step_s = cli.dynamics.step_seconds(cfg.params, cfg.sta)
         # printed to 3 significant digits, so a 0.0 printout fails
         assert float(report["estimated_runtime_s"]) == pytest.approx(600 * step_s, rel=6e-3)
-        assert float(report["max_runtime_s"]) == pytest.approx(28000 * step_s, rel=6e-3)
+        assert float(report["max_runtime_s"]) == pytest.approx(25400 * step_s, rel=6e-3)
 
     def test_movie_estimate_adds_its_grids(self, tmp_path, monkeypatch):
         # the step and movie timers patched: 600 steps of 2e-5 s plus the
@@ -662,7 +686,7 @@ class TestValidate:
         movie = cli.resolve_config(write_config(tmp_path, protocol="wigner_movie", n_steps=None,
                                                 n_samples=401, n_points=61, half_width=3.0))
         assert cli.estimated_runtime_s(movie) == pytest.approx(600 * 2e-5 + 0.25)
-        assert cli.estimated_runtime_s(movie, worst=True) == pytest.approx(28000 * 2e-5 + 0.25)
+        assert cli.estimated_runtime_s(movie, worst=True) == pytest.approx(25400 * 2e-5 + 0.25)
         assert calls == [(30, 61, 3.0)] * 2
         movie.protocol = "sta"
         assert cli.estimated_runtime_s(movie) == pytest.approx(600 * 2e-5)

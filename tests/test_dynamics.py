@@ -136,16 +136,16 @@ class TestRun:
     def test_default_start_is_the_sample_grid(self):
         # the coarsest grid evolve accepts, rounded up to whole intervals of its
         # pass: every other sample when the sample intervals are even
-        assert dynamics.start_steps(None, 401) == 200
-        assert dynamics.start_steps(None, 41) == 120
-        assert dynamics.start_steps(4000, 401) == 4000
-        assert dynamics.start_steps(4000, 400) == 4389
-        assert dynamics.expected_steps(None, 401) == 600
+        assert dynamics.passes(None, 401)[0] == 200
+        assert dynamics.passes(None, 41)[0] == 120
+        assert dynamics.passes(4000, 401)[0] == 4000
+        assert dynamics.passes(4000, 400)[0] == 4389
+        assert sum(dynamics.passes(None, 401)[:2]) == 600
 
     def test_one_step_per_sample_interval_accepted(self):
-        assert dynamics.start_steps(400, 401) == 400
+        assert dynamics.passes(400, 401)[0] == 400
         with pytest.raises(ConfigError, match="n_samples"):
-            dynamics.start_steps(400, 402)
+            dynamics.passes(400, 402)
         traj = dynamics.evolve(twolevel.system(sta_params()), sta=True, n_steps=100, n_samples=101)
         assert traj.refine_history[0][0] == 200 and traj.t.size == 101
 
@@ -209,7 +209,7 @@ class TestTrajectoryIsItsStates:
         np.testing.assert_array_equal(traj.bloch(), np.stack([sx, sy, sz], axis=1))
         assert traj.states.shape == (101, traj.system.basis_dim)
         assert traj.params is traj.system.params
-        assert (traj.basis_dim, traj.leakage_bound) == (8, traj.system.leakage_bound)
+        assert traj.system.basis_dim == 8
         lifted = traj.system.basis @ traj.states[-1]
         np.testing.assert_array_equal(traj.final_state, lifted)
         spc = traj.n_steps // 100
@@ -301,6 +301,40 @@ class TestStepCount:
         assert sum(steps_computed) <= dynamics.STEP_BUDGET * dynamics.BUDGET_STEPS
         assert len(traj.refine_history) == 6
 
+    def test_ladders(self):
+        # the coarse pass, then doublings while all passes together stay
+        # within 7 coarse passes of n_steps, or of 4000 steps with None
+        assert dynamics.passes(None, 401) == [200, 400, 800, 1600, 3200, 6400, 12800]
+        assert dynamics.passes(None, 41) == [120, 240, 480, 960, 1920, 3840, 7680]
+        assert dynamics.passes(400, 41) == [400, 800, 1600]
+        assert dynamics.passes(300, 401) == [400, 800, 1600]  # rounded up to the whole grid
+        assert dynamics.passes(4000, 400) == [4389, 8778, 17556]
+        with pytest.raises(ConfigError, match=r"^n_steps must be >= 100, got 99$"):
+            dynamics.passes(99, 401)
+        for n_steps, n_samples in ((400, 1), (400, 402), (None, 1)):
+            with pytest.raises(ConfigError, match=r"^need 2 <= n_samples <= n_steps \+ 1, or "
+                                                  r"n_samples - 1 even and <= 2 \* n_steps$"):
+                dynamics.passes(n_steps, n_samples)
+
+    @pytest.mark.parametrize("chi, n_steps, n_samples, refine_tol, converged", [
+        (0.5, None, 401, dynamics.REFINE_TOL, True),  # at the first doubling
+        (0.97, None, 401, dynamics.REFINE_TOL, True),  # near the transition, at the third
+        (0.5, 400, 41, 1e-14, False),  # the whole ladder, unconverged
+        (0.5, None, 101, 1e-14, False),
+    ])
+    def test_a_run_walks_a_prefix_of_its_ladder(self, chi, n_steps, n_samples, refine_tol,
+                                                converged, steps_computed):
+        ladder = dynamics.passes(n_steps, n_samples)
+        traj = dynamics.evolve(twolevel.system(sta_params(chi=chi)), sta=True, n_steps=n_steps,
+                               n_samples=n_samples, refine_tol=refine_tol)
+        k = len(traj.refine_history)
+        assert traj.converged == converged
+        assert k == len(ladder) - 1 or converged
+        assert steps_computed == ladder[:k + 1]
+        assert [n for n, _ in traj.refine_history] == ladder[1:k + 1]
+        assert traj.n_steps == ladder[k]
+        assert traj.steps_computed == sum(ladder[:k + 1])
+
     def test_explicit_steps_run_the_whole_grid_schedule(self, monkeypatch):
         # n_steps >= n_samples - 1: passes of N, 2N, ... on every sample, the
         # returned one bitwise a direct pass of its steps
@@ -322,12 +356,12 @@ class TestStepCount:
     def test_half_grid_floor(self):
         # fewer steps than sample intervals: an even count of intervals, at
         # most two per step; 399 intervals keep the whole-interval start
-        assert dynamics.start_steps(None, 400) == 399
-        assert dynamics.start_steps(200, 401) == 200
-        assert dynamics.start_steps(300, 401) == 400
+        assert dynamics.passes(None, 400)[0] == 399
+        assert dynamics.passes(200, 401)[0] == 200
+        assert dynamics.passes(300, 401)[0] == 400
         for n_steps, n_samples in ((199, 401), (200, 400), (398, 400)):
             with pytest.raises(ConfigError, match="n_samples"):
-                dynamics.start_steps(n_steps, n_samples)
+                dynamics.passes(n_steps, n_samples)
         traj = dynamics.evolve(twolevel.system(sta_params()), sta=True, n_steps=200)
         assert traj.n_steps == 400 and traj.t.size == 401 and traj.steps_computed == 600
 
@@ -362,11 +396,11 @@ class TestReducedBasisEquivalence:
     @pytest.mark.parametrize("chi", [0.353, -0.538, 1.347, -1.888])
     def test_fig24(self, chi):
         traj = self._compare(sta_params(chi=chi), sta=True)
-        assert traj.basis_dim == 8 and traj.leakage_bound <= model.LEAKAGE_TOL
+        assert traj.system.basis_dim == 8 and traj.system.leakage_bound <= model.LEAKAGE_TOL
 
     def test_fig1(self):
         traj = self._compare(linear_response_params(), sta=False, n_steps=2000)
-        assert traj.basis_dim == 10 and traj.leakage_bound <= model.LEAKAGE_TOL
+        assert traj.system.basis_dim == 10 and traj.system.leakage_bound <= model.LEAKAGE_TOL
 
 
 class TestEigenstateFidelity:

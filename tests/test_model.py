@@ -192,7 +192,7 @@ class TestTotalHamiltonian:
         frame = logical.build_frame(params.alpha0, params.dim)
         for initial, ket in (("ket0", frame.ket0), ("ket1", frame.ket1)):
             traj = dynamics.run(params, initial, n_steps=100, n_samples=2)
-            assert traj.basis_dim == 2  # no drive: the cat doublet alone
+            assert traj.system.basis_dim == 2  # no drive: the cat doublet alone
             assert abs(np.vdot(traj.final_state, ket)) ** 2 >= 1 - 1e-6
 
 

@@ -139,11 +139,20 @@ class TestGridMechanics:
         g = vacuum_grid
         assert g.values.shape == (g.axis.size, g.axis.size)
 
-    def test_origin_of_an_odd_grid_within_rounding(self):
-        # linspace puts the middle of 101 points over +-3.5 at 4.4e-16, not 0
+    @pytest.mark.parametrize("half_width, n_points", [(3.5, 101), (4.5, 81), (3.0, 41), (3.0, 42)])
+    def test_axis_is_exactly_mirror_symmetric(self, half_width, n_points):
+        # linspace's own middle of 101 points over +-3.5 is 4.4e-16, not 0
+        vac = np.eye(10, dtype=complex)[0]
+        g = grid(vac, half_width=half_width, n_points=n_points)
+        assert np.array_equal(g.axis, -g.axis[::-1])
+        assert (g.axis[0], g.axis[-1]) == (-half_width, half_width)
+        assert np.abs(g.axis - np.linspace(-half_width, half_width, n_points)).max() <= 1e-15
+        assert np.all(np.diff(g.axis) > 0)
+
+    def test_origin_of_an_odd_grid_is_exact(self):
         vac = np.eye(10, dtype=complex)[0]
         g = grid(vac, half_width=3.5, n_points=101)
-        assert 0 < abs(g.axis[50]) < 1e-15
+        assert g.axis[50] == 0
         assert abs(g.at_origin() - 2 / np.pi) <= 1e-10
 
     @pytest.mark.parametrize("n_points", [42, 82])
