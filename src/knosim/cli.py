@@ -397,19 +397,28 @@ def validate_config(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
     if error:
         ok = False
         lines.append(f"FAIL {error}")
-    for chi in cfg.chi_values if cfg.protocol == "sweep" else ():
-        try:  # each point built as the sweep builds it, with its H(t) at the samples
-            system = model.drive_set(topology.point_params(p, chi))
-            system.total_matrix(np.linspace(0, p.tau, cfg.n_samples), sta=cfg.sta)
+    # the run whose steps are timed, with its FAIL label: a sweep's first point that builds
+    probe = ("model", cfg)
+    if cfg.protocol == "sweep" and cfg.chi_values:
+        probe = None
+        for chi in cfg.chi_values:
+            try:  # each point built as the sweep builds it, with its H(t) at the samples
+                point = topology.point_params(p, chi)
+                system = model.drive_set(point)
+                system.total_matrix(np.linspace(0, p.tau, cfg.n_samples), sta=cfg.sta)
+            except KnosimError as exc:
+                ok = False
+                lines.append(f"FAIL chi={chi:.6g}: {exc}")
+                continue
+            probe = probe or (f"chi={chi:.6g}", replace(cfg, params=point))
+    if probe:
+        label, run = probe
+        try:  # times steps of the run's model, so it must build
+            lines.append(f"estimated_runtime_s {estimated_runtime_s(run):.3g}")
+            lines.append(f"max_runtime_s       {estimated_runtime_s(run, worst=True):.3g}")
         except KnosimError as exc:
             ok = False
-            lines.append(f"FAIL chi={chi:.6g}: {exc}")
-    try:  # times steps of the configured model, so it must build
-        lines.append(f"estimated_runtime_s {estimated_runtime_s(cfg):.3g}")
-        lines.append(f"max_runtime_s       {estimated_runtime_s(cfg, worst=True):.3g}")
-    except KnosimError as exc:
-        ok = False
-        lines.append(f"FAIL model: {exc}")
+            lines.append(f"FAIL {label}: {exc}")
     lines.append("OK" if ok else "INVALID")
     return ok, lines
 
@@ -445,7 +454,7 @@ def _apply_chi(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentCon
     if getattr(args, "chi", None) is not None:
         if cfg.protocol == "sweep":
             raise ConfigError("--chi sets one run's chi: give a sweep its chi values with --chis")
-        cfg.params = replace(cfg.params, delta_0=args.chi * cfg.params.delta_z)
+        cfg.params = topology.point_params(cfg.params, args.chi)
     return cfg
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import logical, model
-from .errors import ConfigError, DimensionMismatchError, NonFiniteStateError, SingularDriveError
+from .errors import ConfigError, NonFiniteStateError, SingularDriveError
 from .model import ModelParams
 
 REFINE_TOL = 1e-4
@@ -131,21 +131,6 @@ class Trajectory:
         }
 
 
-def _initial_state(system: model.DriveSet, initial) -> tuple[np.ndarray, str]:
-    if isinstance(initial, str):
-        if initial not in ("ket0", "ket1"):
-            raise ConfigError(f"initial must be 'ket0', 'ket1' or an array, got {initial!r}")
-        return getattr(system.frame, initial), initial
-    psi = np.asarray(initial, dtype=complex)
-    if psi.shape != (system.basis_dim,):
-        raise DimensionMismatchError(
-            f"initial state of shape {psi.shape}, not ({system.basis_dim},): give it on the basis")
-    norm = np.linalg.norm(psi)
-    if not 0 < norm < np.inf:
-        raise ConfigError(f"initial state must have a finite nonzero norm, got {norm}")
-    return psi / norm, "custom"
-
-
 def _propagate(system: model.DriveSet, psi0: np.ndarray, sta: bool, n_steps: int,
                n_samples: int) -> dict:
     """Single fixed-step propagation over n_steps, a whole number of steps per
@@ -172,7 +157,7 @@ def _propagate(system: model.DriveSet, psi0: np.ndarray, sta: bool, n_steps: int
 
 def evolve(
     system: model.DriveSet,
-    initial="ket0",
+    initial: str = "ket0",
     sta: bool = False,
     n_steps: int | None = None,
     n_samples: int = DEFAULT_N_SAMPLES,
@@ -181,13 +166,12 @@ def evolve(
     """Propagate a system, a model.DriveSet, over its ramp: a trajectory is
     its states at the n_samples sample times; observables are read off them.
 
-    The run steps on the system's basis: initial is "ket0" or "ket1" of its
-    frame, or an array of basis_dim amplitudes on the basis, which is
-    normalized (any other shape is a DimensionMismatchError, a zero or
-    non-finite norm a ConfigError). final_state is the last sample lifted
-    back through the basis (DriveSet.lift) when read; a sample row k of
-    states lifts the same way. run passes model.drive_set(params),
-    twolevel.reference_dynamics twolevel.system(params).
+    The run steps on the system's basis from initial, "ket0" or "ket1" of its
+    frame; any other initial, an array included, is a ConfigError before any
+    pass runs. final_state is the last sample lifted back through the basis
+    (DriveSet.lift) when read; a sample row k of states lifts the same way.
+    run passes model.drive_set(params), twolevel.reference_dynamics
+    twolevel.system(params).
 
     The step count comes from the tolerance. The passes are
     passes(n_steps, n_samples): the coarse pass, then doublings within a
@@ -202,13 +186,15 @@ def evolve(
     finite (a drive that overflows) raises NonFiniteStateError at once.
     """
     ladder = passes(n_steps, n_samples)
-    psi0, label = _initial_state(system, initial)
+    if not isinstance(initial, str) or initial not in ("ket0", "ket1"):
+        raise ConfigError(f"initial must be 'ket0' or 'ket1', got {initial!r}")
+    psi0 = getattr(system.frame, initial)
 
     def trajectory(n: int) -> Trajectory:
         intervals = _pass_intervals(n, n_samples)
         t = np.arange(intervals + 1) * (n // intervals) * (system.params.tau / n)
         traj = Trajectory(system, t, np.asarray(system.params.theta(t), dtype=float),
-                          _propagate(system, psi0, sta, n, intervals + 1)["psi"], n, sta, label)
+                          _propagate(system, psi0, sta, n, intervals + 1)["psi"], n, sta, initial)
         bad = np.flatnonzero(~np.isfinite(traj.norm))
         if bad.size:
             raise NonFiniteStateError(f"non-finite state at t = {t[bad[0]]:.6g} ({n} steps)")

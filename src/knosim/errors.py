@@ -10,7 +10,7 @@ class InvalidDimensionError(KnosimError):
 
 
 class DimensionMismatchError(KnosimError):
-    """Operands live on different Fock truncations."""
+    """States that are not 1-d arrays of one common length."""
 
 
 class TruncationError(KnosimError):

@@ -27,19 +27,6 @@ def annihilation(dim: int) -> np.ndarray:
     return m
 
 
-def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
-    """Un-renormalized coherent amplitudes c_n = e^{-|a|^2/2} a^n / sqrt(n!).
-
-    Computed by the stable recurrence c_n = c_{n-1} * alpha / sqrt(n).
-    """
-    _check_dim(dim)
-    c = np.zeros(dim, dtype=complex)
-    c[0] = np.exp(-abs(alpha) ** 2 / 2)
-    for n in range(1, dim):
-        c[n] = c[n - 1] * alpha / np.sqrt(n)
-    return c
-
-
 def coherent_truncation_ok(alpha: complex, dim: int) -> bool:
     """Rule of thumb for an adequate truncation: |a|^2 + 6|a| + 9 <= dim."""
     r = abs(alpha)
@@ -49,11 +36,16 @@ def coherent_truncation_ok(alpha: complex, dim: int) -> bool:
 def coherent_state(alpha: complex, dim: int) -> tuple[np.ndarray, float]:
     """Truncated coherent state |alpha>, renormalized after truncation.
 
-    Returns (amplitudes, leakage) where leakage = 1 - sum |c_n|^2 before
-    renormalization. Raises TruncationError when the leakage exceeds
-    COHERENT_LEAKAGE_TOL.
+    The amplitudes c_n = e^{-|a|^2/2} a^n / sqrt(n!) come from the stable
+    recurrence c_n = c_{n-1} * alpha / sqrt(n). Returns (amplitudes, leakage)
+    where leakage = 1 - sum |c_n|^2 before renormalization. Raises
+    TruncationError when the leakage exceeds COHERENT_LEAKAGE_TOL.
     """
-    c = coherent_amplitudes(alpha, dim)
+    _check_dim(dim)
+    c = np.zeros(dim, dtype=complex)
+    c[0] = np.exp(-abs(alpha) ** 2 / 2)
+    for n in range(1, dim):
+        c[n] = c[n - 1] * alpha / np.sqrt(n)
     leakage = float(1.0 - np.sum(np.abs(c) ** 2))
     if leakage > COHERENT_LEAKAGE_TOL:
         raise TruncationError(

@@ -31,9 +31,9 @@ PRESETS: dict[str, dict] = {
         "hx_prefactor": "exact",
         "sta": False,
         "initial": "ket0",
-        # Pinned: from the sample grid (400 steps) the Bloch samples converge
-        # at 6400 steps, but C1 there is 0.9513 against 0.9520, and
-        # convergence does not check C1.
+        # Pinned: from half the sample grid (200 steps) the Bloch samples
+        # converge at 6400 steps (12600 matrices in all), but C1 there is
+        # 0.9513 against 0.9520, and convergence does not check C1.
         "n_steps": 20000,
         "n_samples": 401,
     },

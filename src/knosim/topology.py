@@ -133,7 +133,8 @@ def _sweep_point(args):
     try:
         point = point_params(params, chi)
         check_readout(point, sta)
-        return chern(dynamics.run(point, initial=initial, sta=sta, **run_kwargs))
+        # labelled with chi as given: point.chi, (chi * delta_z) / delta_z, may not round-trip
+        return replace(chern(dynamics.run(point, initial=initial, sta=sta, **run_kwargs)), chi=chi)
     except KnosimError as exc:
         return ChernResult(c1=float("nan"), method=METHOD[sta], chi=chi, initial=initial,
                            converged=False, error=str(exc))
@@ -150,15 +151,17 @@ def sweep_chi(
     """Independent simulation per chi (delta_0 = chi * delta_z), in chi order,
     each run with sta or without and read by chern.
 
-    A point that fails with a KnosimError (a delta_0 out of range, a
-    singular counterdiabatic term, a truncation leak, ...) is recorded as a
-    failed entry at its chi and the sweep continues. jobs > 1 starts at most
-    one worker per core and per point.
+    Every entry carries its chi as given. A point that fails with a
+    KnosimError (a delta_0 out of range, a singular counterdiabatic term, a
+    truncation leak, ...) is recorded as a failed entry at its chi and the
+    sweep continues. jobs > 1 starts at most one worker per usable core and
+    per point.
     """
     tasks = [(params, float(chi), sta, initial, run_kwargs) for chi in chi_values]
     if not tasks:
         raise ValueError("empty chi sweep")
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, cores or 1, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_point, tasks))

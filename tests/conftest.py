@@ -41,13 +41,14 @@ def sta_params(chi: float = 0.0, **kw) -> ModelParams:
     return replace(p, **kw) if kw else p
 
 
-def constant_system(h: np.ndarray, tau: float = 1.0) -> DriveSet:
+def constant_system(h: np.ndarray, tau: float = 1.0, start: np.ndarray | None = None) -> DriveSet:
     """A DriveSet with H(t) = h and no drives over a ramp of length tau, on
-    the Fock levels themselves, with levels 0 and 1 as the frame's kets."""
+    the Fock levels themselves. Its frame's ket0, where a run starts, is start
+    (level 0 if None), and its ket1 is level 1."""
     h = np.asarray(h, dtype=complex)
     params = ModelParams(kerr=1.0, pump=4.0, omega0=0.0, delta_z=0.0, tau=tau)
     e = np.eye(h.shape[0], dtype=complex)
-    return DriveSet(params, h, 0, 0, 0, LogicalFrame(e[0], e[1]), e)
+    return DriveSet(params, h, 0, 0, 0, LogicalFrame(e[0] if start is None else start, e[1]), e)
 
 
 @pytest.fixture(scope="session")

@@ -425,6 +425,17 @@ class TestSweep:
         assert int(row[6]) == chern["n_steps_used"]
         assert float(row[7]) == chern["refine_diff"]
 
+    def test_points_carry_the_chi_as_typed(self, tmp_path):
+        # on fig1, (1.5 * delta_z) / delta_z reads 1.5000000000000002: each row
+        # and point is labelled with the chi it was given, not the one read back
+        out = tmp_path / "sweep"
+        cfg_path = write_config(tmp_path, preset="fig1")
+        assert cli.main(["sweep", cfg_path, "--chis=1.5,-1.5", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [(row[0], row[5]) for row in rows] == [("1.5", "ok"), ("-1.5", "ok")]
+        man = json.loads((out / "run-manifest.json").read_text())
+        assert [p["chi"] for p in man["points"]] == [1.5, -1.5]
+
     def test_sweep_without_chis(self, tmp_path, capsys):
         assert cli.main(["sweep", write_config(tmp_path), "--out", str(tmp_path / "x")]) == 2
         assert "error: sweep requires a non-empty chi_values list" in capsys.readouterr().err
@@ -648,6 +659,15 @@ class TestValidate:
             capsys.readouterr().out)
         assert cli.main(["validate", "fig2-4", "--chis=-1.5,0.5,1.5"]) == 0
         assert capsys.readouterr().out.strip().endswith("OK")
+
+    def test_sweep_timed_on_its_own_points(self, tmp_path, capsys):
+        # the config's own delta_0 overflows the drive, but no sweep point
+        # uses it: each point builds, so the sweep validates as it runs
+        cfg_path = write_config(tmp_path, protocol="sweep", chi_values=[0.5, 1.5], delta_0=1e300)
+        assert cli.main(["validate", cfg_path]) == 0
+        report = capsys.readouterr().out
+        assert "FAIL" not in report and "estimated_runtime_s" in report
+        assert report.strip().endswith("OK")
 
     def test_runtime_estimate_scales_with_steps(self, tmp_path, capsys):
         cfg = cli.resolve_config("fig1")

@@ -59,7 +59,7 @@ class TestLadder:
         with pytest.raises(InvalidDimensionError):
             fock.annihilation(1)
         with pytest.raises(InvalidDimensionError):
-            fock.coherent_amplitudes(0.5, 0)
+            fock.coherent_state(0.5, 0)
 
 
 class TestCoherent:
@@ -112,7 +112,8 @@ class TestParity:
 
 
 class TestPropagation:
-    """The engine's midpoint-exponential step, exact for a constant H."""
+    """The engine's midpoint-exponential step, exact for a constant H, from
+    each test's own state as its frame's ket0."""
 
     def test_diagonal_phase(self):
         dim = 5
@@ -120,9 +121,7 @@ class TestPropagation:
         h = omega * np.diag(np.arange(dim)).astype(complex)
         psi = np.zeros(dim, dtype=complex)
         psi[1] = 1
-        traj = dynamics.evolve(
-            constant_system(h, tau=0.3), psi, n_steps=100, n_samples=2
-        )
+        traj = dynamics.evolve(constant_system(h, tau=0.3, start=psi), n_steps=100, n_samples=2)
         assert abs(traj.final_state[1] - np.exp(-1j * omega * 0.3)) < 1e-12
         assert traj.converged and traj.refine_history[-1][1] < 1e-12
 
@@ -130,7 +129,7 @@ class TestPropagation:
         dim = 10
         psi, _ = fock.coherent_state(0.5, dim)
         traj = dynamics.evolve(
-            constant_system(np.zeros((dim, dim)), tau=1.0), psi, n_steps=100, n_samples=2
+            constant_system(np.zeros((dim, dim)), tau=1.0, start=psi), n_steps=100, n_samples=2
         )
         assert np.abs(traj.final_state - psi).max() < 1e-12
 
@@ -142,7 +141,7 @@ class TestPropagation:
 
         def step(state, tau):
             return dynamics.evolve(
-                constant_system(h, tau), state, n_steps=100, n_samples=2
+                constant_system(h, tau, start=state), n_steps=100, n_samples=2
             ).final_state
 
         full = step(psi, 0.8)
@@ -154,7 +153,7 @@ class TestPropagation:
         m = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
         psi, _ = fock.coherent_state(1.5, 20)
         traj = dynamics.evolve(
-            constant_system(50 * (m + m.conj().T), tau=2.5), psi, n_steps=100, n_samples=11
+            constant_system(50 * (m + m.conj().T), tau=2.5, start=psi), n_steps=100, n_samples=11
         )
         assert np.abs(traj.norm - 1).max() <= 1e-9
         assert abs(np.linalg.norm(traj.final_state) - 1) <= 1e-9

@@ -233,10 +233,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             topology.sweep_chi(sta_params(), [])
 
-    @pytest.mark.parametrize(
-        "jobs, n_chis, workers", [(64, 3, 3), (64, 8, 4), (2, 8, 2), (1, 8, None), (8, 1, None)]
-    )
-    def test_pool_capped_at_cores_and_points(self, monkeypatch, jobs, n_chis, workers):
+    @staticmethod
+    def started_pools(monkeypatch, cores, usable, jobs, n_chis):
+        """The max_workers of each pool a sweep of n_chis points starts with
+        jobs, on cores cores of which the process may use usable."""
         started = []
 
         class RecordingPool:
@@ -253,8 +253,21 @@ class TestSweep:
                 return [fn(t) for t in tasks]
 
         monkeypatch.setattr(topology, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(topology.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(topology.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(topology.os, "sched_getaffinity", lambda pid: set(range(usable)),
+                            raising=False)
         monkeypatch.setattr(topology.dynamics, "run", rotation_traj)
         results = topology.sweep_chi(sta_params(), [0.1 * i for i in range(n_chis)], jobs=jobs)
         assert len(results) == n_chis
+        return started
+
+    @pytest.mark.parametrize(
+        "jobs, n_chis, workers", [(64, 3, 3), (64, 8, 4), (2, 8, 2), (1, 8, None), (8, 1, None)]
+    )
+    def test_pool_capped_at_cores_and_points(self, monkeypatch, jobs, n_chis, workers):
+        started = self.started_pools(monkeypatch, 4, 4, jobs, n_chis)
         assert started == ([workers] if workers else [])
+
+    def test_pool_capped_at_usable_cores(self, monkeypatch):
+        # 4 cores, of which the process's affinity allows 1: no pool starts
+        assert self.started_pools(monkeypatch, 4, 1, 2, 8) == []
