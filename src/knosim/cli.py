@@ -117,6 +117,8 @@ def resolve_config(spec: str, overrides: dict | None = None,
     params = ModelParams(**{k: raw[k] if kind is None else _number(kind, raw[k], k)
                             for k, kind in _MODEL_KEYS.items() if k in raw})
     out = raw.get("out") or os.environ.get("KNOSIM_OUT", "out")
+    if Path(out).exists() and not Path(out).is_dir():
+        raise ConfigError(f"out must name a directory, got the file {out!r}")
     fmt = raw.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
@@ -269,7 +271,7 @@ def _run_error(cfg: ExperimentConfig) -> str | None:
         return "the polar-angle readout needs the counterdiabatic ramp: set sta on"
     try:
         if cfg.protocol != "wigner_movie":
-            topology.check_readout(cfg.params, cfg.sta)
+            topology.check_readout(cfg.params, cfg.sta, cfg.n_samples)
         _movie_rows(cfg)
     except ConfigError as exc:
         return str(exc)
@@ -373,15 +375,17 @@ def estimated_runtime_s(cfg: ExperimentConfig, worst: bool = False) -> float:
 
 
 def validate_config(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
-    """Static checks; returns (ok, report lines)."""
+    """Checks without running; returns (ok, report lines). Each of the
+    config's runs, the one run or each sweep point, is built as it runs, with
+    its H(t) at the samples, and the first that builds is timed. A sweep's
+    header lists its chi values, not the config's own delta_0 and chi."""
     p = cfg.params
-    lines = []
+    sweep = cfg.protocol == "sweep"
+    lines = [f"protocol            {cfg.protocol}"]
     ok = True
-    lines.append(f"protocol            {cfg.protocol}")
-    for k, v in asdict(p).items():
-        lines.append(f"{k:<19} {v}")
+    lines += [f"{k:<19} {v}" for k, v in asdict(p).items() if not (sweep and k == "delta_0")]
     lines.append(f"alpha0              {p.alpha0:.6f}")
-    lines.append(f"chi                 {p.chi:.6g}")
+    lines.append(f"{'chi_values':<19} {cfg.chi_values}" if sweep else f"{'chi':<19} {p.chi:.6g}")
     ratio = p.stabilizer_ratio
     lines.append(f"stabilizer_ratio    {ratio:.6f}")
     if ratio > model.STABILIZER_RATIO_WARN:
@@ -397,20 +401,18 @@ def validate_config(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
     if error:
         ok = False
         lines.append(f"FAIL {error}")
-    # the run whose steps are timed, with its FAIL label: a sweep's first point that builds
-    probe = ("model", cfg)
-    if cfg.protocol == "sweep" and cfg.chi_values:
-        probe = None
-        for chi in cfg.chi_values:
-            try:  # each point built as the sweep builds it, with its H(t) at the samples
-                point = topology.point_params(p, chi)
-                system = model.drive_set(point)
-                system.total_matrix(np.linspace(0, p.tau, cfg.n_samples), sta=cfg.sta)
-            except KnosimError as exc:
-                ok = False
-                lines.append(f"FAIL chi={chi:.6g}: {exc}")
-                continue
-            probe = probe or (f"chi={chi:.6g}", replace(cfg, params=point))
+    runs = [(f"chi={chi:.6g}", chi) for chi in cfg.chi_values] if sweep else [("model", None)]
+    probe = None  # the first run that builds, whose steps are timed, with its FAIL label
+    for label, chi in runs:
+        try:  # built as the run builds it, a sweep point from its chi
+            run = cfg if chi is None else replace(cfg, params=topology.point_params(p, chi))
+            system = model.drive_set(run.params)
+            system.total_matrix(np.linspace(0, p.tau, cfg.n_samples), sta=cfg.sta)
+        except KnosimError as exc:
+            ok = False
+            lines.append(f"FAIL {label}: {exc}")
+            continue
+        probe = probe or (label, run)
     if probe:
         label, run = probe
         try:  # times steps of the run's model, so it must build
@@ -500,7 +502,7 @@ def main(argv=None) -> int:
                           if k in manifest}))
         print(f"wrote outputs to {cfg.out}")
         return 0
-    except KnosimError as exc:
+    except (KnosimError, OSError) as exc:  # an OSError: the outputs could not be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

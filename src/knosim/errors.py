@@ -5,10 +5,6 @@ class KnosimError(Exception):
     """Base class for all knosim errors."""
 
 
-class InvalidDimensionError(KnosimError):
-    """Fock truncation dimension is too small or not a positive integer."""
-
-
 class DimensionMismatchError(KnosimError):
     """States that are not 1-d arrays of one common length."""
 
@@ -22,7 +18,7 @@ class IllConditionedBasisError(KnosimError):
 
 
 class SingularDriveError(KnosimError):
-    """Counterdiabatic coefficient diverges (degeneracy on the manifold)."""
+    """A drive diverges: the counterdiabatic coefficient, or the monopole flux at |chi| = 1."""
 
 
 class NonFiniteStateError(KnosimError):
@@ -31,14 +27,6 @@ class NonFiniteStateError(KnosimError):
 
 class DegenerateReadoutError(KnosimError):
     """Bloch vector too short to define a polar angle."""
-
-
-class InsufficientSamplingError(KnosimError):
-    """Too few samples for a meaningful quadrature."""
-
-
-class OnManifoldDegeneracyError(KnosimError):
-    """Degeneracy point lies exactly on the parameter manifold."""
 
 
 class ConfigError(KnosimError):

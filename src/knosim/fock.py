@@ -8,19 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidDimensionError, TruncationError
+from .errors import TruncationError
 
 COHERENT_LEAKAGE_TOL = 1e-8  # the truncated weight a coherent state may lose
 
 
-def _check_dim(dim: int):
-    if not isinstance(dim, (int, np.integer)) or dim < 2:
-        raise InvalidDimensionError(f"dim must be an integer >= 2, got {dim!r}")
-
-
 def annihilation(dim: int) -> np.ndarray:
     """Ladder operator a with <n-1|a|n> = sqrt(n)."""
-    _check_dim(dim)
     m = np.zeros((dim, dim), dtype=complex)
     ns = np.arange(1, dim)
     m[ns - 1, ns] = np.sqrt(ns)
@@ -41,7 +35,6 @@ def coherent_state(alpha: complex, dim: int) -> tuple[np.ndarray, float]:
     where leakage = 1 - sum |c_n|^2 before renormalization. Raises
     TruncationError when the leakage exceeds COHERENT_LEAKAGE_TOL.
     """
-    _check_dim(dim)
     c = np.zeros(dim, dtype=complex)
     c[0] = np.exp(-abs(alpha) ** 2 / 2)
     for n in range(1, dim):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import Trajectory
-from .errors import ConfigError, DegenerateReadoutError, InsufficientSamplingError, KnosimError
+from .errors import ConfigError, DegenerateReadoutError, KnosimError
 from .model import ModelParams
 
 MIN_CURVATURE_POINTS = 10
@@ -57,11 +57,14 @@ class ChernResult:
         return self.refine_history[-1][1] if self.refine_history else float("nan")
 
 
-def check_readout(params: ModelParams, sta: bool) -> None:
-    """Raise ConfigError when chern cannot read a run of params with this sta:
-    the Berry-curvature integral of a bare ramp is read at phi = 0 only."""
+def check_readout(params: ModelParams, sta: bool, n_samples: int) -> None:
+    """Raise ConfigError when chern cannot read a run of params with this sta
+    and n_samples: the Berry-curvature integral of a bare ramp is read at
+    phi = 0 only, over at least MIN_CURVATURE_POINTS samples."""
     if not sta and params.phi != 0.0:
         raise ConfigError(f"linear response assumes phi = 0, got {params.phi}")
+    if not sta and n_samples < MIN_CURVATURE_POINTS:
+        raise ConfigError(f"need >= {MIN_CURVATURE_POINTS} curvature samples, got {n_samples}")
 
 
 def berry_curvature(traj: Trajectory) -> np.ndarray:
@@ -70,7 +73,7 @@ def berry_curvature(traj: Trajectory) -> np.ndarray:
     p = traj.params
     if traj.sta:
         raise ConfigError("linear response needs the bare ramp: run with sta=False")
-    check_readout(p, False)
+    check_readout(p, False, traj.t.size)
     v_theta = np.broadcast_to(np.asarray(p.theta_dot(traj.t), dtype=float), traj.t.shape)
     b = np.divide(-p.omega0 * np.sin(traj.theta) * traj.sy, 2 * v_theta,
                   out=np.zeros(traj.t.shape), where=v_theta != 0)
@@ -98,7 +101,7 @@ def chern(traj: Trajectory) -> ChernResult:
     antiderivative of (1/2) sin(theta_q) d theta_q; the discretized
     quadrature is reported alongside, with a warning when the two differ by
     more than 0.01. Without, C1 = int_0^pi B_theta d theta by trapezoidal
-    quadrature over the Berry-curvature series.
+    quadrature over the Berry-curvature series, read as check_readout allows.
     """
     extra = {}
     if traj.sta:
@@ -114,10 +117,6 @@ def chern(traj: Trajectory) -> ChernResult:
             )
     else:
         series = berry_curvature(traj)
-        if len(series) < MIN_CURVATURE_POINTS:
-            raise InsufficientSamplingError(
-                f"need >= {MIN_CURVATURE_POINTS} curvature samples, got {len(series)}"
-            )
         c1 = np.trapezoid(series[:, 1], series[:, 0])
     return ChernResult(c1=float(c1), method=METHOD[traj.sta], chi=traj.params.chi,
                        initial=traj.initial, series=series, **extra, **traj.record())
@@ -132,7 +131,7 @@ def _sweep_point(args):
     params, chi, sta, initial, run_kwargs = args
     try:
         point = point_params(params, chi)
-        check_readout(point, sta)
+        check_readout(point, sta, run_kwargs.get("n_samples", dynamics.DEFAULT_N_SAMPLES))
         # labelled with chi as given: point.chi, (chi * delta_z) / delta_z, may not round-trip
         return replace(chern(dynamics.run(point, initial=initial, sta=sta, **run_kwargs)), chi=chi)
     except KnosimError as exc:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dynamics, logical
 from .dynamics import Trajectory
-from .errors import OnManifoldDegeneracyError
+from .errors import SingularDriveError
 from .logical import LogicalFrame
 from .model import DEGENERACY_ATOL, DriveSet, ModelParams
 
@@ -58,7 +58,7 @@ def monopole_chern(chi: float) -> float:
     At u = +-1, |R| = |u + chi| exactly, so the flux is exact in floating point.
     """
     if abs(abs(chi) - 1.0) < DEGENERACY_ATOL:
-        raise OnManifoldDegeneracyError(f"degeneracy lies on the manifold at chi={chi}")
+        raise SingularDriveError(f"degeneracy lies on the manifold at chi={chi}")
 
     def g(u: float) -> float:
         return (u + chi) / (2 * math.hypot(u + chi, math.sqrt(1 - u * u)))

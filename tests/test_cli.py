@@ -224,6 +224,36 @@ class TestSimulate:
         assert cli.main(["simulate", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_out_naming_a_file_fails_before_running(self, tmp_path, capsys, steps_computed):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        assert cli.main(["simulate", "fig2-4", "--out", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("error: out must name a directory")
+        assert steps_computed == []
+        assert cli.main(["validate", "fig2-4", "--out", str(taken)]) == 2
+        assert taken.read_text() == "not a directory"
+
+    def test_unwritable_out_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        # a file where out's parent should be: found only when the outputs are written
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "out"
+        assert cli.main(["simulate", write_config(tmp_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_too_few_curvature_samples_fail_before_running(self, tmp_path, capsys,
+                                                          steps_computed):
+        path = tmp_path / "few.json"
+        path.write_text(json.dumps({"preset": "fig1", "n_samples": 5, "n_steps": 400}))
+        message = "need >= 10 curvature samples, got 5"
+        for command in (["simulate"], ["sweep", "--chis=0.5,1.5"]):
+            out = tmp_path / command[0]
+            assert cli.main([command[0], str(path), *command[1:], "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
+        assert steps_computed == []
+        assert cli.main(["validate", str(path)]) == 1
+        assert f"FAIL {message}" in capsys.readouterr().out.splitlines()
+
 
 class TestDeterminism:
     def test_outputs_identical_across_blas_threads_and_jobs(self, tmp_path):
@@ -668,6 +698,23 @@ class TestValidate:
         report = capsys.readouterr().out
         assert "FAIL" not in report and "estimated_runtime_s" in report
         assert report.strip().endswith("OK")
+        # headed by the values its points run, not by the config's own delta_0 and chi
+        assert "chi_values          [0.5, 1.5]" in report.splitlines()
+        assert "1e+300" not in report and "delta_0" not in report
+
+    def test_sweep_without_chi_values_has_no_run_to_time(self, tmp_path, capsys):
+        assert cli.main(["validate", write_config(tmp_path, protocol="sweep")]) == 1
+        report = capsys.readouterr().out.splitlines()
+        assert "FAIL sweep requires a non-empty chi_values list" in report
+        assert not any("runtime_s" in line for line in report)
+
+    def test_single_run_built_at_its_samples(self, capsys):
+        # the counterdiabatic term is singular on the one run's ramp: labelled model
+        assert cli.main(["validate", "fig2-4", "--chi", "1"]) == 1
+        report = capsys.readouterr().out.splitlines()
+        assert [line for line in report if line.startswith("FAIL")] == [
+            "FAIL model: counterdiabatic coefficient singular at chi=1.0"]
+        assert report[-1] == "INVALID"
 
     def test_runtime_estimate_scales_with_steps(self, tmp_path, capsys):
         cfg = cli.resolve_config("fig1")

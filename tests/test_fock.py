@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import constant_system
 from knosim import dynamics, fock
-from knosim.errors import InvalidDimensionError, TruncationError
+from knosim.errors import TruncationError
 
 
 def mean(psi, m):
@@ -54,12 +54,6 @@ class TestLadder:
         expected = np.eye(dim)
         expected[-1, -1] = -(dim - 1)
         assert np.abs(comm - expected).max() <= 1e-12
-
-    def test_invalid_dim(self):
-        with pytest.raises(InvalidDimensionError):
-            fock.annihilation(1)
-        with pytest.raises(InvalidDimensionError):
-            fock.coherent_state(0.5, 0)
 
 
 class TestCoherent:

@@ -53,7 +53,7 @@ class TestParams:
         "name, value",
         [(n, v) for n in ("kerr", "pump", "omega0", "delta_z", "delta_0", "tau", "phi")
          for v in (np.nan, np.inf)]
-        + [("dim", 30.0), ("dim", "30")],
+        + [("dim", 30.0), ("dim", "30"), ("dim", 1), ("dim", 0)],
     )
     def test_rejects_non_finite_and_non_integer_dim(self, name, value):
         with pytest.raises(ConfigError, match=name):

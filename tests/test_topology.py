@@ -3,7 +3,7 @@ import pytest
 
 from conftest import linear_response_params, sta_params
 from knosim import cli, dynamics, topology, twolevel
-from knosim.errors import ConfigError, DegenerateReadoutError, InsufficientSamplingError
+from knosim.errors import ConfigError, DegenerateReadoutError
 from knosim.logical import LogicalFrame
 from knosim.model import DriveSet
 
@@ -98,7 +98,7 @@ class TestBerryCurvature:
 
     def test_too_few_samples(self):
         traj = make_traj(np.linspace(0, np.pi, 5), 0.0, 0.0, 1.0, linear_response_params())
-        with pytest.raises(InsufficientSamplingError):
+        with pytest.raises(ConfigError, match="curvature samples"):
             topology.chern(traj)
 
 

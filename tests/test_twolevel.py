@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import KERR, PUMP, linear_response_params, sta_params
 from knosim import dynamics, model, topology, twolevel
-from knosim.errors import ConfigError, OnManifoldDegeneracyError
+from knosim.errors import ConfigError, SingularDriveError
 from knosim.model import ModelParams, mixing_angle
 
 
@@ -191,9 +191,9 @@ class TestMonopoleChern:
         assert abs(twolevel.monopole_chern(chi) - flux) <= 1e-9
 
     def test_on_manifold(self):
-        with pytest.raises(OnManifoldDegeneracyError):
+        with pytest.raises(SingularDriveError):
             twolevel.monopole_chern(1.0)
-        with pytest.raises(OnManifoldDegeneracyError):
+        with pytest.raises(SingularDriveError):
             twolevel.monopole_chern(-1.0)
 
     def test_oracle_solid_angle(self):
