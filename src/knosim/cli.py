@@ -360,12 +360,16 @@ def movie_seconds(dim: int, n_points: int, half_width: float) -> float:
 
 
 def estimated_runtime_s(cfg: ExperimentConfig, worst: bool = False) -> float:
-    """Steps (matrices diagonalized) of the configured runs, one after
-    another, times the step cost: as if each run converges at its first
-    doubling, or with worst, as if each runs every pass of its ladder
-    (dynamics.passes). A Wigner movie adds its grids and their tables
+    """Steps (matrices diagonalized) of the runs one process does, times the
+    step cost: as if each run converges at its first doubling, or with worst,
+    as if each runs every pass of its ladder (dynamics.passes). That is one
+    run, or a sweep's largest share, ceil(points / workers) runs for its
+    topology.sweep_workers. A Wigner movie adds its grids and their tables
     (movie_seconds)."""
-    n_runs = max(1, len(cfg.chi_values)) if cfg.protocol == "sweep" else 1
+    n_runs = 1
+    if cfg.protocol == "sweep":
+        points = max(1, len(cfg.chi_values))
+        n_runs = -(-points // topology.sweep_workers(cfg.jobs, points))
     ladder = dynamics.passes(cfg.n_steps, cfg.n_samples)
     per_run = sum(ladder if worst else ladder[:2])
     steps_s = n_runs * per_run * dynamics.step_seconds(cfg.params, cfg.sta)

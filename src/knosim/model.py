@@ -264,14 +264,33 @@ def _leakage_amplitudes(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarr
 
 
 @lru_cache(maxsize=16, typed=True)
+def _oscillator(kerr: float, pump: float, dim: int, hx_prefactor: str):
+    """What drive_set builds before the drives' sizes enter, read-only: the
+    Fock-space frame, (Hz, Hx, Hy), and H0's energies w and eigenvectors u
+    ordered by their distance from the cat energy <ket0|H0|ket0>."""
+    # h0, hz, hx and hy read no ramp field, so an undriven oscillator serves every drive
+    params = ModelParams(kerr, pump, omega0=0.0, delta_z=0.0, hx_prefactor=hx_prefactor, dim=dim)
+    full = logical.build_frame(params.alpha0, dim)
+    h = h0(params)
+    drives = (hz(params), hx(params), hy(params))
+    w, u = np.linalg.eigh(h)
+    order = np.argsort(np.abs(w - np.vdot(full.ket0, h @ full.ket0).real), kind="stable")
+    w, u = w[order], u[:, order]
+    for a in (w, u, *drives):
+        a.setflags(write=False)
+    return full, drives, w, u
+
+
+@lru_cache(maxsize=16, typed=True)
 def drive_set(params: ModelParams, basis_dim: int | None = None) -> DriveSet:
     """The oscillator as a DriveSet on a reduced H0 eigenbasis.
 
-    H0 is diagonalized once, and its eigenvectors are ordered by how far their
-    energies lie from the cat energy <ket0|H0|ket0>. The first basis_dim of
-    them, the columns of basis (dim x M), carry the dynamics: H0 is stored as
-    diag(w), Hz, Hx and Hy as B^dag (...) B and the frame's kets as B^dag k,
-    so total_matrix only combines M x M matrices. With basis_dim None, M is
+    H0 is diagonalized once per oscillator (_oscillator), its eigenvectors
+    ordered by how far their energies lie from the cat energy <ket0|H0|ket0>.
+    The first basis_dim of them, the columns of basis (a read-only dim x M
+    view), carry the dynamics: H0 is stored as diag(w), Hz, Hx and Hy as
+    B^dag (...) B and the frame's kets as B^dag k, so total_matrix only
+    combines M x M matrices. With basis_dim None, M is
     the smallest even size whose dropped eigenstates k each take a first-order
     amplitude |<k|V|c>| / |E_k - E_c| of at most LEAKAGE_TOL from the cat
     doublet c, under the largest drive V (_largest_drive); leakage_bound is
@@ -279,13 +298,7 @@ def drive_set(params: ModelParams, basis_dim: int | None = None) -> DriveSet:
     no smaller size meets the bound. A drive so large that the bound
     overflows is a ConfigError.
     """
-    full = logical.build_frame(params.alpha0, params.dim)
-    h = h0(params)
-    drives = (hz(params), hx(params), hy(params))
-    w, u = np.linalg.eigh(h)
-    cat = full.ket0
-    order = np.argsort(np.abs(w - np.vdot(cat, h @ cat).real), kind="stable")
-    w, u = w[order], u[:, order]
+    full, drives, w, u = _oscillator(params.kerr, params.pump, params.dim, params.hx_prefactor)
     # tail[m]: the largest amplitude beyond the first m eigenvectors, m = 0..dim
     with _refuse_overflow(f"largest drive at delta_0={params.delta_0}"):
         amp = _leakage_amplitudes(w, u, _largest_drive(params, *drives))

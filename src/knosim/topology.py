@@ -139,6 +139,17 @@ def _sweep_point(args):
                            converged=False, error=str(exc))
 
 
+def sweep_workers(jobs: int, n_points: int) -> int:
+    """How many processes a sweep of n_points runs on with jobs: at most one
+    per usable core and one per point, the calling process included."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(jobs, cores or 1, n_points)
+
+
+def _sweep_share(tasks) -> list[ChernResult]:
+    return [_sweep_point(t) for t in tasks]
+
+
 def sweep_chi(
     params: ModelParams,
     chi_values,
@@ -153,15 +164,20 @@ def sweep_chi(
     Every entry carries its chi as given. A point that fails with a
     KnosimError (a delta_0 out of range, a singular counterdiabatic term, a
     truncation leak, ...) is recorded as a failed entry at its chi and the
-    sweep continues. jobs > 1 starts at most one worker per usable core and
-    per point.
+    sweep continues. The points run on sweep_workers(jobs, points) workers,
+    worker i taking every workers-th point from the i-th: worker 0 is this
+    process, and each other one forked child, so jobs = 2 forks one.
     """
     tasks = [(params, float(chi), sta, initial, run_kwargs) for chi in chi_values]
     if not tasks:
         raise ValueError("empty chi sweep")
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(jobs, cores or 1, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_point, tasks))
-    return [_sweep_point(t) for t in tasks]
+    workers = sweep_workers(jobs, len(tasks))
+    if workers == 1:
+        return _sweep_share(tasks)
+    results = [None] * len(tasks)
+    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+        children = [pool.submit(_sweep_share, tasks[i::workers]) for i in range(1, workers)]
+        results[::workers] = _sweep_share(tasks[::workers])
+        for i, child in enumerate(children, start=1):
+            results[i::workers] = child.result()
+    return results

@@ -256,10 +256,13 @@ class TestSimulate:
 
 
 class TestDeterminism:
-    def test_outputs_identical_across_blas_threads_and_jobs(self, tmp_path):
+    def test_outputs_identical_across_blas_threads_and_jobs(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path)
         src = str(Path(cli.__file__).resolve().parents[1])
         pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+        def files(out):
+            return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
 
         def outputs(name, args, **env):
             out = tmp_path / name
@@ -268,7 +271,7 @@ class TestDeterminism:
                 env={**os.environ, "PYTHONPATH": pythonpath, **env},
                 check=True, capture_output=True, timeout=300,
             )
-            return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+            return files(out)
 
         one = outputs("blas1", ["simulate", cfg_path], OPENBLAS_NUM_THREADS="1")
         two = outputs("blas2", ["simulate", cfg_path], OPENBLAS_NUM_THREADS="2")
@@ -278,8 +281,15 @@ class TestDeterminism:
         one = outputs("movie1", movie, OPENBLAS_NUM_THREADS="1")
         two = outputs("movie2", movie, OPENBLAS_NUM_THREADS="2")
         assert "wigner_t4.csv" in one and one == two
-        sweep = ["sweep", cfg_path, "--chis=0.3,1.5", "--jobs"]
-        assert outputs("jobs1", [*sweep, "1"]) == outputs("jobs2", [*sweep, "2"])
+        # three points: shares of 2 and 1 at --jobs 2, of one each at --jobs 3
+        sweep = ["sweep", cfg_path, "--chis=0.3,1.5,-0.5", "--jobs"]
+        serial = outputs("jobs1", [*sweep, "1"])
+        assert "sweep.csv" in serial and outputs("jobs2", [*sweep, "2"]) == serial
+        # three usable cores, whatever the host has, so --jobs 3 runs three workers
+        monkeypatch.setattr(cli.topology.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        assert cli.main([*sweep, "3", "--out", str(tmp_path / "jobs3")]) == 0
+        assert files(tmp_path / "jobs3") == serial
 
 
 def old_row_table(path_base: Path, fmt: str, header: list[str], rows) -> None:
@@ -672,6 +682,14 @@ class TestValidate:
             return float(dict(line.split(maxsplit=1) for line in lines[:-1])["estimated_runtime_s"])
 
         assert estimate("--chis=-1.5,0.5,1.5") == pytest.approx(3 * estimate())
+        # the sweep's largest share: 2 of its 3 points with two workers, 1 with three
+        monkeypatch.setattr(cli.topology.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        assert estimate("--chis=-1.5,0.5,1.5", "--jobs", "2") == pytest.approx(2 * estimate())
+        assert estimate("--chis=-1.5,0.5,1.5", "--jobs", "3") == pytest.approx(estimate())
+        # on one usable core every point runs in this process
+        monkeypatch.setattr(cli.topology.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert estimate("--chis=-1.5,0.5,1.5", "--jobs", "2") == pytest.approx(3 * estimate())
         assert cli.main(["validate", "fig2-4", "--chis=0.5,nan"]) == 2
         assert capsys.readouterr().err == "error: chi_values must be finite, got [0.5, nan]\n"
 

@@ -252,6 +252,14 @@ class TestReducedBasis:
                 ket[0] = 1.0
         assert model.drive_set(sta_params()).frame is frame
 
+    def test_shared_basis_is_read_only(self):
+        # every drive on the oscillator views the same cached eigenvectors:
+        # a write into one basis would reach every later run
+        basis = model.drive_set(sta_params()).basis
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0, 0] = 1.0
+        assert np.shares_memory(model.drive_set(sta_params(chi=0.3)).basis, basis)
+
     def test_overflowing_drive_refused(self):
         with pytest.raises(ConfigError, match="largest drive at delta_0="):
             model.drive_set(sta_params(chi=1e308))

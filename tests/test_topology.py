@@ -1,3 +1,6 @@
+import os
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -233,6 +236,33 @@ class TestSweep:
         with pytest.raises(ValueError):
             topology.sweep_chi(sta_params(), [])
 
+    def test_failures_in_either_share_fail_alone(self, monkeypatch):
+        # two workers: this process runs points 0 and 2, its one child 1 and 3
+        monkeypatch.setattr(topology.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = cli.resolve_config("fig2-4", {"delta_z": 2.0, "omega0": 2.0})
+        chis = [1e308, 0.5, -0.5, 1.0]
+        results = topology.sweep_chi(cfg.params, chis, jobs=2, n_steps=400, n_samples=41)
+        assert [r.chi for r in results] == chis
+        assert "delta_0" in results[0].error
+        assert results[3].error == "counterdiabatic coefficient singular at chi=1.0"
+        for r in (results[0], results[3]):
+            assert np.isnan(r.c1) and not r.converged
+        for r in results[1:3]:
+            assert r.error is None and r.converged and abs(r.c1 - 1) < 1e-3
+
+    def test_two_workers_fork_one_child(self, monkeypatch, tmp_path):
+        # each run leaves a file named for the process that ran it
+        def run(params, initial, sta, **kw):
+            (tmp_path / str(os.getpid())).touch()
+            return rotation_traj(params, initial, sta)
+
+        monkeypatch.setattr(topology.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(topology.dynamics, "run", run)
+        results = topology.sweep_chi(sta_params(), [0.1, 0.2, 0.3, 0.4], jobs=2)
+        assert [r.chi for r in results] == [0.1, 0.2, 0.3, 0.4]
+        pids = {int(f.name) for f in tmp_path.iterdir()}
+        assert os.getpid() in pids and len(pids) == 2
+
     @staticmethod
     def started_pools(monkeypatch, cores, usable, jobs, n_chis):
         """The max_workers of each pool a sweep of n_chis points starts with
@@ -249,8 +279,10 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return [fn(t) for t in tasks]
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(topology, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(topology.os, "cpu_count", lambda: cores)
@@ -265,8 +297,9 @@ class TestSweep:
         "jobs, n_chis, workers", [(64, 3, 3), (64, 8, 4), (2, 8, 2), (1, 8, None), (8, 1, None)]
     )
     def test_pool_capped_at_cores_and_points(self, monkeypatch, jobs, n_chis, workers):
+        # this process is one of the workers: the pool forks the others
         started = self.started_pools(monkeypatch, 4, 4, jobs, n_chis)
-        assert started == ([workers] if workers else [])
+        assert started == ([workers - 1] if workers else [])
 
     def test_pool_capped_at_usable_cores(self, monkeypatch):
         # 4 cores, of which the process's affinity allows 1: no pool starts
