@@ -44,7 +44,7 @@ _ALL_KEYS = set(_MODEL_KEYS) | set(_RUN_KEYS) | set(_IO_KEYS)
 _PROTOCOLS = ("linear_response", "sta", "sweep", "wigner_movie")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     protocol: str
     params: ModelParams
@@ -60,11 +60,11 @@ class ExperimentConfig:
     n_points: int = 81
 
 
-def _load_raw(spec: str, defaults: dict) -> dict:
-    """The config of a preset or a JSON file; defaults override a preset's
-    values, and a file's own keys override both."""
+def _load_raw(spec: str) -> dict:
+    """The config of a preset or a JSON file; a file's own keys override
+    those of the preset it names, which stays under "preset"."""
     if spec in PRESETS:
-        return {**PRESETS[spec], **defaults}
+        return dict(PRESETS[spec])
     path = Path(spec)
     if not path.exists():
         raise ConfigError(f"{spec!r} is neither a preset ({', '.join(PRESETS)}) nor a file")
@@ -74,12 +74,10 @@ def _load_raw(spec: str, defaults: dict) -> dict:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    if "preset" in raw:
-        base = raw.pop("preset")
-        if not isinstance(base, str) or base not in PRESETS:
-            raise ConfigError(f"{path}: unknown preset {base!r}")
-        return {**PRESETS[base], **defaults, **raw}
-    return {**defaults, **raw}
+    base = raw.get("preset")
+    if "preset" in raw and not (isinstance(base, str) and base in PRESETS):
+        raise ConfigError(f"{path}: unknown preset {base!r}")
+    return {**PRESETS.get(base, {}), **raw}
 
 
 def _number(kind, value, key: str):
@@ -95,27 +93,33 @@ def _number(kind, value, key: str):
     return number
 
 
-def resolve_config(spec: str, overrides: dict | None = None,
-                   defaults: dict | None = None) -> ExperimentConfig:
-    """The config of spec, a preset name or a JSON file path. defaults (a
-    command's own, such as the Wigner movie's STA ramp) override a preset's
-    values but not the file's own keys; overrides (the command-line flags)
-    override everything."""
-    raw = _load_raw(spec, defaults or {})
+def resolve_config(spec: str, overrides: dict | None = None) -> ExperimentConfig:
+    """The config of spec, a preset name or a JSON file path, under overrides:
+    config keys (a command line's flags and the protocol its command runs,
+    see _overrides) over the config's own, and "chi", one run's delta_0 =
+    chi * delta_z. sta defaults to on for a Wigner movie and for a config
+    whose own protocol reads the counterdiabatic ramp, sta or wigner_movie;
+    a sweep file's is the protocol of the preset it names."""
+    raw = _load_raw(spec)
     unknown = set(raw) - _ALL_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    own = raw.get("protocol")
+    if own not in _PROTOCOLS:
+        raise ConfigError(f"protocol must be one of {_PROTOCOLS}, got {own!r}")
+    if own == "sweep":
+        own = PRESETS.get(raw.get("preset"), {}).get("protocol")
     raw.update(overrides or {})
-
-    protocol = raw.get("protocol")
-    if protocol not in _PROTOCOLS:
-        raise ConfigError(f"protocol must be one of {_PROTOCOLS}, got {protocol!r}")
+    protocol, chi = raw["protocol"], raw.pop("chi", None)
     missing = [k for k in ("kerr", "pump", "omega0", "delta_z", "tau") if k not in raw]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
     params = ModelParams(**{k: raw[k] if kind is None else _number(kind, raw[k], k)
                             for k, kind in _MODEL_KEYS.items() if k in raw})
+    if chi is not None and protocol == "sweep":
+        raise ConfigError("--chi sets one run's chi: give a sweep its chi values with --chis")
+    params = params if chi is None else topology.point_params(params, chi)
     out = raw.get("out") or os.environ.get("KNOSIM_OUT", "out")
     if Path(out).exists() and not Path(out).is_dir():
         raise ConfigError(f"out must name a directory, got the file {out!r}")
@@ -129,7 +133,7 @@ def resolve_config(spec: str, overrides: dict | None = None,
     if not isinstance(chis, list):
         raise ConfigError(f"chi_values must be a list of numbers, got {chis!r}")
     n_steps = raw.get("n_steps")
-    sta = raw.get("sta", protocol in ("sta", "wigner_movie"))
+    sta = raw.get("sta", own in ("sta", "wigner_movie") or protocol == "wigner_movie")
     if not isinstance(sta, bool):
         raise ConfigError(f"sta must be true or false, got {sta!r}")
 
@@ -259,31 +263,25 @@ def _movie_rows(cfg: ExperimentConfig) -> list[int]:
     return [int(k) for k in rows]
 
 
-def _run_error(cfg: ExperimentConfig) -> str | None:
-    """Why the configured run cannot be taken, or None: a sweep without chi
-    values, a readout its ramp does not give (see topology.chern), or movie
-    snapshots off its sample grid (_movie_rows)."""
+def _check_run(cfg: ExperimentConfig) -> None:
+    """Raise ConfigError when the configured run cannot be taken: a sweep
+    without chi values, a readout its ramp does not give (see
+    topology.chern), or movie snapshots off its sample grid (_movie_rows)."""
     if cfg.protocol == "sweep" and not cfg.chi_values:
-        return "sweep requires a non-empty chi_values list"
+        raise ConfigError("sweep requires a non-empty chi_values list")
     if cfg.protocol == "linear_response" and cfg.sta:
-        return "linear response needs the bare ramp: set sta off"
+        raise ConfigError("linear response needs the bare ramp: set sta off")
     if cfg.protocol == "sta" and not cfg.sta:
-        return "the polar-angle readout needs the counterdiabatic ramp: set sta on"
-    try:
-        if cfg.protocol != "wigner_movie":
-            topology.check_readout(cfg.params, cfg.sta, cfg.n_samples)
-        _movie_rows(cfg)
-    except ConfigError as exc:
-        return str(exc)
-    return None
+        raise ConfigError("the polar-angle readout needs the counterdiabatic ramp: set sta on")
+    if cfg.protocol != "wigner_movie":
+        topology.check_readout(cfg.params, cfg.sta, cfg.n_samples)
+    _movie_rows(cfg)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run the configured protocol; returns the manifest. File writes happen
     in one serial phase after all computation."""
-    error = _run_error(cfg)
-    if error:
-        raise ConfigError(error)
+    _check_run(cfg)
     outdir = Path(cfg.out)
     tables = {}  # basename -> columns (see _table)
     records = {}  # basename -> a JSON object
@@ -401,10 +399,11 @@ def validate_config(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
             f"FAIL truncation: need dim >= {p.alpha0**2 + 6 * p.alpha0 + 9:.0f} "
             f"for alpha0={p.alpha0:.3f}, got {p.dim}"
         )
-    error = _run_error(cfg)
-    if error:
+    try:
+        _check_run(cfg)
+    except ConfigError as exc:
         ok = False
-        lines.append(f"FAIL {error}")
+        lines.append(f"FAIL {exc}")
     runs = [(f"chi={chi:.6g}", chi) for chi in cfg.chi_values] if sweep else [("model", None)]
     probe = None  # the first run that builds, whose steps are timed, with its FAIL label
     for label, chi in runs:
@@ -444,24 +443,15 @@ def _add_common(sub: argparse.ArgumentParser):
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    ov = {}
-    for k in ("initial", "n_steps", "dim", "out", "format", "jobs"):
-        v = getattr(args, k, None)
-        if v is not None:
-            ov[k] = v
-    if getattr(args, "sta", None) is not None:
+    """The command line as resolve_config's overrides: its flags, and the
+    protocol of a sweep (the sweep command, or --chis) or a Wigner movie."""
+    ov = {k: v for k in ("protocol", "chi", "initial", "n_steps", "dim", "out", "format", "jobs")
+          if (v := getattr(args, k, None)) is not None}
+    if args.sta is not None:
         ov["sta"] = args.sta == "on"
     if getattr(args, "chis", None):
-        ov["chi_values"] = args.chis.split(",")
+        ov.update(chi_values=args.chis.split(","), protocol="sweep")
     return ov
-
-
-def _apply_chi(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    if getattr(args, "chi", None) is not None:
-        if cfg.protocol == "sweep":
-            raise ConfigError("--chi sets one run's chi: give a sweep its chi values with --chis")
-        cfg.params = topology.point_params(cfg.params, args.chi)
-    return cfg
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,9 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="Chern number vs chi")
     _add_common(sw)
     sw.add_argument("--chis", help="comma-separated chi values")
+    sw.set_defaults(protocol="sweep")
 
     wg = sub.add_parser("wigner", help="Wigner snapshots along the ramp")
     _add_common(wg)
+    wg.set_defaults(protocol="wigner_movie")
 
     va = sub.add_parser("validate", help="resolve and check a config")
     _add_common(va)
@@ -487,15 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # the movie runs the STA ramp unless --sta or the file itself says otherwise
-        defaults = {"sta": True} if args.command == "wigner" else None
-        cfg = resolve_config(args.config, _overrides(args), defaults)
-        if args.command == "sweep" or getattr(args, "chis", None):
-            cfg.protocol = "sweep"
-        elif args.command == "wigner":
-            cfg.protocol = "wigner_movie"
-        cfg = _apply_chi(cfg, args)
-
+        cfg = resolve_config(args.config, _overrides(args))
         if args.command == "validate":
             ok, lines = validate_config(cfg)
             print("\n".join(lines))

@@ -23,7 +23,7 @@ MAX_BASIS_OVERLAP = 0.5
 @dataclass(frozen=True)
 class LogicalFrame:
     """Qubit basis kets |0_bar>, |1_bar> in Fock space or on a reduced basis,
-    kept as read-only copies: model.drive_set caches its frames."""
+    kept as read-only copies: model._oscillator caches its frames."""
 
     ket0: np.ndarray
     ket1: np.ndarray

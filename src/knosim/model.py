@@ -281,7 +281,6 @@ def _oscillator(kerr: float, pump: float, dim: int, hx_prefactor: str):
     return full, drives, w, u
 
 
-@lru_cache(maxsize=16, typed=True)
 def drive_set(params: ModelParams, basis_dim: int | None = None) -> DriveSet:
     """The oscillator as a DriveSet on a reduced H0 eigenbasis.
 

@@ -29,7 +29,6 @@ PRESETS: dict[str, dict] = {
         "schedule": "linear",
         "dim": 30,
         "hx_prefactor": "exact",
-        "sta": False,
         "initial": "ket0",
         # Pinned: from half the sample grid (200 steps) the Bloch samples
         # converge at 6400 steps (12600 matrices in all), but C1 there is
@@ -48,7 +47,6 @@ PRESETS: dict[str, dict] = {
         "schedule": "cosine",
         "dim": 30,
         "hx_prefactor": "exact",
-        "sta": True,
         "initial": "ket0",
         "n_samples": 401,
     },

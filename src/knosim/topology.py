@@ -141,7 +141,10 @@ def _sweep_point(args):
 
 def sweep_workers(jobs: int, n_points: int) -> int:
     """How many processes a sweep of n_points runs on with jobs: at most one
-    per usable core and one per point, the calling process included."""
+    per usable core and one per point, the calling process included. jobs
+    below 1 is a ConfigError."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(jobs, cores or 1, n_points)
 
@@ -166,7 +169,8 @@ def sweep_chi(
     truncation leak, ...) is recorded as a failed entry at its chi and the
     sweep continues. The points run on sweep_workers(jobs, points) workers,
     worker i taking every workers-th point from the i-th: worker 0 is this
-    process, and each other one forked child, so jobs = 2 forks one.
+    process, and each other one forked child, so jobs = 2 forks one; jobs
+    below 1 is a ConfigError before any point runs.
     """
     tasks = [(params, float(chi), sta, initial, run_kwargs) for chi in chi_values]
     if not tasks:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,60 @@ class TestResolveConfig:
             cli.resolve_config(write_config(tmp_path, protocol="adiabatic"))
 
 
+class TestStaDefault:
+    """sta defaults to on for a Wigner movie and for a config whose own
+    protocol is sta or wigner_movie; a sweep file's own protocol is its preset's."""
+
+    def resolved(self, argv):
+        return cli.resolve_config(argv[1], cli._overrides(cli.build_parser().parse_args(argv)))
+
+    def test_config_is_frozen(self):
+        cfg = cli.resolve_config("fig2-4")
+        with pytest.raises(FrozenInstanceError):
+            cfg.protocol = "sweep"
+
+    def test_command_line_resolved_in_one_step(self):
+        cfg = self.resolved(["simulate", "fig2-4", "--chi", "0.5", "--initial", "ket1"])
+        assert (cfg.protocol, cfg.sta, cfg.initial) == ("sta", True, "ket1")
+        assert cfg.params.delta_0 == 0.5 * cfg.params.delta_z
+        for argv, protocol, sta in (
+            (["sweep", "fig2-4", "--chis=0.5"], "sweep", True),
+            (["sweep", "fig1", "--chis=0.5"], "sweep", False),
+            (["validate", "fig1", "--chis=0.5"], "sweep", False),
+            (["sweep", "fig1", "--chis=0.5", "--sta", "on"], "sweep", True),
+            (["wigner", "fig2-4"], "wigner_movie", True),
+            (["wigner", "fig1"], "wigner_movie", True),
+            (["wigner", "fig1", "--sta", "off"], "wigner_movie", False),
+        ):
+            cfg = self.resolved(argv)
+            assert (cfg.protocol, cfg.sta) == (protocol, sta), argv
+
+    @pytest.mark.parametrize("preset, protocol, sta", [
+        ("fig2-4", "linear_response", False), ("fig1", "sta", True),
+        ("fig1", "wigner_movie", True), ("fig2-4", "sweep", True), ("fig1", "sweep", False),
+    ])
+    def test_file_protocol_sets_sta(self, tmp_path, preset, protocol, sta):
+        cfg = cli.resolve_config(write_config(tmp_path, preset=preset, protocol=protocol))
+        assert (cfg.protocol, cfg.sta) == (protocol, sta)
+
+    def test_sweep_file_without_preset_is_bare(self, tmp_path):
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({k: v for k, v in cli.PRESETS["fig2-4"].items()
+                                    if k not in ("protocol", "sta")} | {"protocol": "sweep"}))
+        assert not cli.resolve_config(str(path)).sta
+
+    @pytest.mark.parametrize("preset, protocol, method", [
+        ("fig2-4", "linear_response", "linear_response"), ("fig1", "sta", "sta_polar"),
+    ])
+    def test_file_protocol_runs_its_readout(self, tmp_path, preset, protocol, method):
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, preset=preset, protocol=protocol)
+        assert cli.main(["simulate", cfg_path, "--out", str(out)]) == 0
+        man = json.loads((out / "run-manifest.json").read_text())
+        assert (man["protocol"], man["sta"]) == (protocol, method == "sta_polar")
+        assert json.loads((out / "chern.json").read_text())["method"] == method
+
+
 class TestSimulate:
     def test_sta_outputs(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -195,6 +250,8 @@ class TestSimulate:
         assert cli.main(["simulate", cfg_path, "--out", str(out)]) == 2
         assert "linear response" in capsys.readouterr().err
         assert not out.exists()
+        assert cli.main(["validate", cfg_path]) == 1
+        assert "\nFAIL linear response" in capsys.readouterr().out
 
     def test_polar_readout_needs_sta(self, tmp_path, monkeypatch, capsys):
         def no_run(*args, **kwargs):
@@ -742,7 +799,7 @@ class TestValidate:
         # an explicit n_steps N runs 3N steps when it converges at once, 7N at most
         assert worst == pytest.approx(7 / 3 * est)
         # the per-step cost is now cached, so only the step count changes
-        cfg.n_steps *= 2
+        cfg = replace(cfg, n_steps=2 * cfg.n_steps)
         assert cli.estimated_runtime_s(cfg) == 2 * est
         assert cli.estimated_runtime_s(cfg, worst=True) == 2 * worst
         # from half the sample grid: 600 steps if the first doubling converges,
@@ -773,7 +830,7 @@ class TestValidate:
         assert cli.estimated_runtime_s(movie) == pytest.approx(600 * 2e-5 + 0.25)
         assert cli.estimated_runtime_s(movie, worst=True) == pytest.approx(25400 * 2e-5 + 0.25)
         assert calls == [(30, 61, 3.0)] * 2
-        movie.protocol = "sta"
+        movie = replace(movie, protocol="sta")
         assert cli.estimated_runtime_s(movie) == pytest.approx(600 * 2e-5)
         assert len(calls) == 2
 
@@ -802,9 +859,13 @@ class TestValidate:
         # 10 % slack for the host's noise in the unpatched part
         assert slow - fast >= 0.9 * 20 * SLEEP
 
-    def test_linear_response_with_sta_fails(self, capsys):
+    def test_linear_response_with_sta_fails(self, tmp_path, capsys):
         assert cli.main(["validate", "fig1", "--sta", "on"]) == 1
         assert "FAIL linear response needs the bare ramp" in capsys.readouterr().out
+        out = tmp_path / "lr"
+        assert cli.main(["simulate", "fig1", "--sta", "on", "--out", str(out)]) == 2
+        assert "linear response needs the bare ramp" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_movie_snapshots_off_the_sample_grid_fail(self, tmp_path, capsys):
         # 0.375 tau is not a multiple of tau / 42: validate fails it as simulate does

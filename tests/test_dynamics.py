@@ -424,12 +424,3 @@ class TestEigenstateFidelity:
         res = dynamics.instantaneous_eigenstate_fidelity(traj)
         assert res.branch == "lower"
         assert res.min_fidelity >= 0.999
-
-
-class TestDriveSetCache:
-    def test_cache_hit(self):
-        p = sta_params()
-        assert model.drive_set(p) is model.drive_set(p)
-
-    def test_distinct_params(self):
-        assert model.drive_set(sta_params()) is not model.drive_set(sta_params(chi=0.1))

@@ -191,6 +191,15 @@ class TestSweep:
         for r in (results[0], results[2]):
             assert r.refine_history and r.n_steps_used == r.refine_history[-1][0]
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_refused_before_any_point(self, monkeypatch, jobs):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a point ran with jobs < 1")
+
+        monkeypatch.setattr(topology.dynamics, "run", no_run)
+        with pytest.raises(ConfigError, match=rf"^jobs must be >= 1, got {jobs}$"):
+            topology.sweep_chi(sta_params(), [0.5], jobs=jobs)
+
     def test_sweep_records_singular_points(self, monkeypatch):
         from knosim.errors import SingularDriveError, TruncationError
 
