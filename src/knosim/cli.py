@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dynamics, fock, model, topology, wigner as wigner_mod
+from . import __version__, dynamics, model, topology, wigner as wigner_mod
 from .errors import ConfigError, KnosimError
 from .model import ModelParams
 from .presets import PRESETS
@@ -393,12 +393,6 @@ def validate_config(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
     if ratio > model.STABILIZER_RATIO_WARN:
         ok = False
         lines.append(f"FAIL stabilizer ratio exceeds {model.STABILIZER_RATIO_WARN}")
-    if not fock.coherent_truncation_ok(p.alpha0, p.dim):
-        ok = False
-        lines.append(
-            f"FAIL truncation: need dim >= {p.alpha0**2 + 6 * p.alpha0 + 9:.0f} "
-            f"for alpha0={p.alpha0:.3f}, got {p.dim}"
-        )
     try:
         _check_run(cfg)
     except ConfigError as exc:

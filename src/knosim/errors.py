@@ -9,14 +9,6 @@ class DimensionMismatchError(KnosimError):
     """States that are not 1-d arrays of one common length."""
 
 
-class TruncationError(KnosimError):
-    """Truncated representation leaks more probability than allowed."""
-
-
-class IllConditionedBasisError(KnosimError):
-    """Coherent basis states overlap too strongly to define a qubit."""
-
-
 class SingularDriveError(KnosimError):
     """A drive diverges: the counterdiabatic coefficient, or the monopole flux at |chi| = 1."""
 
@@ -30,4 +22,5 @@ class DegenerateReadoutError(KnosimError):
 
 
 class ConfigError(KnosimError):
-    """Bad experiment configuration."""
+    """Bad experiment configuration, a cat qubit that its Fock space cannot
+    hold or whose two coherent states overlap too much included."""

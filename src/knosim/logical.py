@@ -15,9 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .errors import IllConditionedBasisError
-
-MAX_BASIS_OVERLAP = 0.5
 
 
 @dataclass(frozen=True)
@@ -54,15 +51,8 @@ def sigma_y(frame: LogicalFrame, phi: float) -> np.ndarray:
 
 
 def build_frame(alpha0: float, dim: int = 30) -> LogicalFrame:
-    """Construct the logical frame for the cat qubit at +-alpha0."""
-    plus, _ = fock.coherent_state(alpha0, dim)
-    minus, _ = fock.coherent_state(-alpha0, dim)
-    overlap = np.vdot(plus, minus)
-    if abs(overlap) >= MAX_BASIS_OVERLAP:
-        raise IllConditionedBasisError(
-            f"|<-a0|a0>| = {abs(overlap):.3f} >= {MAX_BASIS_OVERLAP}; "
-            "coherent states too close to encode a qubit"
-        )
-
+    """The logical frame of the cat qubit at +-alpha0 on dim Fock states,
+    built as asked: model.ModelParams owns the rules that make it a qubit."""
+    plus, minus = fock.coherent_state(alpha0, dim), fock.coherent_state(-alpha0, dim)
     even, odd = (x / np.linalg.norm(x) for x in (plus + minus, plus - minus))
     return LogicalFrame(ket0=(even + odd) / np.sqrt(2), ket1=(even - odd) / np.sqrt(2))

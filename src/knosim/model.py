@@ -37,6 +37,8 @@ from .errors import ConfigError, SingularDriveError
 from .logical import LogicalFrame
 
 STABILIZER_RATIO_WARN = 0.2
+COHERENT_LEAKAGE_TOL = 1e-8  # the weight truncation may drop from |+-alpha0>
+MAX_BASIS_OVERLAP = 0.5  # the <-alpha0|alpha0> from which the cat encodes no qubit
 LEAKAGE_TOL = 1e-6  # dynamics.REFINE_TOL / 100: first-order amplitude a dropped eigenstate may take
 DEGENERACY_ATOL = 1e-12  # |chi| this close to 1 puts the degeneracy on the ramp manifold
 
@@ -50,6 +52,7 @@ class ModelParams:
 
     kerr (K) and pump (P) fix alpha0 = sqrt(P/K); delta_z / delta_0 / omega0
     shape the ramped parameter manifold; chi = delta_0/delta_z locates it.
+    The qubit's states |+-alpha0> must fit in dim levels and be near orthogonal.
     """
 
     kerr: float
@@ -79,11 +82,17 @@ class ModelParams:
             raise ConfigError(f"dim must be an integer >= 2, got {self.dim!r}")
         if self.delta_0 != 0.0 and self.delta_z == 0.0:
             raise ConfigError("delta_0 set with delta_z = 0: chi undefined")
+        leak, overlap = fock.coherent_leakage(self.alpha0, self.dim), np.exp(-2 * self.alpha0**2)
+        if not leak <= COHERENT_LEAKAGE_TOL:  # nan too, for an alpha0 that overflows
+            raise ConfigError(f"coherent state |{self.alpha0:.6g}> leaks {leak:.3e} > "
+                              f"{COHERENT_LEAKAGE_TOL:.1e} at dim={self.dim}: raise dim")
+        if overlap >= MAX_BASIS_OVERLAP:
+            raise ConfigError(f"<-a0|a0> = {overlap:.3f} >= {MAX_BASIS_OVERLAP}: no qubit basis")
         if self.stabilizer_ratio > STABILIZER_RATIO_WARN:
-            warnings.warn(
+            warnings.warn(  # stacklevel 3: past the dataclass __init__, the code that built these
                 f"stabilizer ratio exp(2 a0^2)*Omega0/P = {self.stabilizer_ratio:.3f} "
                 f"> {STABILIZER_RATIO_WARN}: drives compete with the stabilizer",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

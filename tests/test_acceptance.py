@@ -177,8 +177,8 @@ def test_9_wigner_checks(sta_trajs):
     w_vac = wigner.wigner([vac], half_width=3.0, n_points=41)[0].at_origin()
 
     a0 = np.sqrt(2)
-    plus, _ = fock.coherent_state(a0, 30)
-    minus, _ = fock.coherent_state(-a0, 30)
+    plus = fock.coherent_state(a0, 30)
+    minus = fock.coherent_state(-a0, 30)
     even, odd = (x / np.linalg.norm(x) for x in (plus + minus, plus - minus))
     w_even = wigner.wigner([even], half_width=3.0, n_points=41)[0].at_origin()
     w_odd = wigner.wigner([odd], half_width=3.0, n_points=41)[0].at_origin()

@@ -433,6 +433,18 @@ class TestSweep:
             assert float(row[7]) == history[-1][1]
             assert point["steps_computed"] == 1200
 
+    def test_truncated_cat_refused_before_any_point(self, tmp_path, monkeypatch, capsys):
+        # alpha0 = sqrt(2) needs 15 levels: the config is refused before any point runs
+        def no_run(*args, **kwargs):
+            raise AssertionError("a point ran on a truncation that cannot hold the cat")
+
+        monkeypatch.setattr(cli.dynamics, "run", no_run)
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "fig2-4", "--dim", "12", "--chis=0.5,1.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: coherent state |1.41421> leaks 1.365e-06 > 1.0e-08 at dim=12: raise dim\n")
+        assert not out.exists()
+
     def test_status_cells_are_quoted(self, tmp_path):
         # the error holds a comma: the cell is quoted, so every row has the
         # header's fields and the text reads back whole
@@ -714,6 +726,22 @@ class TestValidate:
             rc = cli.main(["validate", cfg_path])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_smallest_truncation_that_holds_the_cat_validates(self, capsys):
+        assert cli.main(["validate", "fig2-4", "--dim", "16"]) == 0
+        assert capsys.readouterr().out.strip().endswith("OK")
+
+    def test_truncation_that_loses_the_cat_is_one_error(self, capsys):
+        assert cli.main(["validate", "fig2-4", "--dim", "12"]) == 2
+        report = capsys.readouterr()
+        assert report.out == ""
+        assert report.err == (
+            "error: coherent state |1.41421> leaks 1.365e-06 > 1.0e-08 at dim=12: raise dim\n")
+
+    def test_stabilizer_warning_names_the_resolver(self, tmp_path):
+        with pytest.warns(UserWarning, match="stabilizer ratio") as record:
+            cli.resolve_config(write_config(tmp_path, omega0=50.0, delta_z=50.0))
+        assert [w.filename for w in record] == [cli.__file__]
 
     def test_overflowing_drive_is_invalid(self, capsys):
         # the drive overflows where it is built: a FAIL line, no numpy warning

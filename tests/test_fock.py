@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import constant_system
 from knosim import dynamics, fock
-from knosim.errors import TruncationError
+from knosim.errors import ConfigError
+from knosim.model import ModelParams
 
 
 def mean(psi, m):
@@ -58,25 +59,36 @@ class TestLadder:
 
 class TestCoherent:
     def test_vacuum(self):
-        psi, leak = fock.coherent_state(0.0, 10)
+        psi = fock.coherent_state(0.0, 10)
         assert abs(psi[0] - 1) < 1e-15
-        assert leak == 0.0
+        assert fock.coherent_leakage(0.0, 10) == 0.0
 
     def test_cat_overlap(self):
         # <-a|a> = exp(-2|a|^2) = exp(-4) for a = sqrt(2)
-        plus, _ = fock.coherent_state(np.sqrt(2), 30)
-        minus, _ = fock.coherent_state(-np.sqrt(2), 30)
+        plus = fock.coherent_state(np.sqrt(2), 30)
+        minus = fock.coherent_state(-np.sqrt(2), 30)
         assert abs(np.vdot(minus, plus).real - np.exp(-4)) < 1e-9
 
     def test_mean_photon_number(self):
-        psi, _ = fock.coherent_state(np.sqrt(2), 30)
+        psi = fock.coherent_state(np.sqrt(2), 30)
         val = mean(psi, number(30)).real
         assert abs(val - fock_sum_number(np.sqrt(2), 30)) < 1e-12
         assert abs(val - 2.0) < 1e-8
 
     def test_truncation_error(self):
-        with pytest.raises(TruncationError):
-            fock.coherent_state(3.0, 10)
+        # |alpha0 = 3> loses 0.41 of its weight beyond 10 levels
+        with pytest.raises(ConfigError, match=r"leaks 4\.126e-01 > 1\.0e-08 at dim=10"):
+            ModelParams(kerr=1.0, pump=9.0, omega0=0.0, delta_z=0.0, dim=10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 3.2), st.integers(2, 60))
+    def test_leakage_closed_form_matches_recurrence(self, alpha, dim):
+        # 1 - sum |c_n|^2 of the unnormalized amplitudes, by their own recurrence
+        c = np.zeros(dim)
+        c[0] = np.exp(-alpha**2 / 2)
+        for n in range(1, dim):
+            c[n] = c[n - 1] * alpha / np.sqrt(n)
+        assert abs(fock.coherent_leakage(alpha, dim) - (1 - np.sum(c**2))) <= 1e-14
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -84,7 +96,7 @@ class TestCoherent:
     )
     def test_eigenvector_of_annihilation(self, alpha):
         dim = 30
-        psi, _ = fock.coherent_state(alpha, dim)
+        psi = fock.coherent_state(alpha, dim)
         resid = fock.annihilation(dim) @ psi - alpha * psi
         assert np.linalg.norm(resid) <= 1e-6
 
@@ -99,7 +111,7 @@ class TestParity:
         assert np.allclose(p @ p, np.eye(17))
 
     def test_coherent_parity(self):
-        psi, _ = fock.coherent_state(np.sqrt(2), 30)
+        psi = fock.coherent_state(np.sqrt(2), 30)
         val = mean(psi, np.diag((-1.0) ** np.arange(30))).real
         assert abs(val - fock_sum_parity(np.sqrt(2), 30)) < 1e-12
         assert abs(val - np.exp(-4)) < 1e-6
@@ -121,7 +133,7 @@ class TestPropagation:
 
     def test_zero_hamiltonian(self):
         dim = 10
-        psi, _ = fock.coherent_state(0.5, dim)
+        psi = fock.coherent_state(0.5, dim)
         traj = dynamics.evolve(
             constant_system(np.zeros((dim, dim)), tau=1.0, start=psi), n_steps=100, n_samples=2
         )
@@ -131,7 +143,7 @@ class TestPropagation:
         rng = np.random.default_rng(7)
         m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
         h = m + m.conj().T
-        psi, _ = fock.coherent_state(1.0, 12)
+        psi = fock.coherent_state(1.0, 12)
 
         def step(state, tau):
             return dynamics.evolve(
@@ -145,7 +157,7 @@ class TestPropagation:
     def test_norm_preserved(self):
         rng = np.random.default_rng(3)
         m = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
-        psi, _ = fock.coherent_state(1.5, 20)
+        psi = fock.coherent_state(1.5, 20)
         traj = dynamics.evolve(
             constant_system(50 * (m + m.conj().T), tau=2.5, start=psi), n_steps=100, n_samples=11
         )
@@ -155,13 +167,13 @@ class TestPropagation:
 
 class TestExpectation:
     def test_vacuum_number(self):
-        psi, _ = fock.coherent_state(0.0, 8)
+        psi = fock.coherent_state(0.0, 8)
         assert mean(psi, number(8)) == 0.0
 
     def test_identity_unit(self):
-        psi, _ = fock.coherent_state(1.1, 30)
+        psi = fock.coherent_state(1.1, 30)
         assert abs(mean(psi, np.eye(30)) - 1) < 1e-12
 
     def test_hermitian_returns_real(self):
-        psi, _ = fock.coherent_state(0.7 + 0.2j, 20)
+        psi = fock.coherent_state(0.7 + 0.2j, 20)
         assert abs(mean(psi, number(20)).imag) < 1e-15

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import sta_params
 from knosim import fock, logical, model, twolevel
-from knosim.errors import IllConditionedBasisError
+from knosim.errors import ConfigError
+from knosim.model import COHERENT_LEAKAGE_TOL, MAX_BASIS_OVERLAP, ModelParams
 
 ALPHA0 = np.sqrt(2)
 DIM = 30
@@ -42,8 +43,8 @@ def ops(frame):
 
 class TestBuildFrame:
     def test_lowdin_orthogonal(self, frame):
-        plus, _ = fock.coherent_state(ALPHA0, DIM)
-        minus, _ = fock.coherent_state(-ALPHA0, DIM)
+        plus = fock.coherent_state(ALPHA0, DIM)
+        minus = fock.coherent_state(-ALPHA0, DIM)
         assert abs(np.vdot(plus, minus) - np.exp(-4)) < 1e-9
         assert abs(np.vdot(frame.ket0, frame.ket1)) < 1e-12
 
@@ -79,7 +80,7 @@ class TestBuildFrame:
                 assert np.abs(anti - target).max() < 1e-10
 
     def test_lowdin_close_to_coherent(self, frame):
-        plus, _ = fock.coherent_state(ALPHA0, DIM)
+        plus = fock.coherent_state(ALPHA0, DIM)
         assert abs(np.vdot(frame.ket0, plus)) ** 2 >= 1 - np.exp(-4 * ALPHA0**2)
 
     def test_sign_flip_swaps_kets(self):
@@ -89,8 +90,21 @@ class TestBuildFrame:
         assert abs(np.vdot(f1.ket1, f2.ket0)) ** 2 >= 1 - 1e-12
 
     def test_ill_conditioned(self):
-        with pytest.raises(IllConditionedBasisError):
-            logical.build_frame(0.3, 30)
+        # alpha0 = 0.3: <-a0|a0> = exp(-0.18) = 0.835
+        with pytest.raises(ConfigError, match=r"<-a0\|a0> = 0\.835 >= 0\.5"):
+            ModelParams(kerr=1.0, pump=0.09, omega0=0.0, delta_z=0.0, dim=30)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.5, 3.2), st.integers(2, 60))
+    def test_overlap_closed_form_matches_truncated_states(self, alpha0, dim):
+        # wherever the rules admit a cat, exp(-2 a0^2) is its truncated states' overlap
+        try:
+            ModelParams(kerr=1.0, pump=alpha0**2, omega0=0.0, delta_z=0.0, dim=dim)
+        except ConfigError:
+            assume(False)
+        plus, minus = fock.coherent_state(alpha0, dim), fock.coherent_state(-alpha0, dim)
+        assert np.exp(-2 * alpha0**2) < MAX_BASIS_OVERLAP
+        assert abs(np.exp(-2 * alpha0**2) - abs(np.vdot(minus, plus))) <= 2 * COHERENT_LEAKAGE_TOL
 
 
 def bloch(psi, frame):
@@ -109,7 +123,7 @@ class TestBlochVector:
         assert np.allclose(s, [1, 0, 0, 1], atol=1e-10)
 
     def test_raw_coherent_state(self, frame):
-        psi, _ = fock.coherent_state(ALPHA0, DIM)
+        psi = fock.coherent_state(ALPHA0, DIM)
         s = bloch(psi, frame)
         assert abs(s[2] - 1) < 5e-3
         assert s[3] >= 0.999

@@ -82,7 +82,7 @@ class TestStabilizer:
         h = model.h0(params)
         target = params.pump**2 / (2 * params.kerr)
         for sign in (1, -1):
-            psi, _ = fock.coherent_state(sign * params.alpha0, params.dim)
+            psi = fock.coherent_state(sign * params.alpha0, params.dim)
             resid = h @ psi - target * psi
             assert np.linalg.norm(resid) <= 1e-6 * params.pump
 

@@ -201,13 +201,13 @@ class TestSweep:
             topology.sweep_chi(sta_params(), [0.5], jobs=jobs)
 
     def test_sweep_records_singular_points(self, monkeypatch):
-        from knosim.errors import SingularDriveError, TruncationError
+        from knosim.errors import SingularDriveError
 
         def boom(params, initial, sta, **kw):
             if abs(params.chi - 1.0) < 1e-9:
                 raise SingularDriveError("vanishing gap")
             if abs(params.chi - 2.0) < 1e-9:
-                raise TruncationError("state leaks out of the truncation")
+                raise ConfigError("state leaks out of the truncation")
             return rotation_traj(params, initial, sta)
 
         monkeypatch.setattr(topology.dynamics, "run", boom)
@@ -313,3 +313,19 @@ class TestSweep:
     def test_pool_capped_at_usable_cores(self, monkeypatch):
         # 4 cores, of which the process's affinity allows 1: no pool starts
         assert self.started_pools(monkeypatch, 4, 1, 2, 8) == []
+
+
+class TestTruncationRule:
+    @pytest.mark.parametrize("chi", [0.0, 0.5, 0.97])
+    def test_c1_converged_at_the_smallest_admitted_dims(self, chi):
+        # the truncation rule is not too loose: fig2-4's C1 at dim 15, the
+        # smallest dim it admits at alpha0 = sqrt(2), is that of dim 30
+        def c1(dim):
+            cfg = cli.resolve_config("fig2-4", {"dim": dim, "chi": chi})
+            return topology.chern(dynamics.run(cfg.params, sta=True, n_samples=cfg.n_samples)).c1
+
+        with pytest.raises(ConfigError, match="at dim=14"):
+            cli.resolve_config("fig2-4", {"dim": 14})
+        ref = c1(30)
+        for dim in (15, 16, 20):
+            assert abs(c1(dim) - ref) <= 1e-6

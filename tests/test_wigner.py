@@ -75,7 +75,7 @@ class TestVacuum:
 
 class TestCoherent:
     def test_displaced_gaussian(self):
-        psi, _ = fock.coherent_state(1.0 + 0.5j, 25)
+        psi = fock.coherent_state(1.0 + 0.5j, 25)
         g = grid(psi, half_width=3.0, n_points=41)
         expected = gaussian_wigner(g.axis, 1.0 + 0.5j)
         assert np.abs(g.values - expected).max() <= 1e-6
@@ -85,12 +85,12 @@ class TestCoherent:
     def test_every_quadrant_on_the_movie_grid(self, beta):
         # the radial sums are turned by e^{-ik phi}: the wrong sign would
         # mirror the Gaussian through the real axis
-        psi, _ = fock.coherent_state(beta, 40)
+        psi = fock.coherent_state(beta, 40)
         g = grid(psi)
         assert np.abs(g.values - gaussian_wigner(g.axis, beta)).max() <= 1e-10
 
     def test_peak_location(self):
-        psi, _ = fock.coherent_state(np.sqrt(2), 30)
+        psi = fock.coherent_state(np.sqrt(2), 30)
         g = grid(psi, half_width=3.0, n_points=41)
         i, j = np.unravel_index(np.argmax(g.values), g.values.shape)
         assert abs(g.axis[j] - np.sqrt(2)) <= 0.15
@@ -107,16 +107,16 @@ class TestFockAndCat:
     def test_even_cat_origin_equals_parity(self):
         # W(0) = (2/pi) <parity>; the even cat has parity +1 exactly
         a0 = np.sqrt(2)
-        plus, _ = fock.coherent_state(a0, 30)
-        minus, _ = fock.coherent_state(-a0, 30)
+        plus = fock.coherent_state(a0, 30)
+        minus = fock.coherent_state(-a0, 30)
         cat = (plus + minus) / np.linalg.norm(plus + minus)
         g = grid(cat, half_width=3.0, n_points=41)
         assert abs(g.at_origin() - 2 / np.pi) <= 1e-6
 
     def test_cat_has_two_lobes_and_fringes(self):
         a0 = np.sqrt(2)
-        plus, _ = fock.coherent_state(a0, 30)
-        minus, _ = fock.coherent_state(-a0, 30)
+        plus = fock.coherent_state(a0, 30)
+        minus = fock.coherent_state(-a0, 30)
         cat = (plus + minus) / np.linalg.norm(plus + minus)
         g = grid(cat, half_width=3.0, n_points=41)
         j_plus = np.argmin(np.abs(g.axis - a0))
