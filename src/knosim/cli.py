@@ -19,6 +19,7 @@ import os
 import re
 import sys
 import timeit
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -33,31 +34,54 @@ SNAPSHOT_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 FLOAT_FMT = "{:.17g}"
 _CSV_QUOTED = re.compile(r'[,"\r\n]')  # cells holding one are quoted, as by csv.writer()
 
-_MODEL_KEYS = {  # key -> the number type it is read as; None for a string
+_MODEL_KEYS = {  # key -> the number type it is read as (_read); None for as given
     "kerr": float, "pump": float, "omega0": float, "delta_z": float, "delta_0": float,
     "tau": float, "schedule": None, "phi": float, "hx_prefactor": None, "dim": int,
 }
-_RUN_KEYS = ("protocol", "sta", "initial", "n_steps", "n_samples")
-_IO_KEYS = ("out", "format", "jobs", "chi_values", "half_width", "n_points", "preset")
-_ALL_KEYS = set(_MODEL_KEYS) | set(_RUN_KEYS) | set(_IO_KEYS)
+_RUN_KEYS = {  # the same, for ExperimentConfig's fields read from a config
+    "initial": None, "n_steps": int, "n_samples": int, "format": None, "jobs": int,
+    "half_width": float, "n_points": int,
+}
+_ALL_KEYS = set(_MODEL_KEYS) | set(_RUN_KEYS) | {"protocol", "sta", "chi_values", "out", "preset"}
 
 _PROTOCOLS = ("linear_response", "sta", "sweep", "wigner_movie")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's protocol, model and settings, defaults included; building one,
+    by dataclasses.replace too, raises ConfigError for a field out of rule."""
+
     protocol: str
     params: ModelParams
     sta: bool
-    initial: str
-    n_steps: int | None  # None: start at the sample grid (dynamics.passes)
-    n_samples: int
+    initial: str = "ket0"
+    n_steps: int | None = None  # None: start at the sample grid (dynamics.passes)
+    n_samples: int = dynamics.DEFAULT_N_SAMPLES
     chi_values: list[float] = field(default_factory=list)
     out: str = "out"
     format: str = "csv"
     jobs: int = 1
     half_width: float = 4.5
     n_points: int = 81
+
+    def __post_init__(self):
+        if self.format not in ("csv", "json"):
+            raise ConfigError(f"format must be csv or json, got {self.format!r}")
+        if self.initial not in ("ket0", "ket1"):
+            raise ConfigError(f"initial must be ket0 or ket1, got {self.initial!r}")
+        if not isinstance(self.sta, bool):
+            raise ConfigError(f"sta must be true or false, got {self.sta!r}")
+        dynamics.passes(self.n_steps, self.n_samples)  # raises on a bad step or sample count
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        if not np.isfinite(self.chi_values).all():
+            raise ConfigError(f"chi_values must be finite, got {self.chi_values}")
+        if not (np.isfinite(self.half_width) and self.half_width > 0):
+            raise ConfigError(f"half_width must be finite and > 0, got {self.half_width}")
+        if self.n_points < wigner_mod.MIN_GRID_POINTS:
+            raise ConfigError(f"n_points must be >= {wigner_mod.MIN_GRID_POINTS}, "
+                              f"got {self.n_points}")
 
 
 def _load_raw(spec: str) -> dict:
@@ -80,9 +104,11 @@ def _load_raw(spec: str) -> dict:
     return {**PRESETS.get(base, {}), **raw}
 
 
-def _number(kind, value, key: str):
-    """value as an int or a float; anything else, a boolean or a fractional
-    int included, is a ConfigError naming key."""
+def _read(kind, value, key: str):
+    """value read as kind, int or float, or as given for None; anything else,
+    a boolean or a fractional int included, is a ConfigError naming key."""
+    if kind is None:
+        return value
     try:
         number = kind(value)
         if isinstance(value, bool) or (kind is int and isinstance(value, float) and number != value):
@@ -99,7 +125,8 @@ def resolve_config(spec: str, overrides: dict | None = None) -> ExperimentConfig
     see _overrides) over the config's own, and "chi", one run's delta_0 =
     chi * delta_z. sta defaults to on for a Wigner movie and for a config
     whose own protocol reads the counterdiabatic ramp, sta or wigner_movie;
-    a sweep file's is the protocol of the preset it names."""
+    a sweep file's is the protocol of the preset it names. A stabilizer ratio
+    above model.STABILIZER_RATIO_WARN warns once, for all of a sweep's points."""
     raw = _load_raw(spec)
     unknown = set(raw) - _ALL_KEYS
     if unknown:
@@ -115,52 +142,31 @@ def resolve_config(spec: str, overrides: dict | None = None) -> ExperimentConfig
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
-    params = ModelParams(**{k: raw[k] if kind is None else _number(kind, raw[k], k)
+    params = ModelParams(**{k: _read(kind, raw[k], k)
                             for k, kind in _MODEL_KEYS.items() if k in raw})
+    if params.stabilizer_ratio > model.STABILIZER_RATIO_WARN:
+        warnings.warn(  # the message on lines of its own: the printed warning quotes this one
+            f"stabilizer ratio exp(2 a0^2)*Omega0/P = {params.stabilizer_ratio:.3f} "
+            f"> {model.STABILIZER_RATIO_WARN}: drives compete with the stabilizer")
     if chi is not None and protocol == "sweep":
         raise ConfigError("--chi sets one run's chi: give a sweep its chi values with --chis")
     params = params if chi is None else topology.point_params(params, chi)
-    out = raw.get("out") or os.environ.get("KNOSIM_OUT", "out")
+    out = str(raw.get("out") or os.environ.get("KNOSIM_OUT", ExperimentConfig.out))
     if Path(out).exists() and not Path(out).is_dir():
         raise ConfigError(f"out must name a directory, got the file {out!r}")
-    fmt = raw.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    initial = raw.get("initial", "ket0")
-    if initial not in ("ket0", "ket1"):
-        raise ConfigError(f"initial must be ket0 or ket1, got {initial!r}")
     chis = raw.get("chi_values", [])
     if not isinstance(chis, list):
         raise ConfigError(f"chi_values must be a list of numbers, got {chis!r}")
-    n_steps = raw.get("n_steps")
-    sta = raw.get("sta", own in ("sta", "wigner_movie") or protocol == "wigner_movie")
-    if not isinstance(sta, bool):
-        raise ConfigError(f"sta must be true or false, got {sta!r}")
-
-    cfg = ExperimentConfig(
+    if raw.get("n_steps", 0) is None:
+        del raw["n_steps"]  # null: the default, start at the sample grid
+    return ExperimentConfig(
         protocol=protocol,
         params=params,
-        sta=sta,
-        initial=initial,
-        n_steps=None if n_steps is None else _number(int, n_steps, "n_steps"),
-        n_samples=_number(int, raw.get("n_samples", dynamics.DEFAULT_N_SAMPLES), "n_samples"),
-        chi_values=[_number(float, c, "chi_values entry") for c in chis],
-        out=str(out),
-        format=fmt,
-        jobs=_number(int, raw.get("jobs", 1), "jobs"),
-        half_width=_number(float, raw.get("half_width", 4.5), "half_width"),
-        n_points=_number(int, raw.get("n_points", 81), "n_points"),
+        sta=raw.get("sta", own in ("sta", "wigner_movie") or protocol == "wigner_movie"),
+        chi_values=[_read(float, c, "chi_values entry") for c in chis],
+        out=out,
+        **{k: _read(kind, raw[k], k) for k, kind in _RUN_KEYS.items() if k in raw},
     )
-    dynamics.passes(cfg.n_steps, cfg.n_samples)  # raises on a bad step or sample count
-    if cfg.jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")
-    if not np.isfinite(cfg.chi_values).all():
-        raise ConfigError(f"chi_values must be finite, got {cfg.chi_values}")
-    if not (np.isfinite(cfg.half_width) and cfg.half_width > 0):
-        raise ConfigError(f"half_width must be finite and > 0, got {cfg.half_width}")
-    if cfg.n_points < wigner_mod.MIN_GRID_POINTS:
-        raise ConfigError(f"n_points must be >= {wigner_mod.MIN_GRID_POINTS}, got {cfg.n_points}")
-    return cfg
 
 
 # ---------------------------------------------------------------- output ---

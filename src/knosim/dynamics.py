@@ -193,7 +193,7 @@ def evolve(
     def trajectory(n: int) -> Trajectory:
         intervals = _pass_intervals(n, n_samples)
         t = np.arange(intervals + 1) * (n // intervals) * (system.params.tau / n)
-        traj = Trajectory(system, t, np.asarray(system.params.theta(t), dtype=float),
+        traj = Trajectory(system, t, system.params.theta(t),
                           _propagate(system, psi0, sta, n, intervals + 1)["psi"], n, sta, initial)
         bad = np.flatnonzero(~np.isfinite(traj.norm))
         if bad.size:

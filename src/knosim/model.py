@@ -25,7 +25,6 @@ linear-response integrals.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -88,12 +87,6 @@ class ModelParams:
                               f"{COHERENT_LEAKAGE_TOL:.1e} at dim={self.dim}: raise dim")
         if overlap >= MAX_BASIS_OVERLAP:
             raise ConfigError(f"<-a0|a0> = {overlap:.3f} >= {MAX_BASIS_OVERLAP}: no qubit basis")
-        if self.stabilizer_ratio > STABILIZER_RATIO_WARN:
-            warnings.warn(  # stacklevel 3: past the dataclass __init__, the code that built these
-                f"stabilizer ratio exp(2 a0^2)*Omega0/P = {self.stabilizer_ratio:.3f} "
-                f"> {STABILIZER_RATIO_WARN}: drives compete with the stabilizer",
-                stacklevel=3,
-            )
 
     @property
     def alpha0(self) -> float:

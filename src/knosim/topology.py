@@ -74,7 +74,7 @@ def berry_curvature(traj: Trajectory) -> np.ndarray:
     if traj.sta:
         raise ConfigError("linear response needs the bare ramp: run with sta=False")
     check_readout(p, False, traj.t.size)
-    v_theta = np.broadcast_to(np.asarray(p.theta_dot(traj.t), dtype=float), traj.t.shape)
+    v_theta = p.theta_dot(traj.t)
     b = np.divide(-p.omega0 * np.sin(traj.theta) * traj.sy, 2 * v_theta,
                   out=np.zeros(traj.t.shape), where=v_theta != 0)
     return np.stack([traj.theta, b], axis=1)

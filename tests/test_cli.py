@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -26,6 +27,18 @@ def write_config(tmp_path, name="cfg.json", **extra):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def run_cli(*args, **env) -> subprocess.CompletedProcess:
+    """knosim's command line in a new process, on this source tree, with env
+    over the environment."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "knosim.cli", *args],
+        env={**os.environ, "PYTHONPATH": pythonpath, **env},
+        check=True, capture_output=True, text=True, timeout=300,
+    )
 
 
 class TestResolveConfig:
@@ -61,11 +74,17 @@ class TestResolveConfig:
         with pytest.raises(ConfigError):
             cli.resolve_config("no-such-config.json")
 
-    def test_invalid_json(self, tmp_path):
+    @pytest.mark.parametrize("text, error", [
+        ("{not json", "invalid JSON"),
+        ("[1, 2]", "top level must be a JSON object"),
+        ('{"protocol": "sta", "kerr": 1}', "missing required keys: pump, omega0, delta_z, tau"),
+    ], ids=["syntax", "not-an-object", "missing-keys"])
+    def test_invalid_json(self, tmp_path, capsys, text, error):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError, match="invalid JSON"):
-            cli.resolve_config(str(path))
+        path.write_text(text)
+        assert cli.main(["validate", str(path)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and error in line
 
     @pytest.mark.parametrize("setting", [
         {"n_steps": "many"}, {"n_samples": "x"}, {"jobs": "two"}, {"half_width": "wide"},
@@ -73,10 +92,13 @@ class TestResolveConfig:
         {"phi": "x"}, {"kerr": "abc"}, {"tau": None}, {"dim": "many"}, {"dim": 30.5},
         {"sta": "false"}, {"sta": 1}, {"phi": True}, {"jobs": True}, {"preset": []},
         {"chi_values": [0.5, float("nan")]}, {"chi_values": [float("inf")]},
+        {"format": "xml"}, {"initial": "ket2"}, {"kerr": -1.0}, {"pump": 0.0}, {"tau": 0.0},
+        {"hx_prefactor": "lab"},
     ])
     def test_non_numeric_rejected(self, tmp_path, capsys, setting):
         assert cli.main(["validate", write_config(tmp_path, **setting)]) == 2
-        assert "error:" in capsys.readouterr().err
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
 
     def test_non_finite_chis_named_where_read(self, tmp_path, capsys):
         # the file and the flag alike: not delta_0's error from the first run
@@ -91,6 +113,15 @@ class TestResolveConfig:
     def test_zero_steps_or_jobs_rejected(self, tmp_path, setting):
         with pytest.raises(ConfigError):
             cli.resolve_config(write_config(tmp_path, **setting))
+
+    @pytest.mark.parametrize("bad", [
+        {"jobs": 0}, {"format": "xml"}, {"initial": "ket2"}, {"n_points": 11}, {"half_width": 0},
+        {"n_steps": 99}, {"chi_values": [float("nan")]}, {"sta": 1},
+    ])
+    def test_out_of_rule_config_refused_at_construction(self, bad):
+        # a config checks itself: replace() runs the rules, as resolve_config's build does
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            replace(cli.resolve_config("fig2-4"), **bad)
 
     def test_zero_steps_flag_rejected(self, capsys):
         assert cli.main(["validate", "fig2-4", "--steps", "0"]) == 2
@@ -315,19 +346,13 @@ class TestSimulate:
 class TestDeterminism:
     def test_outputs_identical_across_blas_threads_and_jobs(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
         def files(out):
             return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
 
         def outputs(name, args, **env):
             out = tmp_path / name
-            subprocess.run(
-                [sys.executable, "-m", "knosim.cli", *args, "--out", str(out)],
-                env={**os.environ, "PYTHONPATH": pythonpath, **env},
-                check=True, capture_output=True, timeout=300,
-            )
+            run_cli(*args, "--out", str(out), **env)
             return files(out)
 
         one = outputs("blas1", ["simulate", cfg_path], OPENBLAS_NUM_THREADS="1")
@@ -737,6 +762,22 @@ class TestValidate:
         assert report.out == ""
         assert report.err == (
             "error: coherent state |1.41421> leaks 1.365e-06 > 1.0e-08 at dim=12: raise dim\n")
+
+    def test_stabilizer_warning(self, tmp_path):
+        with pytest.warns(UserWarning, match="stabilizer ratio"):
+            cli.resolve_config(write_config(tmp_path, preset="fig1", omega0=2 * np.pi * 1000 / 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cli.resolve_config("fig1")  # stabilizer ratio 0.1, below STABILIZER_RATIO_WARN
+
+    def test_sweep_warns_once(self, tmp_path):
+        # once per resolved config: not again for each sweep point, nor in a worker
+        sweep = ["sweep", write_config(tmp_path, omega0=50.0, delta_z=50.0), "--chis=0.5,1.5,0.3"]
+        with pytest.warns(UserWarning, match="stabilizer ratio") as record:
+            assert cli.main([*sweep, "--out", str(tmp_path / "serial")]) == 0
+        assert len(record) == 1
+        two = run_cli(*sweep, "--jobs", "2", "--out", str(tmp_path / "two"))
+        assert two.stderr.count("stabilizer ratio") == 1
 
     def test_stabilizer_warning_names_the_resolver(self, tmp_path):
         with pytest.warns(UserWarning, match="stabilizer ratio") as record:

@@ -34,10 +34,6 @@ class TestParams:
     def test_stabilizer_ratio(self, params):
         assert abs(params.stabilizer_ratio - 0.1) < 1e-12
 
-    def test_stabilizer_warning(self):
-        with pytest.warns(UserWarning, match="stabilizer ratio"):
-            linear_response_params(omega0=2 * np.pi * 1000 / 3)
-
     def test_chi(self):
         assert abs(linear_response_params(chi=0.7).chi - 0.7) < 1e-12
 
