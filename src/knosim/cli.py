@@ -50,7 +50,10 @@ _PROTOCOLS = ("linear_response", "sta", "sweep", "wigner_movie")
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run's protocol, model and settings, defaults included; building one,
-    by dataclasses.replace too, raises ConfigError for a field out of rule."""
+    by dataclasses.replace too, raises ConfigError for a field out of rule or
+    a run that cannot be taken: a sweep without chi values, a readout its
+    ramp does not give (see topology.chern), or movie snapshots off its
+    sample grid."""
 
     protocol: str
     params: ModelParams
@@ -82,6 +85,18 @@ class ExperimentConfig:
         if self.n_points < wigner_mod.MIN_GRID_POINTS:
             raise ConfigError(f"n_points must be >= {wigner_mod.MIN_GRID_POINTS}, "
                               f"got {self.n_points}")
+        if self.protocol == "sweep" and not self.chi_values:
+            raise ConfigError(topology.EMPTY_SWEEP)
+        if self.protocol == "linear_response" and self.sta:
+            raise ConfigError("linear response needs the bare ramp: set sta off")
+        if self.protocol == "sta" and not self.sta:
+            raise ConfigError("the polar-angle readout needs the counterdiabatic ramp: set sta on")
+        if self.protocol != "wigner_movie":
+            topology.check_readout(self.params, self.sta, self.n_samples)
+        elif off_grid := [f for f in SNAPSHOT_FRACTIONS
+                          if not (f * (self.n_samples - 1)).is_integer()]:
+            raise ConfigError(f"snapshot time {off_grid[0] * self.params.tau} is not on the "
+                              f"sample grid k*tau/{self.n_samples - 1}")
 
 
 def _load_raw(spec: str) -> dict:
@@ -151,7 +166,7 @@ def resolve_config(spec: str, overrides: dict | None = None) -> ExperimentConfig
     if chi is not None and protocol == "sweep":
         raise ConfigError("--chi sets one run's chi: give a sweep its chi values with --chis")
     params = params if chi is None else topology.point_params(params, chi)
-    out = str(raw.get("out") or os.environ.get("KNOSIM_OUT", ExperimentConfig.out))
+    out = str(raw.get("out") or os.environ.get("KNOSIM_OUT") or ExperimentConfig.out)
     if Path(out).exists() and not Path(out).is_dir():
         raise ConfigError(f"out must name a directory, got the file {out!r}")
     chis = raw.get("chi_values", [])
@@ -256,38 +271,14 @@ def _grid_columns(grid: wigner_mod.WignerGrid) -> dict[str, np.ndarray]:
 
 
 def _movie_rows(cfg: ExperimentConfig) -> list[int]:
-    """The sample rows k = f * (n_samples - 1) of the Wigner movie's snapshots,
-    f in SNAPSHOT_FRACTIONS; none for another protocol. A snapshot off the
-    sample grid is a ConfigError."""
-    if cfg.protocol != "wigner_movie":
-        return []
-    rows = [f * (cfg.n_samples - 1) for f in SNAPSHOT_FRACTIONS]
-    for f, k in zip(SNAPSHOT_FRACTIONS, rows):
-        if not k.is_integer():
-            raise ConfigError(f"snapshot time {f * cfg.params.tau} is not on the sample grid "
-                              f"k*tau/{cfg.n_samples - 1}")
-    return [int(k) for k in rows]
-
-
-def _check_run(cfg: ExperimentConfig) -> None:
-    """Raise ConfigError when the configured run cannot be taken: a sweep
-    without chi values, a readout its ramp does not give (see
-    topology.chern), or movie snapshots off its sample grid (_movie_rows)."""
-    if cfg.protocol == "sweep" and not cfg.chi_values:
-        raise ConfigError("sweep requires a non-empty chi_values list")
-    if cfg.protocol == "linear_response" and cfg.sta:
-        raise ConfigError("linear response needs the bare ramp: set sta off")
-    if cfg.protocol == "sta" and not cfg.sta:
-        raise ConfigError("the polar-angle readout needs the counterdiabatic ramp: set sta on")
-    if cfg.protocol != "wigner_movie":
-        topology.check_readout(cfg.params, cfg.sta, cfg.n_samples)
-    _movie_rows(cfg)
+    """The sample rows k = f * (n_samples - 1) of the Wigner movie's
+    snapshots, f in SNAPSHOT_FRACTIONS."""
+    return [int(f * (cfg.n_samples - 1)) for f in SNAPSHOT_FRACTIONS]
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run the configured protocol; returns the manifest. File writes happen
     in one serial phase after all computation."""
-    _check_run(cfg)
     outdir = Path(cfg.out)
     tables = {}  # basename -> columns (see _table)
     records = {}  # basename -> a JSON object
@@ -372,7 +363,7 @@ def estimated_runtime_s(cfg: ExperimentConfig, worst: bool = False) -> float:
     (movie_seconds)."""
     n_runs = 1
     if cfg.protocol == "sweep":
-        points = max(1, len(cfg.chi_values))
+        points = len(cfg.chi_values)
         n_runs = -(-points // topology.sweep_workers(cfg.jobs, points))
     ladder = dynamics.passes(cfg.n_steps, cfg.n_samples)
     per_run = sum(ladder if worst else ladder[:2])
@@ -399,11 +390,6 @@ def validate_config(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
     if ratio > model.STABILIZER_RATIO_WARN:
         ok = False
         lines.append(f"FAIL stabilizer ratio exceeds {model.STABILIZER_RATIO_WARN}")
-    try:
-        _check_run(cfg)
-    except ConfigError as exc:
-        ok = False
-        lines.append(f"FAIL {exc}")
     runs = [(f"chi={chi:.6g}", chi) for chi in cfg.chi_values] if sweep else [("model", None)]
     probe = None  # the first run that builds, whose steps are timed, with its FAIL label
     for label, chi in runs:

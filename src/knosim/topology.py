@@ -31,6 +31,7 @@ MIN_CURVATURE_POINTS = 10
 MIN_BLOCH_LENGTH = 1e-6
 CLOSED_FORM_QUADRATURE_ATOL = 0.01
 METHOD = {True: "sta_polar", False: "linear_response"}  # a run's sta -> its readout
+EMPTY_SWEEP = "sweep requires a non-empty chi_values list"
 
 
 @dataclass(frozen=True)
@@ -169,12 +170,12 @@ def sweep_chi(
     truncation leak, ...) is recorded as a failed entry at its chi and the
     sweep continues. The points run on sweep_workers(jobs, points) workers,
     worker i taking every workers-th point from the i-th: worker 0 is this
-    process, and each other one forked child, so jobs = 2 forks one; jobs
-    below 1 is a ConfigError before any point runs.
+    process, and each other one forked child, so jobs = 2 forks one; no chi
+    values, or jobs below 1, is a ConfigError before any point runs.
     """
     tasks = [(params, float(chi), sta, initial, run_kwargs) for chi in chi_values]
     if not tasks:
-        raise ValueError("empty chi sweep")
+        raise ConfigError(EMPTY_SWEEP)
     workers = sweep_workers(jobs, len(tasks))
     if workers == 1:
         return _sweep_share(tasks)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError
 
 MIN_GRID_POINTS = 41
 
@@ -54,7 +54,7 @@ def wigner(states: np.ndarray | Sequence[np.ndarray], half_width: float = 4.5,
     length. The recurrence runs once for all of them, and each state's grid
     is bitwise the grid of a call on that state alone."""
     if n_points < MIN_GRID_POINTS:
-        raise ValueError(f"n_points must be >= {MIN_GRID_POINTS}, got {n_points}")
+        raise ConfigError(f"n_points must be >= {MIN_GRID_POINTS}, got {n_points}")
     shapes = {np.shape(s) for s in states}
     if len(shapes) != 1 or len(next(iter(shapes))) != 1:
         raise DimensionMismatchError(f"1-d states of one length needed, got shapes {sorted(shapes)}")

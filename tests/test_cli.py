@@ -29,6 +29,15 @@ def write_config(tmp_path, name="cfg.json", **extra):
     return str(path)
 
 
+def validate_refused(capsys, *argv) -> str:
+    """The stderr of validate on argv, which must exit 2 with one error line
+    and no report, as every command refuses a config that cannot be built."""
+    assert cli.main(["validate", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
 def run_cli(*args, **env) -> subprocess.CompletedProcess:
     """knosim's command line in a new process, on this source tree, with env
     over the environment."""
@@ -114,14 +123,32 @@ class TestResolveConfig:
         with pytest.raises(ConfigError):
             cli.resolve_config(write_config(tmp_path, **setting))
 
-    @pytest.mark.parametrize("bad", [
-        {"jobs": 0}, {"format": "xml"}, {"initial": "ket2"}, {"n_points": 11}, {"half_width": 0},
-        {"n_steps": 99}, {"chi_values": [float("nan")]}, {"sta": 1},
-    ])
-    def test_out_of_rule_config_refused_at_construction(self, bad):
+    OUT_OF_RULE = [  # (fields replaced, the ConfigError's message); phi is a ModelParams field
+        ({"jobs": 0}, "jobs"), ({"format": "xml"}, "format"), ({"initial": "ket2"}, "initial"),
+        ({"n_points": 11}, "n_points"), ({"half_width": 0}, "half_width"),
+        ({"n_steps": 99}, "n_steps"), ({"chi_values": [float("nan")]}, "chi_values"),
+        ({"sta": 1}, "sta"),
+        ({"protocol": "sweep"}, "^sweep requires a non-empty chi_values list$"),
+        ({"protocol": "linear_response"}, "^linear response needs the bare ramp: set sta off$"),
+        ({"sta": False},
+         "^the polar-angle readout needs the counterdiabatic ramp: set sta on$"),
+        ({"protocol": "linear_response", "sta": False, "phi": 0.3},
+         "^linear response assumes phi = 0, got 0.3$"),
+        ({"protocol": "linear_response", "sta": False, "n_samples": 5},
+         "^need >= 10 curvature samples, got 5$"),
+        ({"protocol": "wigner_movie", "n_samples": 43},
+         r"^snapshot time 0.375 is not on the sample grid k\*tau/42$"),
+    ]
+
+    @pytest.mark.parametrize("bad, message", OUT_OF_RULE,
+                             ids=[f"bad{i}" for i in range(len(OUT_OF_RULE))])
+    def test_out_of_rule_config_refused_at_construction(self, bad, message):
         # a config checks itself: replace() runs the rules, as resolve_config's build does
-        with pytest.raises(ConfigError, match=next(iter(bad))):
-            replace(cli.resolve_config("fig2-4"), **bad)
+        cfg = cli.resolve_config("fig2-4")
+        model = {k: v for k, v in bad.items() if k in cli._MODEL_KEYS}
+        run = {k: v for k, v in bad.items() if k not in model}
+        with pytest.raises(ConfigError, match=message):
+            replace(cfg, params=replace(cfg.params, **model), **run)
 
     def test_zero_steps_flag_rejected(self, capsys):
         assert cli.main(["validate", "fig2-4", "--steps", "0"]) == 2
@@ -170,13 +197,16 @@ class TestStaDefault:
         ("fig1", "wigner_movie", True), ("fig2-4", "sweep", True), ("fig1", "sweep", False),
     ])
     def test_file_protocol_sets_sta(self, tmp_path, preset, protocol, sta):
-        cfg = cli.resolve_config(write_config(tmp_path, preset=preset, protocol=protocol))
+        # chi_values: a sweep has a point
+        cfg = cli.resolve_config(write_config(tmp_path, preset=preset, protocol=protocol,
+                                              chi_values=[0.5]))
         assert (cfg.protocol, cfg.sta) == (protocol, sta)
 
     def test_sweep_file_without_preset_is_bare(self, tmp_path):
         path = tmp_path / "bare.json"
         path.write_text(json.dumps({k: v for k, v in cli.PRESETS["fig2-4"].items()
-                                    if k not in ("protocol", "sta")} | {"protocol": "sweep"}))
+                                    if k not in ("protocol", "sta")}
+                                | {"protocol": "sweep", "chi_values": [0.5]}))
         assert not cli.resolve_config(str(path)).sta
 
     @pytest.mark.parametrize("preset, protocol, method", [
@@ -270,6 +300,14 @@ class TestSimulate:
         assert rc == 0
         assert (tmp_path / "envout" / "chern.json").exists()
 
+    def test_empty_env_out_dir_is_unset(self, tmp_path, monkeypatch):
+        # an empty KNOSIM_OUT is no directory: the default out/, not the working directory
+        monkeypatch.setenv("KNOSIM_OUT", "")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["simulate", write_config(tmp_path)]) == 0
+        assert (tmp_path / "out" / "chern.json").exists()
+        assert not (tmp_path / "chern.json").exists()
+
     @pytest.mark.parametrize("setting", [{"sta": True}, {"phi": 0.3}])
     def test_linear_response_checked_before_running(self, tmp_path, monkeypatch, capsys, setting):
         def no_run(*args, **kwargs):
@@ -279,10 +317,10 @@ class TestSimulate:
         cfg_path = write_config(tmp_path, protocol="linear_response", **setting)
         out = tmp_path / "lr"
         assert cli.main(["simulate", cfg_path, "--out", str(out)]) == 2
-        assert "linear response" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: linear response")
         assert not out.exists()
-        assert cli.main(["validate", cfg_path]) == 1
-        assert "\nFAIL linear response" in capsys.readouterr().out
+        assert validate_refused(capsys, cfg_path) == err
 
     def test_polar_readout_needs_sta(self, tmp_path, monkeypatch, capsys):
         def no_run(*args, **kwargs):
@@ -294,8 +332,8 @@ class TestSimulate:
         assert cli.main(["simulate", cfg_path, "--out", str(out)]) == 2
         assert "polar-angle readout" in capsys.readouterr().err
         assert not out.exists()
-        assert cli.main(["validate", cfg_path]) == 1
-        assert "FAIL the polar-angle readout needs the counterdiabatic ramp" in capsys.readouterr().out
+        assert validate_refused(capsys, cfg_path) == (
+            "error: the polar-angle readout needs the counterdiabatic ramp: set sta on\n")
 
     def test_non_finite_run_fails(self, tmp_path, capsys, steps_computed):
         # chi = 1e308 overflows the drive: refused where the drive is built,
@@ -339,8 +377,7 @@ class TestSimulate:
             assert capsys.readouterr().err == f"error: {message}\n"
             assert not out.exists()
         assert steps_computed == []
-        assert cli.main(["validate", str(path)]) == 1
-        assert f"FAIL {message}" in capsys.readouterr().out.splitlines()
+        assert validate_refused(capsys, str(path)) == f"error: {message}\n"
 
 
 class TestDeterminism:
@@ -573,9 +610,9 @@ class TestSweep:
     def test_sweep_without_chis(self, tmp_path, capsys):
         assert cli.main(["sweep", write_config(tmp_path), "--out", str(tmp_path / "x")]) == 2
         assert "error: sweep requires a non-empty chi_values list" in capsys.readouterr().err
-        # validate names the same fault
-        assert cli.main(["validate", write_config(tmp_path, protocol="sweep")]) == 1
-        assert "FAIL sweep requires a non-empty chi_values list" in capsys.readouterr().out
+        # validate refuses the same fault
+        assert validate_refused(capsys, write_config(tmp_path, protocol="sweep")) == (
+            "error: sweep requires a non-empty chi_values list\n")
 
     @pytest.mark.parametrize("command, config", [
         ("sweep", {}),
@@ -718,10 +755,12 @@ class TestWigner:
         cfg_path = write_config(tmp_path, protocol="wigner_movie", n_samples=n_samples,
                                 half_width=3.0, n_points=41)
         on_grid = (n_samples - 1) % 4 == 0
-        assert cli.main(["validate", cfg_path]) == (0 if on_grid else 1)
-        grid = rf"is not on the sample grid k\*tau/{n_samples - 1}$"
-        fail = re.compile(rf"^FAIL snapshot time \S+ {grid}", re.M)
-        assert bool(fail.search(capsys.readouterr().out)) is not on_grid
+        grid = rf"^error: snapshot time \S+ is not on the sample grid k\*tau/{n_samples - 1}$"
+        if on_grid:
+            assert cli.main(["validate", cfg_path]) == 0
+            assert capsys.readouterr().err == ""
+        else:
+            assert re.fullmatch(grid + "\n", validate_refused(capsys, cfg_path))
         out = tmp_path / "movie"
         assert cli.main(["wigner", cfg_path, "--format", "json", "--out", str(out)]) == (
             0 if on_grid else 2)
@@ -819,6 +858,12 @@ class TestValidate:
         assert cli.main(["validate", "fig2-4", "--chis=0.5,nan"]) == 2
         assert capsys.readouterr().err == "error: chi_values must be finite, got [0.5, nan]\n"
 
+    def test_sweep_without_chi_values_has_no_run_to_time(self, tmp_path, capsys):
+        # refused before any point is built: one error line, no report, no runtime
+        err = validate_refused(capsys, write_config(tmp_path, protocol="sweep"))
+        assert err == "error: sweep requires a non-empty chi_values list\n"
+        assert "runtime_s" not in err
+
     def test_chis_build_every_point(self, capsys):
         # a point the sweep cannot build fails validation by its chi, as the sweep fails it
         assert cli.main(["validate", "fig2-4", "--chis=0.5,1e308"]) == 1
@@ -845,12 +890,6 @@ class TestValidate:
         # headed by the values its points run, not by the config's own delta_0 and chi
         assert "chi_values          [0.5, 1.5]" in report.splitlines()
         assert "1e+300" not in report and "delta_0" not in report
-
-    def test_sweep_without_chi_values_has_no_run_to_time(self, tmp_path, capsys):
-        assert cli.main(["validate", write_config(tmp_path, protocol="sweep")]) == 1
-        report = capsys.readouterr().out.splitlines()
-        assert "FAIL sweep requires a non-empty chi_values list" in report
-        assert not any("runtime_s" in line for line in report)
 
     def test_single_run_built_at_its_samples(self, capsys):
         # the counterdiabatic term is singular on the one run's ramp: labelled model
@@ -929,18 +968,18 @@ class TestValidate:
         assert slow - fast >= 0.9 * 20 * SLEEP
 
     def test_linear_response_with_sta_fails(self, tmp_path, capsys):
-        assert cli.main(["validate", "fig1", "--sta", "on"]) == 1
-        assert "FAIL linear response needs the bare ramp" in capsys.readouterr().out
+        assert validate_refused(capsys, "fig1", "--sta", "on") == (
+            "error: linear response needs the bare ramp: set sta off\n")
         out = tmp_path / "lr"
         assert cli.main(["simulate", "fig1", "--sta", "on", "--out", str(out)]) == 2
         assert "linear response needs the bare ramp" in capsys.readouterr().err
         assert not out.exists()
 
     def test_movie_snapshots_off_the_sample_grid_fail(self, tmp_path, capsys):
-        # 0.375 tau is not a multiple of tau / 42: validate fails it as simulate does
+        # 0.375 tau is not a multiple of tau / 42: validate refuses it as simulate does
         cfg_path = write_config(tmp_path, protocol="wigner_movie", n_samples=43, n_steps=420)
-        assert cli.main(["validate", cfg_path]) == 1
-        assert "FAIL snapshot time 0.375 is not on the sample grid" in capsys.readouterr().out
+        assert validate_refused(capsys, cfg_path) == (
+            "error: snapshot time 0.375 is not on the sample grid k*tau/42\n")
         assert cli.main(["simulate", cfg_path, "--out", str(tmp_path / "movie")]) == 2
         assert "sample grid" in capsys.readouterr().err
         assert not (tmp_path / "movie").exists()

@@ -242,7 +242,7 @@ class TestSweep:
         assert "delta_0" in failed.error
 
     def test_empty_sweep(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^sweep requires a non-empty chi_values list$"):
             topology.sweep_chi(sta_params(), [])
 
     def test_failures_in_either_share_fail_alone(self, monkeypatch):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import laguerre
 
 from knosim import cli, fock, wigner
-from knosim.errors import DimensionMismatchError
+from knosim.errors import ConfigError, DimensionMismatchError
 
 
 def reference_wigner(amplitudes, alphas):
@@ -131,7 +131,7 @@ class TestGridMechanics:
     def test_minimum_points(self):
         vac = np.zeros(5, dtype=complex)
         vac[0] = 1
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^n_points must be >= 41, got 11$"):
             wigner.wigner([vac], n_points=11)
 
     def test_values_layout(self, vacuum_grid):
