@@ -47,13 +47,17 @@ _ALL_KEYS = set(_MODEL_KEYS) | set(_RUN_KEYS) | {"protocol", "sta", "chi_values"
 _PROTOCOLS = ("linear_response", "sta", "sweep", "wigner_movie")
 
 
+def _check_protocol(protocol) -> None:
+    if protocol not in _PROTOCOLS:
+        raise ConfigError(f"protocol must be one of {_PROTOCOLS}, got {protocol!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run's protocol, model and settings, defaults included; building one,
     by dataclasses.replace too, raises ConfigError for a field out of rule or
-    a run that cannot be taken: a sweep without chi values, a readout its
-    ramp does not give (see topology.chern), or movie snapshots off its
-    sample grid."""
+    a run that cannot be taken. A rule the library owns is checked by the
+    owner's own call, so the config and the library refuse it in one text."""
 
     protocol: str
     params: ModelParams
@@ -69,24 +73,19 @@ class ExperimentConfig:
     n_points: int = 81
 
     def __post_init__(self):
+        _check_protocol(self.protocol)
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
-        if self.initial not in ("ket0", "ket1"):
-            raise ConfigError(f"initial must be ket0 or ket1, got {self.initial!r}")
+        dynamics.check_initial(self.initial)
         if not isinstance(self.sta, bool):
             raise ConfigError(f"sta must be true or false, got {self.sta!r}")
-        dynamics.passes(self.n_steps, self.n_samples)  # raises on a bad step or sample count
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        dynamics.passes(self.n_steps, self.n_samples)
+        topology.sweep_workers(self.jobs, len(self.chi_values) if self.protocol == "sweep" else 1)
         if not np.isfinite(self.chi_values).all():
             raise ConfigError(f"chi_values must be finite, got {self.chi_values}")
         if not (np.isfinite(self.half_width) and self.half_width > 0):
             raise ConfigError(f"half_width must be finite and > 0, got {self.half_width}")
-        if self.n_points < wigner_mod.MIN_GRID_POINTS:
-            raise ConfigError(f"n_points must be >= {wigner_mod.MIN_GRID_POINTS}, "
-                              f"got {self.n_points}")
-        if self.protocol == "sweep" and not self.chi_values:
-            raise ConfigError(topology.EMPTY_SWEEP)
+        wigner_mod.check_grid(self.n_points)
         if self.protocol == "linear_response" and self.sta:
             raise ConfigError("linear response needs the bare ramp: set sta off")
         if self.protocol == "sta" and not self.sta:
@@ -147,8 +146,7 @@ def resolve_config(spec: str, overrides: dict | None = None) -> ExperimentConfig
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     own = raw.get("protocol")
-    if own not in _PROTOCOLS:
-        raise ConfigError(f"protocol must be one of {_PROTOCOLS}, got {own!r}")
+    _check_protocol(own)  # the file's own, which a command's may override
     if own == "sweep":
         own = PRESETS.get(raw.get("preset"), {}).get("protocol")
     raw.update(overrides or {})
@@ -361,10 +359,8 @@ def estimated_runtime_s(cfg: ExperimentConfig, worst: bool = False) -> float:
     run, or a sweep's largest share, ceil(points / workers) runs for its
     topology.sweep_workers. A Wigner movie adds its grids and their tables
     (movie_seconds)."""
-    n_runs = 1
-    if cfg.protocol == "sweep":
-        points = len(cfg.chi_values)
-        n_runs = -(-points // topology.sweep_workers(cfg.jobs, points))
+    points = len(cfg.chi_values) if cfg.protocol == "sweep" else 1
+    n_runs = -(-points // topology.sweep_workers(cfg.jobs, points))
     ladder = dynamics.passes(cfg.n_steps, cfg.n_samples)
     per_run = sum(ladder if worst else ladder[:2])
     steps_s = n_runs * per_run * dynamics.step_seconds(cfg.params, cfg.sta)
@@ -374,42 +370,31 @@ def estimated_runtime_s(cfg: ExperimentConfig, worst: bool = False) -> float:
 
 
 def validate_config(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
-    """Checks without running; returns (ok, report lines). Each of the
-    config's runs, the one run or each sweep point, is built as it runs, with
-    its H(t) at the samples, and the first that builds is timed. A sweep's
-    header lists its chi values, not the config's own delta_0 and chi."""
+    """Checks without running; returns (ok, report lines). Each of the config's
+    runs, the one run or each sweep point, is built and stepped as it runs by
+    dynamics.step_seconds, and the first that steps gives the estimate. A
+    sweep's header lists its chi values, not the config's own delta_0 and chi."""
     p = cfg.params
     sweep = cfg.protocol == "sweep"
     lines = [f"protocol            {cfg.protocol}"]
-    ok = True
     lines += [f"{k:<19} {v}" for k, v in asdict(p).items() if not (sweep and k == "delta_0")]
     lines.append(f"alpha0              {p.alpha0:.6f}")
     lines.append(f"{'chi_values':<19} {cfg.chi_values}" if sweep else f"{'chi':<19} {p.chi:.6g}")
-    ratio = p.stabilizer_ratio
-    lines.append(f"stabilizer_ratio    {ratio:.6f}")
-    if ratio > model.STABILIZER_RATIO_WARN:
-        ok = False
+    lines.append(f"stabilizer_ratio    {p.stabilizer_ratio:.6f}")
+    if p.stabilizer_ratio > model.STABILIZER_RATIO_WARN:
         lines.append(f"FAIL stabilizer ratio exceeds {model.STABILIZER_RATIO_WARN}")
-    runs = [(f"chi={chi:.6g}", chi) for chi in cfg.chi_values] if sweep else [("model", None)]
-    probe = None  # the first run that builds, whose steps are timed, with its FAIL label
-    for label, chi in runs:
-        try:  # built as the run builds it, a sweep point from its chi
+    probe = None  # the first run that builds, whose step cost is the estimate's
+    for chi in cfg.chi_values if sweep else [None]:
+        try:  # built and stepped as the run steps, a sweep point from its chi
             run = cfg if chi is None else replace(cfg, params=topology.point_params(p, chi))
-            system = model.drive_set(run.params)
-            system.total_matrix(np.linspace(0, p.tau, cfg.n_samples), sta=cfg.sta)
+            dynamics.step_seconds(run.params, cfg.sta)
+            probe = probe or run
         except KnosimError as exc:
-            ok = False
-            lines.append(f"FAIL {label}: {exc}")
-            continue
-        probe = probe or (label, run)
+            lines.append(f"FAIL {'model' if chi is None else f'chi={chi:.6g}'}: {exc}")
     if probe:
-        label, run = probe
-        try:  # times steps of the run's model, so it must build
-            lines.append(f"estimated_runtime_s {estimated_runtime_s(run):.3g}")
-            lines.append(f"max_runtime_s       {estimated_runtime_s(run, worst=True):.3g}")
-        except KnosimError as exc:
-            ok = False
-            lines.append(f"FAIL {label}: {exc}")
+        lines.append(f"estimated_runtime_s {estimated_runtime_s(probe):.3g}")
+        lines.append(f"max_runtime_s       {estimated_runtime_s(probe, worst=True):.3g}")
+    ok = not any(line.startswith("FAIL ") for line in lines)
     lines.append("OK" if ok else "INVALID")
     return ok, lines
 

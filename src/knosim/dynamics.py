@@ -71,16 +71,27 @@ def passes(n_steps: int | None, n_samples: int) -> list[int]:
     return ladder
 
 
-@functools.cache
+def check_initial(initial) -> None:
+    """Raise ConfigError unless initial names the frame ket a run starts from."""
+    if not isinstance(initial, str) or initial not in ("ket0", "ket1"):
+        raise ConfigError(f"initial must be 'ket0' or 'ket1', got {initial!r}")
+
+
+_STEP_SECONDS = {}  # (basis_dim, sta) -> step_seconds: nothing else sets a step's work
+
+
 def step_seconds(params: ModelParams, sta: bool) -> float:
-    """Cost of one propagation step of model.drive_set(params), measured once
-    per process: the median of a few MIN_STEPS-step runs after a warm-up run,
-    per step. The median, not the fastest run, since a long run sees the
-    host's slow spells too."""
+    """Cost of one propagation step of model.drive_set(params): the median of a
+    few MIN_STEPS-step runs after a warm-up run (not the fastest: a long run
+    sees the host's slow spells too), measured once per process for each basis
+    size and sta. Every call steps its model: one that cannot step raises."""
     system = model.drive_set(params)
-    psi0 = system.frame.ket0
-    runs = timeit.repeat(lambda: _propagate(system, psi0, sta, MIN_STEPS, 2), number=1, repeat=6)
-    return float(np.median(runs[1:])) / MIN_STEPS
+    steps = functools.partial(_propagate, system, system.frame.ket0, sta, MIN_STEPS, 2)
+    steps()
+    key = (system.basis_dim, sta)
+    if key not in _STEP_SECONDS:
+        _STEP_SECONDS[key] = float(np.median(timeit.repeat(steps, number=1, repeat=5))) / MIN_STEPS
+    return _STEP_SECONDS[key]
 
 
 @dataclass
@@ -167,11 +178,10 @@ def evolve(
     its states at the n_samples sample times; observables are read off them.
 
     The run steps on the system's basis from initial, "ket0" or "ket1" of its
-    frame; any other initial, an array included, is a ConfigError before any
-    pass runs. final_state is the last sample lifted back through the basis
-    (DriveSet.lift) when read; a sample row k of states lifts the same way.
-    run passes model.drive_set(params), twolevel.reference_dynamics
-    twolevel.system(params).
+    frame, checked before any pass runs (check_initial). final_state is the
+    last sample lifted back through the basis (DriveSet.lift) when read; a
+    sample row k of states lifts the same way. run passes
+    model.drive_set(params), twolevel.reference_dynamics twolevel.system(params).
 
     The step count comes from the tolerance. The passes are
     passes(n_steps, n_samples): the coarse pass, then doublings within a
@@ -186,8 +196,7 @@ def evolve(
     finite (a drive that overflows) raises NonFiniteStateError at once.
     """
     ladder = passes(n_steps, n_samples)
-    if not isinstance(initial, str) or initial not in ("ket0", "ket1"):
-        raise ConfigError(f"initial must be 'ket0' or 'ket1', got {initial!r}")
+    check_initial(initial)
     psi0 = getattr(system.frame, initial)
 
     def trajectory(n: int) -> Trajectory:

@@ -31,7 +31,6 @@ MIN_CURVATURE_POINTS = 10
 MIN_BLOCH_LENGTH = 1e-6
 CLOSED_FORM_QUADRATURE_ATOL = 0.01
 METHOD = {True: "sta_polar", False: "linear_response"}  # a run's sta -> its readout
-EMPTY_SWEEP = "sweep requires a non-empty chi_values list"
 
 
 @dataclass(frozen=True)
@@ -130,11 +129,9 @@ def point_params(params: ModelParams, chi: float) -> ModelParams:
 
 def _sweep_point(args):
     params, chi, sta, initial, run_kwargs = args
-    try:
-        point = point_params(params, chi)
-        check_readout(point, sta, run_kwargs.get("n_samples", dynamics.DEFAULT_N_SAMPLES))
-        # labelled with chi as given: point.chi, (chi * delta_z) / delta_z, may not round-trip
-        return replace(chern(dynamics.run(point, initial=initial, sta=sta, **run_kwargs)), chi=chi)
+    try:  # labelled with chi as given: the point's (chi * delta_z) / delta_z may not round-trip
+        traj = dynamics.run(point_params(params, chi), initial=initial, sta=sta, **run_kwargs)
+        return replace(chern(traj), chi=chi)
     except KnosimError as exc:
         return ChernResult(c1=float("nan"), method=METHOD[sta], chi=chi, initial=initial,
                            converged=False, error=str(exc))
@@ -143,9 +140,11 @@ def _sweep_point(args):
 def sweep_workers(jobs: int, n_points: int) -> int:
     """How many processes a sweep of n_points runs on with jobs: at most one
     per usable core and one per point, the calling process included. jobs
-    below 1 is a ConfigError."""
+    below 1, or no points, is a ConfigError."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if n_points < 1:
+        raise ConfigError("sweep requires a non-empty chi_values list")
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(jobs, cores or 1, n_points)
 
@@ -163,20 +162,21 @@ def sweep_chi(
     **run_kwargs,
 ) -> list[ChernResult]:
     """Independent simulation per chi (delta_0 = chi * delta_z), in chi order,
-    each run with sta or without and read by chern.
-
-    Every entry carries its chi as given. A point that fails with a
-    KnosimError (a delta_0 out of range, a singular counterdiabatic term, a
-    truncation leak, ...) is recorded as a failed entry at its chi and the
-    sweep continues. The points run on sweep_workers(jobs, points) workers,
-    worker i taking every workers-th point from the i-th: worker 0 is this
-    process, and each other one forked child, so jobs = 2 forks one; no chi
-    values, or jobs below 1, is a ConfigError before any point runs.
+    each run with sta or without, read by chern and labelled with its chi as
+    given. A fault of the whole sweep (see sweep_workers, dynamics.passes,
+    dynamics.check_initial, check_readout) is a ConfigError before any point
+    runs; a point that fails with a KnosimError (a delta_0 out of range, a
+    singular counterdiabatic term, a truncation leak, ...) is a failed entry
+    and the sweep goes on. The points run on sweep_workers(jobs, points)
+    workers, worker i taking every workers-th point from the i-th: worker 0
+    is this process, each other one a forked child, so jobs = 2 forks one.
     """
     tasks = [(params, float(chi), sta, initial, run_kwargs) for chi in chi_values]
-    if not tasks:
-        raise ConfigError(EMPTY_SWEEP)
     workers = sweep_workers(jobs, len(tasks))
+    n_samples = run_kwargs.get("n_samples", dynamics.DEFAULT_N_SAMPLES)
+    dynamics.passes(run_kwargs.get("n_steps"), n_samples)
+    dynamics.check_initial(initial)
+    check_readout(params, sta, n_samples)
     if workers == 1:
         return _sweep_share(tasks)
     results = [None] * len(tasks)

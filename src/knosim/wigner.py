@@ -47,14 +47,19 @@ class WignerGrid:
         return float(self.values[i, i])
 
 
+def check_grid(n_points: int) -> None:
+    """Raise ConfigError for a grid of fewer than MIN_GRID_POINTS points a side."""
+    if n_points < MIN_GRID_POINTS:
+        raise ConfigError(f"n_points must be >= {MIN_GRID_POINTS}, got {n_points}")
+
+
 def wigner(states: np.ndarray | Sequence[np.ndarray], half_width: float = 4.5,
            n_points: int = 81) -> list[WignerGrid]:
     """Evaluate W on the square grid |Re a|, |Im a| <= half_width, one grid for
     each state: the rows of a (k, dim) array, or 1-d amplitude arrays of one
     length. The recurrence runs once for all of them, and each state's grid
     is bitwise the grid of a call on that state alone."""
-    if n_points < MIN_GRID_POINTS:
-        raise ConfigError(f"n_points must be >= {MIN_GRID_POINTS}, got {n_points}")
+    check_grid(n_points)
     shapes = {np.shape(s) for s in states}
     if len(shapes) != 1 or len(next(iter(shapes))) != 1:
         raise DimensionMismatchError(f"1-d states of one length needed, got shapes {sorted(shapes)}")

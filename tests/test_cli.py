@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knosim
-from knosim import cli, dynamics, wigner
+from knosim import cli, dynamics, model, topology, wigner
 from knosim.errors import ConfigError, SingularDriveError
 
 FAST_OVERRIDES = {"n_steps": 400, "n_samples": 41}
@@ -138,6 +138,7 @@ class TestResolveConfig:
          "^need >= 10 curvature samples, got 5$"),
         ({"protocol": "wigner_movie", "n_samples": 43},
          r"^snapshot time 0.375 is not on the sample grid k\*tau/42$"),
+        ({"protocol": "bogus"}, "^protocol must be one of .*, got 'bogus'$"),
     ]
 
     @pytest.mark.parametrize("bad, message", OUT_OF_RULE,
@@ -150,6 +151,29 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match=message):
             replace(cfg, params=replace(cfg.params, **model), **run)
 
+    @pytest.mark.parametrize("build, call", [
+        (lambda c: replace(c, jobs=0), lambda p: topology.sweep_workers(0, 1)),
+        (lambda c: replace(c, initial="ket2"),
+         lambda p: dynamics.evolve(model.drive_set(p), initial="ket2")),
+        (lambda c: replace(c, n_points=11), lambda p: wigner.wigner(np.eye(2), n_points=11)),
+        (lambda c: replace(c, protocol="sweep"), lambda p: topology.sweep_chi(p, [])),
+        (lambda c: replace(c, n_steps=50), lambda p: dynamics.passes(50, 401)),
+        (lambda c: replace(c, protocol="linear_response", sta=False, n_samples=5),
+         lambda p: topology.check_readout(p, False, 5)),
+        (lambda c: replace(c, protocol="linear_response", sta=False,
+                           params=replace(c.params, phi=0.3)),
+         lambda p: topology.check_readout(replace(p, phi=0.3), False, 401)),
+    ], ids=["jobs", "initial", "n_points", "empty-sweep", "n_steps", "readout-samples",
+            "readout-phi"])
+    def test_one_message_per_rule(self, build, call):
+        # the config raises the library's own check, so a rule reads the same from either
+        cfg = cli.resolve_config("fig2-4")
+        with pytest.raises(ConfigError) as built:
+            build(cfg)
+        with pytest.raises(ConfigError) as called:
+            call(cfg.params)
+        assert str(built.value) == str(called.value)
+
     def test_zero_steps_flag_rejected(self, capsys):
         assert cli.main(["validate", "fig2-4", "--steps", "0"]) == 2
         assert "n_steps" in capsys.readouterr().err
@@ -160,8 +184,13 @@ class TestResolveConfig:
         assert cli.resolve_config(str(path)).n_steps is None
 
     def test_bad_protocol(self, tmp_path):
-        with pytest.raises(ConfigError, match="protocol"):
+        message = "^protocol must be one of .*, got 'adiabatic'$"
+        with pytest.raises(ConfigError, match=message):
             cli.resolve_config(write_config(tmp_path, protocol="adiabatic"))
+        # a file's own protocol is refused even where a command overrides it
+        with pytest.raises(ConfigError, match=message):
+            cli.resolve_config(write_config(tmp_path, protocol="adiabatic"),
+                               {"protocol": "sweep", "chi_values": [0.5]})
 
 
 class TestStaDefault:
@@ -878,6 +907,15 @@ class TestValidate:
             capsys.readouterr().out)
         assert cli.main(["validate", "fig2-4", "--chis=-1.5,0.5,1.5"]) == 0
         assert capsys.readouterr().out.strip().endswith("OK")
+
+    def test_each_point_stepped_and_a_step_timed_once(self, monkeypatch, capsys, steps_computed):
+        # each point takes one warm-up run, as its run would step; the step's cost,
+        # set by the basis size (8 at every point) and sta alone, is timed once, in
+        # five runs; the two estimates step the first point again
+        monkeypatch.setattr(dynamics, "_STEP_SECONDS", {})
+        assert cli.main(["validate", "fig2-4", "--chis=-1.5,0.5,1.5"]) == 0
+        assert capsys.readouterr().out.strip().endswith("OK")
+        assert steps_computed == [dynamics.MIN_STEPS] * (3 + 5 + 2)
 
     def test_sweep_timed_on_its_own_points(self, tmp_path, capsys):
         # the config's own delta_0 overflows the drive, but no sweep point

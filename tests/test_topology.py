@@ -220,16 +220,20 @@ class TestSweep:
             assert failed.n_steps_used == 0 and failed.refine_history == ()
         assert "leaks" in results[2].error
 
-    def test_linear_response_sweep_with_phase_records_failed_points(self, steps_computed):
-        # each point's readout is refused before it propagates: recorded, not raised
-        results = topology.sweep_chi(
-            linear_response_params(phi=0.3), [0.5, 1.5], sta=False,
-            n_steps=400, n_samples=41,
-        )
-        assert [r.chi for r in results] == pytest.approx([0.5, 1.5])
-        for r in results:
-            assert "phi" in r.error
-            assert np.isnan(r.c1) and not r.converged
+    @pytest.mark.parametrize("params, kwargs, message", [
+        (sta_params(), {"initial": "ket2"}, r"^initial must be 'ket0' or 'ket1', got 'ket2'$"),
+        (sta_params(), {"n_steps": 50}, "^n_steps must be >= 100, got 50$"),
+        (sta_params(), {"n_samples": 1}, "^need 2 <= n_samples <= n_steps"),
+        (linear_response_params(phi=0.3), {"sta": False},
+         "^linear response assumes phi = 0, got 0.3$"),
+        (linear_response_params(), {"sta": False, "n_samples": 5},
+         "^need >= 10 curvature samples, got 5$"),
+    ], ids=["initial", "n_steps", "n_samples", "bare-phi", "bare-samples"])
+    def test_whole_sweep_fault_refused_before_any_point(self, steps_computed, params, kwargs,
+                                                        message):
+        # no point's chi causes it, so the sweep raises it once, not as a row per point
+        with pytest.raises(ConfigError, match=message):
+            topology.sweep_chi(params, [0.5, 1.5], **{"n_steps": 400, "n_samples": 41, **kwargs})
         assert steps_computed == []
 
     def test_out_of_range_point_fails_alone(self):
