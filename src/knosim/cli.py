@@ -86,8 +86,8 @@ class ExperimentConfig:
         if not (np.isfinite(self.half_width) and self.half_width > 0):
             raise ConfigError(f"half_width must be finite and > 0, got {self.half_width}")
         wigner_mod.check_grid(self.n_points)
-        if self.protocol == "linear_response" and self.sta:
-            raise ConfigError("linear response needs the bare ramp: set sta off")
+        if self.protocol == "linear_response":
+            topology.check_bare_ramp(self.sta)
         if self.protocol == "sta" and not self.sta:
             raise ConfigError("the polar-angle readout needs the counterdiabatic ramp: set sta on")
         if self.protocol != "wigner_movie":

@@ -17,7 +17,7 @@ Two routes to the same invariant, and chern picks one from the run's sta:
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -67,12 +67,18 @@ def check_readout(params: ModelParams, sta: bool, n_samples: int) -> None:
         raise ConfigError(f"need >= {MIN_CURVATURE_POINTS} curvature samples, got {n_samples}")
 
 
+def check_bare_ramp(sta: bool) -> None:
+    """Raise ConfigError when the linear-response readout is asked of a
+    counterdiabatic (sta) run."""
+    if sta:
+        raise ConfigError("linear response needs the bare ramp: set sta off")
+
+
 def berry_curvature(traj: Trajectory) -> np.ndarray:
     """(theta, B_theta) pairs from a bare (non-STA, phi = 0) trajectory; 0
     where the ramp stands still (the cosine ramp's t = 0)."""
     p = traj.params
-    if traj.sta:
-        raise ConfigError("linear response needs the bare ramp: run with sta=False")
+    check_bare_ramp(traj.sta)
     check_readout(p, False, traj.t.size)
     v_theta = p.theta_dot(traj.t)
     b = np.divide(-p.omega0 * np.sin(traj.theta) * traj.sy, 2 * v_theta,
@@ -139,18 +145,36 @@ def _sweep_point(args):
 
 def sweep_workers(jobs: int, n_points: int) -> int:
     """How many processes a sweep of n_points runs on with jobs: at most one
-    per usable core and one per point, the calling process included. jobs
-    below 1, or no points, is a ConfigError."""
+    per usable core and one per point, the calling process included, and
+    only that one where the platform has no os.fork. jobs below 1, or no
+    points, is a ConfigError."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if n_points < 1:
         raise ConfigError("sweep requires a non-empty chi_values list")
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(jobs, cores or 1, n_points)
+    return min(jobs, cores or 1, n_points) if hasattr(os, "fork") else 1
 
 
 def _sweep_share(tasks) -> list[ChernResult]:
     return [_sweep_point(t) for t in tasks]
+
+
+def _send_share(pipe, reads, tasks):
+    """A forked worker's life: close the pipes' read ends, write the pickle
+    of _sweep_share(tasks), or of what it raised, to pipe, and leave through
+    os._exit, running none of the parent's exit handlers."""
+    try:
+        for fd in reads:
+            os.close(fd)
+        try:
+            share = _sweep_share(tasks)
+        except BaseException as exc:  # the parent raises it
+            share = exc
+        pipe.write(pickle.dumps(share))
+        pipe.flush()
+    finally:
+        os._exit(0)
 
 
 def sweep_chi(
@@ -169,7 +193,10 @@ def sweep_chi(
     singular counterdiabatic term, a truncation leak, ...) is a failed entry
     and the sweep goes on. The points run on sweep_workers(jobs, points)
     workers, worker i taking every workers-th point from the i-th: worker 0
-    is this process, each other one a forked child, so jobs = 2 forks one.
+    is this process, each other one an os.fork child that sends its points
+    back through a pipe, so jobs = 2 forks one. Another exception in any
+    share is raised here, and a child that exits without sending its points
+    is a RuntimeError; either way every child is waited for first.
     """
     tasks = [(params, float(chi), sta, initial, run_kwargs) for chi in chi_values]
     workers = sweep_workers(jobs, len(tasks))
@@ -177,12 +204,29 @@ def sweep_chi(
     dynamics.passes(run_kwargs.get("n_steps"), n_samples)
     dynamics.check_initial(initial)
     check_readout(params, sta, n_samples)
-    if workers == 1:
-        return _sweep_share(tasks)
     results = [None] * len(tasks)
-    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-        children = [pool.submit(_sweep_share, tasks[i::workers]) for i in range(1, workers)]
+    pids, reads = [], []  # workers 1, 2, ...: forked children, and their pipes' read ends
+    try:
+        for i in range(1, workers):
+            read, write = os.pipe()
+            reads.append(read)
+            with open(write, "wb") as pipe:  # the parent's write end closes once forked
+                pids.append(os.fork())
+                if pids[-1] == 0:
+                    _send_share(pipe, reads, tasks[i::workers])
         results[::workers] = _sweep_share(tasks[::workers])
-        for i, child in enumerate(children, start=1):
-            results[i::workers] = child.result()
+        for i, read in enumerate(reads, start=1):
+            with open(read, "rb", closefd=False) as pipe:
+                sent = pipe.read()
+            if not sent:
+                raise RuntimeError(f"sweep worker {i} exited without sending its points")
+            share = pickle.loads(sent)
+            if isinstance(share, BaseException):
+                raise share
+            results[i::workers] = share
+    finally:  # read ends first: a child blocked on a full pipe then fails and exits
+        for read in reads:
+            os.close(read)
+        for pid in pids:
+            os.waitpid(pid, 0)
     return results

@@ -163,8 +163,10 @@ class TestResolveConfig:
         (lambda c: replace(c, protocol="linear_response", sta=False,
                            params=replace(c.params, phi=0.3)),
          lambda p: topology.check_readout(replace(p, phi=0.3), False, 401)),
+        (lambda c: replace(c, protocol="linear_response"),
+         lambda p: topology.berry_curvature(dynamics.run(p, sta=True, n_steps=400, n_samples=41))),
     ], ids=["jobs", "initial", "n_points", "empty-sweep", "n_steps", "readout-samples",
-            "readout-phi"])
+            "readout-phi", "bare-ramp"])
     def test_one_message_per_rule(self, build, call):
         # the config raises the library's own check, so a rule reads the same from either
         cfg = cli.resolve_config("fig2-4")

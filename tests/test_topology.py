@@ -1,5 +1,8 @@
 import os
-from concurrent.futures import Future
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,20 @@ def make_traj(theta, sx, sy, sz, params, sta=False, initial="ket0", **kw):
         system, t, theta, states, n_steps=theta.size - 1, sta=sta, initial=initial,
         **{"converged": True, **kw},
     )
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test whose sweep has not returned, its children waited for,
+    within 60 s, instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("the sweep did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def rotation_traj(params, initial="ket0", sta=True):
@@ -263,60 +280,113 @@ class TestSweep:
         for r in results[1:3]:
             assert r.error is None and r.converged and abs(r.c1 - 1) < 1e-3
 
+    @pytest.mark.usefixtures("deadline")
     def test_two_workers_fork_one_child(self, monkeypatch, tmp_path):
-        # each run leaves a file named for the process that ran it
+        # each run leaves a file named for the process that ran it; jobs = 3
+        # forks two children on three usable cores
         def run(params, initial, sta, **kw):
-            (tmp_path / str(os.getpid())).touch()
+            (tmp_path / str(jobs) / str(os.getpid())).touch()
             return rotation_traj(params, initial, sta)
 
-        monkeypatch.setattr(topology.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(topology.dynamics, "run", run)
-        results = topology.sweep_chi(sta_params(), [0.1, 0.2, 0.3, 0.4], jobs=2)
-        assert [r.chi for r in results] == [0.1, 0.2, 0.3, 0.4]
-        pids = {int(f.name) for f in tmp_path.iterdir()}
-        assert os.getpid() in pids and len(pids) == 2
+        for jobs in (2, 3):
+            monkeypatch.setattr(topology.os, "sched_getaffinity", lambda pid: set(range(jobs)),
+                                raising=False)
+            (tmp_path / str(jobs)).mkdir()
+            results = topology.sweep_chi(sta_params(), [0.1, 0.2, 0.3, 0.4], jobs=jobs)
+            assert [r.chi for r in results] == [0.1, 0.2, 0.3, 0.4]
+            pids = {int(f.name) for f in (tmp_path / str(jobs)).iterdir()}
+            assert os.getpid() in pids and len(pids) == jobs
+            self.assert_no_child_left()
 
     @staticmethod
-    def started_pools(monkeypatch, cores, usable, jobs, n_chis):
-        """The max_workers of each pool a sweep of n_chis points starts with
-        jobs, on cores cores of which the process may use usable."""
-        started = []
+    def fork_two_workers(monkeypatch, run):
+        """A 4-point sweep on two workers with dynamics.run replaced by run:
+        this process runs chi 0.1 and 0.3, its child 0.2 and 0.4."""
+        monkeypatch.setattr(topology.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(topology.dynamics, "run", run)
+        return topology.sweep_chi(sta_params(), [0.1, 0.2, 0.3, 0.4], jobs=2)
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
-            def __enter__(self):
-                return self
+    @pytest.mark.usefixtures("deadline")
+    @pytest.mark.parametrize("bad_chi", [0.2, 0.3], ids=["child", "parent"])
+    def test_other_exception_in_either_share_is_raised_after_every_child_exits(
+            self, monkeypatch, bad_chi):
+        # not a KnosimError, so not a failed point: the sweep raises it, with
+        # its type and message, once every child has been waited for
+        def run(params, initial, sta, **kw):
+            if abs(params.chi - bad_chi) < 1e-9:
+                raise ValueError(f"no point at {bad_chi}")
+            return rotation_traj(params, initial, sta)
 
-            def __exit__(self, *exc):
-                return False
+        with pytest.raises(ValueError, match=rf"^no point at {bad_chi}$"):
+            self.fork_two_workers(monkeypatch, run)
+        self.assert_no_child_left()
 
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
+    @pytest.mark.usefixtures("deadline")
+    def test_child_that_exits_without_its_points_is_named(self, monkeypatch):
+        parent = os.getpid()
 
-        monkeypatch.setattr(topology, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(topology.os, "cpu_count", lambda: cores)
-        monkeypatch.setattr(topology.os, "sched_getaffinity", lambda pid: set(range(usable)),
-                            raising=False)
-        monkeypatch.setattr(topology.dynamics, "run", rotation_traj)
-        results = topology.sweep_chi(sta_params(), [0.1 * i for i in range(n_chis)], jobs=jobs)
-        assert len(results) == n_chis
-        return started
+        def run(params, initial, sta, **kw):
+            if os.getpid() != parent:
+                os._exit(3)
+            return rotation_traj(params, initial, sta)
+
+        with pytest.raises(RuntimeError, match="^sweep worker 1 exited without sending its points$"):
+            self.fork_two_workers(monkeypatch, run)
+        self.assert_no_child_left()
+
+    @pytest.mark.usefixtures("deadline")
+    def test_child_blocked_on_a_full_pipe_exits_when_the_parent_fails(self, monkeypatch):
+        # the child's share pickles to more than a pipe holds, and the parent
+        # fails before reading it: closing the read end frees the child
+        parent = os.getpid()
+
+        def run(params, initial, sta, **kw):
+            if os.getpid() == parent and params.chi > 0.25:
+                raise ValueError("parent fails")
+            return make_traj(np.linspace(0, np.pi, 40001), 0.0, 0.0, 1.0, params, sta=sta)
+
+        with pytest.raises(ValueError, match="^parent fails$"):
+            self.fork_two_workers(monkeypatch, run)
+        self.assert_no_child_left()
 
     @pytest.mark.parametrize(
         "jobs, n_chis, workers", [(64, 3, 3), (64, 8, 4), (2, 8, 2), (1, 8, None), (8, 1, None)]
     )
     def test_pool_capped_at_cores_and_points(self, monkeypatch, jobs, n_chis, workers):
-        # this process is one of the workers: the pool forks the others
-        started = self.started_pools(monkeypatch, 4, 4, jobs, n_chis)
-        assert started == ([workers - 1] if workers else [])
+        # this process is one of the workers, so workers None forks nothing
+        monkeypatch.setattr(topology.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(topology.os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
+        assert topology.sweep_workers(jobs, n_chis) == (workers or 1)
 
     def test_pool_capped_at_usable_cores(self, monkeypatch):
-        # 4 cores, of which the process's affinity allows 1: no pool starts
-        assert self.started_pools(monkeypatch, 4, 1, 2, 8) == []
+        # 4 cores, of which the process's affinity allows 1: one worker, forking nothing
+        monkeypatch.setattr(topology.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(topology.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert topology.sweep_workers(2, 8) == 1
+
+    def test_one_worker_without_fork(self, monkeypatch):
+        monkeypatch.delattr(topology.os, "fork")
+        assert topology.sweep_workers(8, 8) == 1
+        monkeypatch.setattr(topology.dynamics, "run", rotation_traj)
+        assert len(topology.sweep_chi(sta_params(), [0.1, 0.2], jobs=2)) == 2
+
+    def test_cli_import_loads_no_process_pool(self):
+        # the sweep forks with os.fork: multiprocessing's import is no part of start-up
+        import knosim
+        code = ("import knosim.cli, sys; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' "
+                "or m.startswith('concurrent.futures')))")
+        env = {**os.environ, "PYTHONPATH": str(Path(knosim.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout == "[]\n"
 
 
 class TestTruncationRule:
