@@ -13,14 +13,13 @@ also be set through the KNOSIM_OUT environment variable.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import re
 import sys
-import timeit
+import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -209,13 +208,15 @@ def _write_json(path: Path, obj) -> None:
 
 def _table(path_base: Path, fmt: str, columns: dict[str, np.ndarray]) -> None:
     """Write columns, name -> 1-D array in column order, as a CSV table or
-    as a JSON object of lists."""
+    as a JSON object of lists, where a non-finite float is null."""
     if fmt == "csv":
         cells = zip(*(_column_text(col) for col in columns.values()))
         lines = [",".join(columns), *map(",".join, cells)]
         path_base.with_suffix(".csv").write_text("\n".join(lines) + "\n")
-    else:
-        _write_json(path_base.with_suffix(".json"), {h: col.tolist() for h, col in columns.items()})
+    else:  # JSON has no NaN or Infinity
+        _write_json(path_base.with_suffix(".json"), {
+            h: (np.where(np.isfinite(col), col, None) if col.dtype.kind == "f" else col).tolist()
+            for h, col in columns.items()})
 
 
 def _manifest(cfg: ExperimentConfig, extra: dict) -> dict:
@@ -335,45 +336,43 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     return manifest
 
 
-@functools.cache
 def movie_seconds(dim: int, n_points: int, half_width: float) -> float:
-    """Cost of a Wigner movie's grids past its run: the stacked wigner call on
-    its snapshots of dim levels over its own grid (whose count of distinct
-    radii sets the recurrence's cost), and the CSV text of each grid's
-    columns. Measured once per process as dynamics.step_seconds measures a
-    step: the median of a few calls after a warm-up call."""
+    """Cost of a Wigner movie's grids past its run, timed once: the stacked
+    wigner call on its snapshots of dim levels over its own grid (whose count
+    of distinct radii sets the recurrence's cost), and the CSV text of each
+    grid's columns."""
     states = np.full((len(SNAPSHOT_FRACTIONS), dim), dim**-0.5, dtype=complex)
-
-    def movie():
-        for grid in wigner_mod.wigner(states, half_width, n_points):
-            for col in _grid_columns(grid).values():
-                _column_text(col)
-
-    return float(np.median(timeit.repeat(movie, number=1, repeat=4)[1:]))
+    start = time.perf_counter()
+    for grid in wigner_mod.wigner(states, half_width, n_points):
+        for col in _grid_columns(grid).values():
+            _column_text(col)
+    return time.perf_counter() - start
 
 
-def estimated_runtime_s(cfg: ExperimentConfig, worst: bool = False) -> float:
-    """Steps (matrices diagonalized) of the runs one process does, times the
-    step cost: as if each run converges at its first doubling, or with worst,
-    as if each runs every pass of its ladder (dynamics.passes). That is one
-    run, or a sweep's largest share, ceil(points / workers) runs for its
+def estimated_runtime_s(cfg: ExperimentConfig, step_s: float, start_s: float) -> tuple[float, float]:
+    """The config's runtime in seconds, as (estimate, most): the command's
+    start-up start_s, plus the steps (matrices diagonalized) of the runs one
+    process does times step_s, the measured cost of one. The estimate has
+    each run converge at its first doubling, the most has each run every
+    pass of its ladder (dynamics.passes). That is one run, or a sweep's
+    largest share, ceil(points / workers) runs for its
     topology.sweep_workers. A Wigner movie adds its grids and their tables
-    (movie_seconds)."""
+    (movie_seconds). Nothing is stepped."""
     points = len(cfg.chi_values) if cfg.protocol == "sweep" else 1
     n_runs = -(-points // topology.sweep_workers(cfg.jobs, points))
     ladder = dynamics.passes(cfg.n_steps, cfg.n_samples)
-    per_run = sum(ladder if worst else ladder[:2])
-    steps_s = n_runs * per_run * dynamics.step_seconds(cfg.params, cfg.sta)
-    if cfg.protocol != "wigner_movie":
-        return steps_s
-    return steps_s + movie_seconds(cfg.params.dim, cfg.n_points, cfg.half_width)
+    if cfg.protocol == "wigner_movie":
+        start_s += movie_seconds(cfg.params.dim, cfg.n_points, cfg.half_width)
+    return start_s + n_runs * sum(ladder[:2]) * step_s, start_s + n_runs * sum(ladder) * step_s
 
 
-def validate_config(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
+def validate_config(cfg: ExperimentConfig, start_s: float) -> tuple[bool, list[str]]:
     """Checks without running; returns (ok, report lines). Each of the config's
     runs, the one run or each sweep point, is built and stepped as it runs by
-    dynamics.step_seconds, and the first that steps gives the estimate. A
-    sweep's header lists its chi values, not the config's own delta_0 and chi."""
+    dynamics.step_seconds, and the mean of their step costs, with start_s,
+    the seconds the command took to start, gives the runtimes
+    (estimated_runtime_s). A sweep's header lists its chi values, not the
+    config's own delta_0 and chi."""
     p = cfg.params
     sweep = cfg.protocol == "sweep"
     lines = [f"protocol            {cfg.protocol}"]
@@ -383,17 +382,17 @@ def validate_config(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
     lines.append(f"stabilizer_ratio    {p.stabilizer_ratio:.6f}")
     if p.stabilizer_ratio > model.STABILIZER_RATIO_WARN:
         lines.append(f"FAIL stabilizer ratio exceeds {model.STABILIZER_RATIO_WARN}")
-    probe = None  # the first run that builds, whose step cost is the estimate's
+    step_costs = []  # seconds per step of each run that steps
     for chi in cfg.chi_values if sweep else [None]:
         try:  # built and stepped as the run steps, a sweep point from its chi
-            run = cfg if chi is None else replace(cfg, params=topology.point_params(p, chi))
-            dynamics.step_seconds(run.params, cfg.sta)
-            probe = probe or run
+            step_costs.append(dynamics.step_seconds(
+                p if chi is None else topology.point_params(p, chi), cfg.sta))
         except KnosimError as exc:
             lines.append(f"FAIL {'model' if chi is None else f'chi={chi:.6g}'}: {exc}")
-    if probe:
-        lines.append(f"estimated_runtime_s {estimated_runtime_s(probe):.3g}")
-        lines.append(f"max_runtime_s       {estimated_runtime_s(probe, worst=True):.3g}")
+    if step_costs:
+        estimate, most = estimated_runtime_s(cfg, sum(step_costs) / len(step_costs), start_s)
+        lines.append(f"estimated_runtime_s {estimate:.3g}")
+        lines.append(f"max_runtime_s       {most:.3g}")
     ok = not any(line.startswith("FAIL ") for line in lines)
     lines.append("OK" if ok else "INVALID")
     return ok, lines
@@ -448,11 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    start_s = time.process_time()  # the process's start-up: its interpreter and imports
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args.config, _overrides(args))
         if args.command == "validate":
-            ok, lines = validate_config(cfg)
+            ok, lines = validate_config(cfg, start_s)
             print("\n".join(lines))
             return 0 if ok else 1
 

@@ -14,8 +14,7 @@ the pass before settle.
 
 from __future__ import annotations
 
-import functools
-import timeit
+import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -77,21 +76,14 @@ def check_initial(initial) -> None:
         raise ConfigError(f"initial must be 'ket0' or 'ket1', got {initial!r}")
 
 
-_STEP_SECONDS = {}  # (basis_dim, sta) -> step_seconds: nothing else sets a step's work
-
-
 def step_seconds(params: ModelParams, sta: bool) -> float:
-    """Cost of one propagation step of model.drive_set(params): the median of a
-    few MIN_STEPS-step runs after a warm-up run (not the fastest: a long run
-    sees the host's slow spells too), measured once per process for each basis
-    size and sta. Every call steps its model: one that cannot step raises."""
+    """Cost of one propagation step of model.drive_set(params), from one
+    MIN_STEPS-step run timed once. It builds and steps the model as a run of
+    params does, so a model that cannot step raises."""
     system = model.drive_set(params)
-    steps = functools.partial(_propagate, system, system.frame.ket0, sta, MIN_STEPS, 2)
-    steps()
-    key = (system.basis_dim, sta)
-    if key not in _STEP_SECONDS:
-        _STEP_SECONDS[key] = float(np.median(timeit.repeat(steps, number=1, repeat=5))) / MIN_STEPS
-    return _STEP_SECONDS[key]
+    start = time.perf_counter()
+    _propagate(system, system.frame.ket0, sta, MIN_STEPS, 2)
+    return (time.perf_counter() - start) / MIN_STEPS
 
 
 @dataclass

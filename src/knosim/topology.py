@@ -133,8 +133,8 @@ def point_params(params: ModelParams, chi: float) -> ModelParams:
     return replace(params, delta_0=chi * params.delta_z)
 
 
-def _sweep_point(args):
-    params, chi, sta, initial, run_kwargs = args
+def _sweep_point(params: ModelParams, chi: float, sta: bool, initial: str,
+                 run_kwargs: dict) -> ChernResult:
     try:  # labelled with chi as given: the point's (chi * delta_z) / delta_z may not round-trip
         traj = dynamics.run(point_params(params, chi), initial=initial, sta=sta, **run_kwargs)
         return replace(chern(traj), chi=chi)
@@ -156,22 +156,18 @@ def sweep_workers(jobs: int, n_points: int) -> int:
     return min(jobs, cores or 1, n_points) if hasattr(os, "fork") else 1
 
 
-def _sweep_share(tasks) -> list[ChernResult]:
-    return [_sweep_point(t) for t in tasks]
-
-
-def _send_share(pipe, reads, tasks):
+def _send_share(pipe, reads, share, i):
     """A forked worker's life: close the pipes' read ends, write the pickle
-    of _sweep_share(tasks), or of what it raised, to pipe, and leave through
-    os._exit, running none of the parent's exit handlers."""
+    of share(i), worker i's points, or of what it raised, to pipe, and leave
+    through os._exit, running none of the parent's exit handlers."""
     try:
         for fd in reads:
             os.close(fd)
         try:
-            share = _sweep_share(tasks)
+            sent = share(i)
         except BaseException as exc:  # the parent raises it
-            share = exc
-        pipe.write(pickle.dumps(share))
+            sent = exc
+        pipe.write(pickle.dumps(sent))
         pipe.flush()
     finally:
         os._exit(0)
@@ -198,13 +194,17 @@ def sweep_chi(
     share is raised here, and a child that exits without sending its points
     is a RuntimeError; either way every child is waited for first.
     """
-    tasks = [(params, float(chi), sta, initial, run_kwargs) for chi in chi_values]
-    workers = sweep_workers(jobs, len(tasks))
+    chis = [float(chi) for chi in chi_values]
+    workers = sweep_workers(jobs, len(chis))
     n_samples = run_kwargs.get("n_samples", dynamics.DEFAULT_N_SAMPLES)
     dynamics.passes(run_kwargs.get("n_steps"), n_samples)
     dynamics.check_initial(initial)
     check_readout(params, sta, n_samples)
-    results = [None] * len(tasks)
+    results = [None] * len(chis)
+
+    def share(i: int) -> list[ChernResult]:  # worker i's points
+        return [_sweep_point(params, chi, sta, initial, run_kwargs) for chi in chis[i::workers]]
+
     pids, reads = [], []  # workers 1, 2, ...: forked children, and their pipes' read ends
     try:
         for i in range(1, workers):
@@ -213,8 +213,8 @@ def sweep_chi(
             with open(write, "wb") as pipe:  # the parent's write end closes once forked
                 pids.append(os.fork())
                 if pids[-1] == 0:
-                    _send_share(pipe, reads, tasks[i::workers])
-        results[::workers] = _sweep_share(tasks[::workers])
+                    _send_share(pipe, reads, share, i)
+        results[::workers] = share(0)
         for i, read in enumerate(reads, start=1):
             with open(read, "rb", closefd=False) as pipe:
                 sent = pipe.read()

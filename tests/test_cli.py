@@ -457,7 +457,8 @@ def old_row_table(path_base: Path, fmt: str, header: list[str], rows) -> None:
         path_base.with_suffix(".csv").write_text("\n".join(lines) + "\n")
     else:
         cols = list(zip(*rows)) if rows else [[] for _ in header]
-        obj = {h: [v if not isinstance(v, (float, np.floating)) else float(v) for v in col]
+        obj = {h: [v if not isinstance(v, (float, np.floating))
+                   else float(v) if np.isfinite(v) else None for v in col]
                for h, col in zip(header, cols)}
         path_base.with_suffix(".json").write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -550,6 +551,21 @@ class TestSweep:
         assert rows[0] == list(cli.SWEEP_COLUMNS)
         assert rows[1][5] == "ok" and rows[2][5] == "delta_0 must be finite, got inf"
         assert '"delta_0 must be finite, got inf"' in text
+
+    def test_json_table_holds_null_for_a_failed_point(self, tmp_path):
+        # the point at chi = 1 fails: its c1 and refine_diff are null, which
+        # strict JSON parses, where NaN is no JSON token
+        out = tmp_path / "json"
+        assert cli.main(["sweep", write_config(tmp_path), "--chis=0.5,1", "--format", "json",
+                         "--out", str(out)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        table = json.loads((out / "sweep.json").read_text(), parse_constant=refuse)
+        assert table["status"][1] == "counterdiabatic coefficient singular at chi=1.0"
+        assert table["c1"][1] is None and table["refine_diff"][1] is None
+        assert abs(table["c1"][0] - 1) < 1e-3 and table["refine_diff"][0] >= 0
 
     def test_non_finite_point_fails_alone(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -869,8 +885,10 @@ class TestValidate:
         assert max(len(line) for line in report) < 100
 
     def test_chis_check_the_sweep_as_typed(self, capsys, monkeypatch):
-        # one run per chi, as the sweep of the same command line takes them
+        # one run per chi, as the sweep of the same command line takes them;
+        # start-up at 0, so the estimates are steps alone
         monkeypatch.setattr(cli.dynamics, "step_seconds", lambda params, sta: 2e-5)
+        monkeypatch.setattr(cli.time, "process_time", lambda: 0.0)
 
         def estimate(*flags):
             assert cli.main(["validate", "fig2-4", *flags]) == 0
@@ -910,14 +928,12 @@ class TestValidate:
         assert cli.main(["validate", "fig2-4", "--chis=-1.5,0.5,1.5"]) == 0
         assert capsys.readouterr().out.strip().endswith("OK")
 
-    def test_each_point_stepped_and_a_step_timed_once(self, monkeypatch, capsys, steps_computed):
-        # each point takes one warm-up run, as its run would step; the step's cost,
-        # set by the basis size (8 at every point) and sta alone, is timed once, in
-        # five runs; the two estimates step the first point again
-        monkeypatch.setattr(dynamics, "_STEP_SECONDS", {})
+    def test_each_point_stepped_and_a_step_timed_once(self, capsys, steps_computed):
+        # each point takes one check run, as its run would step, and that run
+        # is the step's timing; the two estimates step nothing more
         assert cli.main(["validate", "fig2-4", "--chis=-1.5,0.5,1.5"]) == 0
         assert capsys.readouterr().out.strip().endswith("OK")
-        assert steps_computed == [dynamics.MIN_STEPS] * (3 + 5 + 2)
+        assert steps_computed == [dynamics.MIN_STEPS] * 3
 
     def test_sweep_timed_on_its_own_points(self, tmp_path, capsys):
         # the config's own delta_0 overflows the drive, but no sweep point
@@ -939,53 +955,68 @@ class TestValidate:
             "FAIL model: counterdiabatic coefficient singular at chi=1.0"]
         assert report[-1] == "INVALID"
 
-    def test_runtime_estimate_scales_with_steps(self, tmp_path, capsys):
+    def test_runtime_estimate_scales_with_steps(self, tmp_path, capsys, monkeypatch):
         cfg = cli.resolve_config("fig1")
-        est = cli.estimated_runtime_s(cfg)
-        worst = cli.estimated_runtime_s(cfg, worst=True)
-        assert np.isfinite(est) and est > 0
+        est, worst = cli.estimated_runtime_s(cfg, 2e-5, 0.0)
         # an explicit n_steps N runs 3N steps when it converges at once, 7N at most
+        assert est == pytest.approx(3 * cfg.n_steps * 2e-5)
         assert worst == pytest.approx(7 / 3 * est)
-        # the per-step cost is now cached, so only the step count changes
-        cfg = replace(cfg, n_steps=2 * cfg.n_steps)
-        assert cli.estimated_runtime_s(cfg) == 2 * est
-        assert cli.estimated_runtime_s(cfg, worst=True) == 2 * worst
+        # only the step count changes, and start-up adds to both
+        assert cli.estimated_runtime_s(replace(cfg, n_steps=2 * cfg.n_steps), 2e-5, 0.0) == (
+            pytest.approx((2 * est, 2 * worst)))
+        assert cli.estimated_runtime_s(cfg, 2e-5, 0.25) == pytest.approx((est + 0.25, worst + 0.25))
         # from half the sample grid: 600 steps if the first doubling converges,
-        # and at most every pass of its ladder, 200 to 12800 steps
+        # and at most every pass of its ladder, 200 to 12800 steps; the
+        # command's start-up is read where main starts
         path = tmp_path / "null.json"
         path.write_text(json.dumps({"preset": "fig1", "n_steps": None}))
-        assert cli.main(["validate", str(path)]) == 0
-        report = dict(line.split(maxsplit=1) for line in capsys.readouterr().out.splitlines()[:-1])
-        step_s = cli.dynamics.step_seconds(cfg.params, cfg.sta)
-        # printed to 3 significant digits, so a 0.0 printout fails
-        assert float(report["estimated_runtime_s"]) == pytest.approx(600 * step_s, rel=6e-3)
-        assert float(report["max_runtime_s"]) == pytest.approx(25400 * step_s, rel=6e-3)
+        monkeypatch.setattr(cli.dynamics, "step_seconds", lambda params, sta: 2e-5)
+        for start_s in (0.0, 0.5):
+            monkeypatch.setattr(cli.time, "process_time", lambda: start_s)
+            assert cli.main(["validate", str(path)]) == 0
+            report = dict(line.split(maxsplit=1)
+                          for line in capsys.readouterr().out.splitlines()[:-1])
+            # printed to 3 significant digits, so a 0.0 printout fails
+            assert float(report["estimated_runtime_s"]) == pytest.approx(
+                start_s + 600 * 2e-5, rel=6e-3)
+            assert float(report["max_runtime_s"]) == pytest.approx(
+                start_s + 25400 * 2e-5, rel=6e-3)
+
+    def test_runtime_estimate_steps_nothing(self, tmp_path, steps_computed):
+        # the step cost is given: the estimates are arithmetic on the ladder
+        for cfg in (cli.resolve_config("fig1"),
+                    cli.resolve_config("fig2-4", {"protocol": "sweep", "chi_values": [0.5, 1.5]}),
+                    cli.resolve_config(write_config(tmp_path, protocol="wigner_movie"))):
+            est, worst = cli.estimated_runtime_s(cfg, 2e-5, 0.0)
+            assert 0 < est < worst
+        assert steps_computed == []
 
     def test_movie_estimate_adds_its_grids(self, tmp_path, monkeypatch):
-        # the step and movie timers patched: 600 steps of 2e-5 s plus the
-        # five snapshots' grids and tables at the config's dim and grid, its
-        # half-width included (the grid's distinct radii set the cost)
+        # the movie timer patched: 600 steps of 2e-5 s plus the five
+        # snapshots' grids and tables at the config's dim and grid, its
+        # half-width included (the grid's distinct radii set the cost), timed
+        # once for both estimates
         calls = []
 
         def movie_seconds(dim, n_points, half_width):
             calls.append((dim, n_points, half_width))
             return 0.25
 
-        monkeypatch.setattr(cli.dynamics, "step_seconds", lambda params, sta: 2e-5)
         monkeypatch.setattr(cli, "movie_seconds", movie_seconds)
         movie = cli.resolve_config(write_config(tmp_path, protocol="wigner_movie", n_steps=None,
                                                 n_samples=401, n_points=61, half_width=3.0))
-        assert cli.estimated_runtime_s(movie) == pytest.approx(600 * 2e-5 + 0.25)
-        assert cli.estimated_runtime_s(movie, worst=True) == pytest.approx(25400 * 2e-5 + 0.25)
-        assert calls == [(30, 61, 3.0)] * 2
+        assert cli.estimated_runtime_s(movie, 2e-5, 0.0) == pytest.approx(
+            (600 * 2e-5 + 0.25, 25400 * 2e-5 + 0.25))
+        assert calls == [(30, 61, 3.0)]
         movie = replace(movie, protocol="sta")
-        assert cli.estimated_runtime_s(movie) == pytest.approx(600 * 2e-5)
-        assert len(calls) == 2
+        assert cli.estimated_runtime_s(movie, 2e-5, 0.0) == pytest.approx(
+            (600 * 2e-5, 25400 * 2e-5))
+        assert len(calls) == 1
 
     def test_movie_estimate_counts_its_tables(self, monkeypatch):
-        # each column formatted made SLEEP slower: the timed movie (a warm-up
-        # call, then the median of three) grows by that much per column, 4
-        # columns for each of the 5 grids
+        # each column formatted made SLEEP slower: the timed movie, one call
+        # after a warm-up call, grows by that much per column, 4 columns for
+        # each of the 5 grids
         SLEEP = 0.01
         column_text = cli._column_text
         formatted = []
@@ -995,15 +1026,11 @@ class TestValidate:
             time.sleep(SLEEP)
             return column_text(col)
 
-        cli.movie_seconds.cache_clear()
+        cli.movie_seconds(30, 41, 3.0)
         fast = cli.movie_seconds(30, 41, 3.0)
         monkeypatch.setattr(cli, "_column_text", slow_column_text)
-        cli.movie_seconds.cache_clear()
-        try:
-            slow = cli.movie_seconds(30, 41, 3.0)
-        finally:
-            cli.movie_seconds.cache_clear()
-        assert formatted == [41 * 41] * (4 * 20)
+        slow = cli.movie_seconds(30, 41, 3.0)
+        assert formatted == [41 * 41] * 20
         # 10 % slack for the host's noise in the unpatched part
         assert slow - fast >= 0.9 * 20 * SLEEP
 
